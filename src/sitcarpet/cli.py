@@ -73,10 +73,7 @@ def _write_snapshots(path: Path, traj) -> None:
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     scenario = cfg.scenario()
-    params = scenario.params
-    if callable(params.K):
-        from dataclasses import replace
-        params = replace(params, K=float(np.max(params.K_at(scenario.grid.x))))
+    params = scenario.params.at_max_K(scenario.grid.x)
     report = eq_mod.thresholds(params)
     eqs = eq_mod.solve_equilibria(params)
 
@@ -132,7 +129,7 @@ def simulate_to_dir(cfg: ScenarioConfig, out: Path,
     wall = time.perf_counter() - t0
     exterior = "positivity" if callable(scenario.params.K) else "equilibrium"
     outcome = classify(traj, level=level, exterior_check=exterior)
-    trace = front_trace(traj, level=level) if level else front_trace(traj)
+    trace = front_trace(traj, level=level)
 
     (out / "config.echo").write_text(cfg_text)
     snap_path = out / "snapshots.csv"
@@ -224,19 +221,14 @@ def cmd_sweep(args) -> int:
     rows = []
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as ex:
-            futures = list(ex.map(_sweep_one_safe, payloads))
-        for v, res in zip(values, futures):
-            if isinstance(res, str):
-                failures.append((v, res))
-            else:
-                rows.append(res)
+            results = list(ex.map(_sweep_one_safe, payloads))
     else:
-        for pay in payloads:
-            res = _sweep_one_safe(pay)
-            if isinstance(res, str):
-                failures.append((pay[2], res))
-            else:
-                rows.append(res)
+        results = list(map(_sweep_one_safe, payloads))
+    for v, res in zip(values, results):
+        if isinstance(res, str):
+            failures.append((v, res))
+        else:
+            rows.append(res)
     rows.sort(key=lambda r: r[0])
     print(f"{args.axis:>16}  {'outcome':>14}  {'speed':>12}")
     for v, kind, speed in rows:

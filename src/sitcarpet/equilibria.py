@@ -28,7 +28,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import Bistable, ModelParams, Monostable, StatePoint, gamma_fn, jacobian_ode
+from .model import (Bistable, ModelParams, Monostable, StatePoint, gamma_fn,
+                    jacobian_ode, slaved_E, slaved_M)
 
 BISECT_TOL = 1e-12
 DEFAULT_PANELS = 4096
@@ -52,6 +53,21 @@ def bisect(f: Callable[[float], float], lo: float, hi: float,
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def scale_until(pred: Callable[[float], bool], x: float, factor: float,
+                limit: float) -> Optional[float]:
+    """Multiply x by factor until pred(x) holds; None once x passes limit.
+
+    With factor > 1 the search grows x and gives up above limit; with
+    factor < 1 it shrinks x and gives up below limit.  The usual use is to
+    find one end of a bisection bracket.
+    """
+    while not pred(x):
+        x *= factor
+        if (x > limit) if factor > 1.0 else (x < limit):
+            return None
+    return x
 
 
 @dataclass(frozen=True)
@@ -83,7 +99,10 @@ def offspring_number(params: ModelParams) -> float:
 
 
 def zeta_of_gamma(params: ModelParams, gamma: float) -> float:
-    """zeta = mu_M / ((1 - rho) nu_E gamma K)."""
+    """zeta = mu_M / ((1 - rho) nu_E gamma K).
+
+    The map is its own inverse, so zeta_of_gamma(params, zeta_c) is gamma_c.
+    """
     return params.mu_M / ((1.0 - params.rho) * params.nu_E * gamma * params.K_scalar)
 
 
@@ -103,22 +122,15 @@ def solve_zeta_c(n_offspring: float) -> Optional[float]:
         rhs = 1.0 - z * np.log((2.0 * z * N + 1.0 + s) / (2.0 * z * N))
         return lhs - rhs
 
-    hi = 1.0
-    while h(hi) < 0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("zeta_c bracket search failed")
+    hi = scale_until(lambda z: h(z) >= 0, 1.0, 2.0, 1e12)
+    if hi is None:
+        raise RuntimeError("zeta_c bracket search failed")
     return bisect(h, 1e-300, hi)
 
 
 def phi0(params: ModelParams, F):
-    """Slaved male density (1-rho) nu_E b F / (mu_M (bF/K + mu_E + nu_E))."""
-    F = np.asarray(F, dtype=float)
-    K = params.K_scalar
-    out = ((1.0 - params.rho) * params.nu_E * params.b * F
-           / (params.mu_M * params.b * F / K
-              + params.mu_M * (params.mu_E + params.nu_E)))
-    return out if out.ndim else float(out)
+    """Slaved male density M(E(F)): the egg and male equations at rest along F."""
+    return slaved_M(params, slaved_E(params, F))
 
 
 def phi(params: ModelParams, F, F_star: float):
@@ -131,9 +143,7 @@ def phi(params: ModelParams, F, F_star: float):
     analytic limit, which equals M*/2 when F* is the upper equilibrium.
     """
     F = np.asarray(F, dtype=float)
-    K = params.K_scalar
-    base = ((1.0 - params.rho) * params.nu_E * params.b * F
-            / (2.0 * params.mu_M * (params.b * F / K + params.mu_E + params.nu_E)))
+    base = 0.5 * phi0(params, F)
     rem = 1.0 - F / F_star
     expo = 2.0 * np.sqrt(params.mu_M / params.mu_F)
     safe = np.maximum(rem, 1e-14)
@@ -155,9 +165,7 @@ def phi_s_eps(params: ModelParams, eps: float, F, F_star: float):
 def _wave_integrand(params: ModelParams, gamma: Optional[float], F_star: float,
                     u: np.ndarray, eps: Optional[float]) -> np.ndarray:
     """rho nu_E b u/(bu/K + mu_E + nu_E) * w(u) * Gamma(phi(u)) - mu_F u."""
-    K = params.K_scalar
-    recruit = (params.rho * params.nu_E * params.b * u
-               / (params.b * u / K + params.mu_E + params.nu_E))
+    recruit = params.rho * params.nu_E * slaved_E(params, u)
     ph = phi(params, u, F_star)
     kind = Monostable() if gamma is None else Bistable(gamma)
     gam = gamma_fn(kind, ph)
@@ -208,9 +216,8 @@ def _m_to_F(params: ModelParams, m: float) -> float:
 
 
 def _equilibrium_from_F(params: ModelParams, F: float) -> tuple[float, float, float]:
-    E = params.b * F / (params.b * F / params.K_scalar + params.mu_E + params.nu_E)
-    M = (1.0 - params.rho) * params.nu_E * E / params.mu_M
-    return E, M, F
+    E = slaved_E(params, F)
+    return E, slaved_M(params, E), F
 
 
 def _is_stable(params: ModelParams, E: float, M: float, F: float) -> bool:
@@ -276,8 +283,7 @@ def solve_gamma_0(params: ModelParams, freeze_equilibrium: bool = True,
     N = offspring_number(params)
     if N <= 1.0:
         return None
-    zeta_c = solve_zeta_c(N)
-    gamma_c = params.mu_M / ((1.0 - params.rho) * params.nu_E * zeta_c * params.K_scalar)
+    gamma_c = zeta_of_gamma(params, solve_zeta_c(N))
 
     if freeze_equilibrium:
         eq = solve_equilibria(params)
@@ -295,17 +301,10 @@ def solve_gamma_0(params: ModelParams, freeze_equilibrium: bool = True,
             Fs = eq_g.upper[2]
             return potential_G(params.with_gamma(g), g, Fs, Fs, panels=panels)
 
-    hi = 10.0 * gamma_c
-    while h(hi) <= 0:
-        hi *= 2.0
-        if hi > 1e9:
-            return None
-    lo = min(gamma_c * (1.0 + 1e-12), hi / 2.0)
-    while h(lo) >= 0:
-        lo *= 0.5
-        if lo < 1e-300:
-            return None
-    return bisect(h, lo, hi)
+    hi = scale_until(lambda g: h(g) > 0, 10.0 * gamma_c, 2.0, 1e9)
+    lo = None if hi is None else scale_until(
+        lambda g: h(g) < 0, min(gamma_c * (1.0 + 1e-12), hi / 2.0), 0.5, 1e-300)
+    return None if lo is None else bisect(h, lo, hi)
 
 
 def thresholds(params: ModelParams, panels: int = DEFAULT_PANELS) -> ThresholdReport:
@@ -313,10 +312,7 @@ def thresholds(params: ModelParams, panels: int = DEFAULT_PANELS) -> ThresholdRe
     N = offspring_number(params)
     natural_extinction = N <= 1.0
     zeta_c = solve_zeta_c(N)
-    gamma_c = None
-    if zeta_c is not None:
-        gamma_c = params.mu_M / (
-            (1.0 - params.rho) * params.nu_E * zeta_c * params.K_scalar)
+    gamma_c = None if zeta_c is None else zeta_of_gamma(params, zeta_c)
 
     if isinstance(params.gamma_kind, Monostable):
         return ThresholdReport(N, None, zeta_c, gamma_c, None, "Monostable",

@@ -18,6 +18,7 @@ value at M = Ms = 0 so the kinetics are total on the invariant region
 
 Everything here is a pure function of value types; the PDE solver and the
 profile builders vectorize over numpy arrays through the same kinetics.
+The slaved relations E(F) and M(E) (egg and male equations at rest) live here.
 """
 
 from __future__ import annotations
@@ -107,6 +108,16 @@ class ModelParams:
             return K
         return np.asarray(self.K, dtype=float)
 
+    def at_max_K(self, x) -> "ModelParams":
+        """These params with a callable K replaced by its maximum over nodes x.
+
+        The reference parameter set for heterogeneous K: equilibria,
+        thresholds, classification and the step gate all use it.
+        """
+        if callable(self.K):
+            return replace(self, K=float(np.max(self.K_at(x))))
+        return self
+
     @property
     def K_scalar(self) -> float:
         if callable(self.K):
@@ -154,6 +165,24 @@ def mating_factor(params: ModelParams, M, Ms):
         frac = np.where(P > 0, M / np.where(P > 0, P, 1.0), 0.0)
     out = frac * gamma_fn(params.gamma_kind, np.maximum(P, 0.0))
     return out if out.ndim else float(out)
+
+
+def slaved_E(params: ModelParams, F, K=None):
+    """Egg density slaved to F: E = bF / (bF/K + mu_E + nu_E).
+
+    K defaults to the scalar carrying capacity; pass the sampled nodewise
+    values in the heterogeneous case.
+    """
+    F = np.asarray(F, dtype=float)
+    if K is None:
+        K = params.K_scalar
+    out = params.b * F / (params.b * F / K + params.mu_E + params.nu_E)
+    return out if out.ndim else float(out)
+
+
+def slaved_M(params: ModelParams, E):
+    """Male density slaved to E: M = (1 - rho) nu_E E / mu_M."""
+    return (1.0 - params.rho) * params.nu_E * E / params.mu_M
 
 
 def reaction_arrays(params: ModelParams, E, M, F, Ms, lam, K):
@@ -227,13 +256,10 @@ def reaction_spectral_bound(params: ModelParams, F_cap: float | None = None,
     (F capped by the closed-state bound rho nu_E K / mu_F unless the caller
     knows a larger initial sup).  The bistable mating derivative is bounded by
     2 gamma using Gamma(P) <= gamma P and Gamma' <= gamma; the monostable
-    factor only damps fF and contributes no growth.
+    factor only damps fF and contributes no growth.  K must be scalar: reduce
+    a heterogeneous K first with `ModelParams.at_max_K`.
     """
-    K = params.K_at(0.0)
-    K_max = float(np.max(K)) if np.ndim(K) else float(K)
-    if callable(params.K):
-        # heterogeneous K: sample a broad window for a sup estimate
-        K_max = float(np.max(params.K_at(np.linspace(-1e3, 1e3, 4097))))
+    K_max = params.K_scalar
     if E_cap is None:
         E_cap = K_max
     if F_cap is None:

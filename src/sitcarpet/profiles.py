@@ -27,7 +27,10 @@ import numpy as np
 
 from .equilibria import (
     _wave_integrand,
+    bisect,
+    phi0,
     potential_G,
+    scale_until,
     solve_equilibria,
 )
 from .model import ModelParams
@@ -68,6 +71,15 @@ class MonotoneProfile:
         np.savetxt(path, np.column_stack([self.grid, self.values]),
                    delimiter=",", header="position,value", comments="",
                    fmt="%.17g")
+
+
+def _gauss_cells(f: Callable, lo, hi) -> np.ndarray:
+    """Per-cell Gauss-Legendre integrals of vectorized f over [lo, hi]."""
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    half = 0.5 * (hi - lo)[..., None]
+    pts = 0.5 * (lo + hi)[..., None] + half * _GL_NODES
+    vals = np.asarray(f(pts.reshape(-1)), dtype=float).reshape(pts.shape)
+    return np.sum(half * _GL_WEIGHTS * vals, axis=-1)
 
 
 def _cell_exp_integrals(psi: Callable, grid: np.ndarray, s: float):
@@ -173,14 +185,12 @@ def find_eps0(params: ModelParams, gamma: Optional[float], F_star: float,
     """A sterile-tail amplitude eps with G_eps(F*) > 0, halved for safety.
 
     Halves eps from 1 until the tail-weighted potential at F* is positive;
-    None if even eps = 2^-200 fails (condition violated for the bare G too).
+    None if even eps = 2^-199 fails (condition violated for the bare G too).
     """
-    eps = 1.0
-    for _ in range(200):
-        if potential_G(params, gamma, F_star, F_star, eps=eps, panels=panels) > 0:
-            return eps * safety
-        eps *= 0.5
-    return None
+    eps = scale_until(
+        lambda e: potential_G(params, gamma, F_star, F_star, eps=e, panels=panels) > 0,
+        1.0, 0.5, 2.0**-199)
+    return None if eps is None else eps * safety
 
 
 def _locate_maximizer(pw: ModelParams, gamma, F_star: float, eps,
@@ -203,14 +213,11 @@ def _locate_maximizer(pw: ModelParams, gamma, F_star: float, eps,
     if not cross.size:
         return F_scan[i_max]
     k = int(cross[np.argmin(np.abs(cross - i_max))])
-    lo, hi = F_scan[k], F_scan[k + 1]
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if float(_wave_integrand(pw, gamma, F_star, np.array([mid]), eps)[0]) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+
+    def minus_integrand(F):  # bisect's sign convention: negative at lo
+        return -float(_wave_integrand(pw, gamma, F_star, np.array([F]), eps)[0])
+
+    return bisect(minus_integrand, F_scan[k], F_scan[k + 1], tol=0.0, max_iter=100)
 
 
 class _PotentialGap:
@@ -225,28 +232,19 @@ class _PotentialGap:
         self.pw, self.gamma, self.F_star, self.eps = pw, gamma, F_star, eps
         self.F_m = F_m
         self.nodes = np.linspace(0.0, F_m, n_cells + 1)
-        mid = 0.5 * (self.nodes[:-1] + self.nodes[1:])[:, None]
-        half = 0.5 * np.diff(self.nodes)[:, None]
-        pts = mid + half * _GL_NODES[None, :]
-        vals = _wave_integrand(pw, gamma, F_star, pts.ravel(), eps).reshape(pts.shape)
-        cells = np.sum(half * _GL_WEIGHTS[None, :] * vals, axis=1)
+        cells = _gauss_cells(self._integrand, self.nodes[:-1], self.nodes[1:])
         H = np.zeros(n_cells + 1)
         H[:-1] = np.cumsum(cells[::-1])[::-1]
         self.H_nodes = H
 
+    def _integrand(self, F):
+        return _wave_integrand(self.pw, self.gamma, self.F_star, F, self.eps)
+
     def H(self, F):
-        F = np.asarray(F, dtype=float)
-        Fc = np.clip(F, 0.0, self.F_m)
+        Fc = np.clip(np.asarray(F, dtype=float), 0.0, self.F_m)
         k = np.minimum(np.searchsorted(self.nodes, Fc, side="left"),
                        self.nodes.size - 1)
-        upper = self.nodes[k]
-        half = 0.5 * (upper - Fc)
-        mid = 0.5 * (upper + Fc)
-        pts = mid[..., None] + half[..., None] * _GL_NODES
-        vals = _wave_integrand(self.pw, self.gamma, self.F_star,
-                               pts.ravel(), self.eps).reshape(pts.shape)
-        local = np.sum(half[..., None] * _GL_WEIGHTS * vals, axis=-1)
-        return self.H_nodes[k] + local
+        return self.H_nodes[k] + _gauss_cells(self._integrand, Fc, self.nodes[k])
 
     def v(self, F):
         return np.sqrt(np.maximum(2.0 * self.H(F), 0.0))
@@ -294,24 +292,17 @@ def build_stationary_F(params: ModelParams, gamma: Optional[float] = None,
     F_geo = F_m * (1.0 - deltas)
     F_knots = np.unique(np.concatenate([F_uniform, F_geo]))
 
-    mid = 0.5 * (F_knots[:-1] + F_knots[1:])[:, None]
-    half = 0.5 * np.diff(F_knots)[:, None]
-    pts = mid + half * _GL_NODES[None, :]
-    inv_v = 1.0 / gap.v(pts.ravel()).reshape(pts.shape)
-    x_knots = np.concatenate([[0.0],
-                              np.cumsum(np.sum(half * _GL_WEIGHTS * inv_v,
-                                               axis=1))])
+    def inv_v(F):
+        return 1.0 / gap.v(F)
+
+    x_knots = np.concatenate(
+        [[0.0], np.cumsum(_gauss_cells(inv_v, F_knots[:-1], F_knots[1:]))])
 
     def x_of_F(F):
         F = np.asarray(F, dtype=float)
         k = np.clip(np.searchsorted(F_knots, F, side="right") - 1, 0,
                     F_knots.size - 2)
-        lo = F_knots[k]
-        half = 0.5 * (F - lo)
-        mid = 0.5 * (F + lo)
-        pts = mid[..., None] + half[..., None] * _GL_NODES
-        inv = 1.0 / gap.v(pts.reshape(-1)).reshape(pts.shape)
-        return x_knots[k] + np.sum(half[..., None] * _GL_WEIGHTS * inv, axis=-1)
+        return x_knots[k] + _gauss_cells(inv_v, F_knots[k], F)
 
     x_max = float(x_knots[-1])
     x_out = np.arange(0.0, x_max, dy_out)
@@ -327,34 +318,20 @@ def build_stationary_F(params: ModelParams, gamma: Optional[float] = None,
                            F_m)
 
 
-def slaved_E(params: ModelParams, F, K=None):
-    """Egg density slaved to F: E = bF / (bF/K + mu_E + nu_E).
-
-    K defaults to the scalar carrying capacity; pass the sampled nodewise
-    values in the heterogeneous case.
-    """
-    F = np.asarray(F, dtype=float)
-    if K is None:
-        K = params.K_scalar
-    out = params.b * F / (params.b * F / K + params.mu_E + params.nu_E)
-    return out if out.ndim else float(out)
-
-
-def recruitment_psi(params: ModelParams, F):
-    """Male production term (1 - rho) nu_E E(F) along a female profile."""
-    return (1.0 - params.rho) * params.nu_E * slaved_E(params, F)
-
-
 def build_stationary_M(params: ModelParams,
                        F_profile: MonotoneProfile) -> MonotoneProfile:
-    """Companion male profile solving -D M'' = (1-rho) nu_E E(F) - mu_M M."""
+    """Companion male profile solving -D M'' = mu_M (phi0(F) - M).
+
+    The source mu_M phi0(F) is the male recruitment (1-rho) nu_E E(F) of the
+    slaved egg density.
+    """
     sqrt_D = np.sqrt(params.D)
     y_grid = F_profile.grid / sqrt_D
 
     def psi(y):
-        return recruitment_psi(params, F_profile(np.asarray(y) * sqrt_D))
+        return params.mu_M * phi0(params, F_profile(np.asarray(y) * sqrt_D))
 
-    psi_inf = recruitment_psi(params, F_profile.limit)
-    M_vals = halfline_green_solve(params.mu_M, psi, y_grid, psi_limit=psi_inf)
-    return MonotoneProfile(F_profile.grid, np.asarray(M_vals),
-                           psi_inf / params.mu_M)
+    M_inf = phi0(params, F_profile.limit)
+    M_vals = halfline_green_solve(params.mu_M, psi, y_grid,
+                                  psi_limit=params.mu_M * M_inf)
+    return MonotoneProfile(F_profile.grid, np.asarray(M_vals), M_inf)

@@ -15,20 +15,24 @@ Under the step-size gate the full update is monotone for the cone order
 exercise; it also preserves the invariant region up to roundoff, and any
 nodewise undershoot is clamped, counted, and bounded by a hard failure
 threshold.
+
+A heterogeneous K(x) enters the egg equation nodewise; everywhere a single
+reference value is needed (equilibria, thresholds, classification and the
+step gate) it is reduced to its maximum over the grid nodes
+(`ModelParams.at_max_K`).
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .equilibria import solve_equilibria
-from .model import ModelParams, reaction_arrays, reaction_spectral_bound
-from .profiles import slaved_E
+from .model import (ModelParams, reaction_arrays, reaction_spectral_bound,
+                    slaved_E, slaved_M)
 
 CLAMP_COUNT_THRESHOLD = 1e-12
 CLAMP_FAIL_THRESHOLD = 1e-9
@@ -129,20 +133,17 @@ def release_value(schedule: ReleaseSchedule, x, t: float):
     """Lambda at |x| (vectorized) and time t."""
     r = np.abs(np.asarray(x, dtype=float))
     s = schedule
+    shift = 0.0 if s.kind == "fixed_region" else s.c * t
+    inner, outer = s.R1 + shift, s.R2 + shift
     if s.kind == "none" or s.lambda_bar == 0.0:
         out = np.zeros_like(r)
-    elif s.kind == "annulus":
-        out = s.lambda_bar * ((r >= s.R1 + s.c * t) & (r <= s.R2 + s.c * t))
     elif s.kind == "annulus_tail":
-        inner = s.R1 + s.c * t
-        out = np.where(
-            r < inner,
-            s.lambda_bar * np.exp(s.eta * (r - inner)),
-            s.lambda_bar * (r <= s.R2 + s.c * t))
+        out = np.where(r < inner, s.lambda_bar * np.exp(s.eta * (r - inner)),
+                       s.lambda_bar * (r <= outer))
     elif s.kind == "disc":
-        out = s.lambda_bar * (r <= s.R2 + s.c * t)
-    else:  # fixed_region
-        out = s.lambda_bar * ((r >= s.R1) & (r <= s.R2))
+        out = s.lambda_bar * (r <= outer)
+    else:  # annulus, fixed_region
+        out = s.lambda_bar * ((r >= inner) & (r <= outer))
     out = np.asarray(out, dtype=float)
     return out if out.ndim else float(out)
 
@@ -178,8 +179,7 @@ class InitialData:
 def make_initial(params: ModelParams, data: InitialData, grid: Grid,
                  lambda_bar: float = 0.0) -> SimState:
     """Construct fields satisfying the well-prepared bounds nodewise."""
-    eq = solve_equilibria(params if not callable(params.K)
-                          else replace(params, K=float(np.max(params.K_at(grid.x)))))
+    eq = solve_equilibria(params.at_max_K(grid.x))
     if eq.upper is None:
         raise SolverError("no positive equilibrium for this parameter set")
     E_star, M_star, F_star = eq.upper
@@ -205,7 +205,7 @@ def make_initial(params: ModelParams, data: InitialData, grid: Grid,
     ramp = np.clip((data.R0_1 - r) / (data.R0_1 - data.R0_0), 0.0, 1.0)
     F0 = F_star * (data.u0 * ramp + (1.0 - ramp))
     E0 = np.minimum(np.minimum(slaved_E(params, F0, K=K), C0 * F0), K)
-    M0 = np.minimum((1.0 - params.rho) * params.nu_E * E0 / params.mu_M, C0 * F0)
+    M0 = np.minimum(slaved_M(params, E0), C0 * F0)
     Ms0 = (lambda_bar / params.mu_s) * ramp
 
     # self-check of the well-prepared bounds
@@ -259,7 +259,7 @@ def implicit_diffusion_matrix(grid: Grid, D: float, dt: float,
 
 
 def reaction_dt_bound(params: ModelParams, F_sup: float = 0.0) -> float:
-    """Largest admissible explicit step, 0.5 / rho_max."""
+    """Largest admissible explicit step, 0.5 / rho_max (scalar K only)."""
     rho_max = reaction_spectral_bound(params)
     if F_sup > 0.0:
         rho_max = max(rho_max, reaction_spectral_bound(params, F_cap=F_sup))
@@ -279,7 +279,8 @@ def step(state: SimState, params: ModelParams, schedule: ReleaseSchedule,
          dt_max: Optional[float] = None) -> SimState:
     """One semi-implicit step; rejects dt above the reaction-stability gate."""
     if dt_max is None:
-        dt_max = reaction_dt_bound(params, F_sup=float(np.max(state.F, initial=0.0)))
+        dt_max = reaction_dt_bound(params.at_max_K(grid.x),
+                                   F_sup=float(np.max(state.F, initial=0.0)))
     if dt > dt_max * (1.0 + 1e-12):
         raise SolverError(f"dt={dt:g} exceeds the reaction-stability bound "
                           f"{dt_max:g}")
@@ -357,7 +358,8 @@ def run(scenario: Scenario, state0: Optional[SimState] = None) -> Trajectory:
     if state0 is None:
         state0 = make_initial(sc.params, sc.initial, sc.grid,
                               lambda_bar=sc.schedule.lambda_bar)
-    dt_max = reaction_dt_bound(sc.params, F_sup=float(np.max(state0.F)))
+    dt_max = reaction_dt_bound(sc.params.at_max_K(sc.grid.x),
+                               F_sup=float(np.max(state0.F)))
     dt = sc.dt if sc.dt is not None else dt_max
     if dt > dt_max * (1.0 + 1e-12):
         raise SolverError(f"dt={dt:g} exceeds the stability bound {dt_max:g}")
@@ -383,20 +385,3 @@ def run(scenario: Scenario, state0: Optional[SimState] = None) -> Trajectory:
     return Trajectory(sc, np.array(times), arr[:, 0], arr[:, 1], arr[:, 2],
                       arr[:, 3], clamps, dt)
 
-
-def scenario_digest(scenario: Scenario) -> str:
-    """Stable hash of the full scenario definition (for run records)."""
-    p = scenario.params
-    K_desc = "callable" if callable(p.K) else repr(p.K)
-    parts = [
-        f"b={p.b!r} nu_E={p.nu_E!r} mu_E={p.mu_E!r} mu_M={p.mu_M!r}",
-        f"mu_F={p.mu_F!r} mu_s={p.mu_s!r} rho={p.rho!r} K={K_desc} D={p.D!r}",
-        f"gamma={p.gamma!r} gamma_s={p.gamma_s!r}",
-        f"grid={scenario.grid.kind} x0={scenario.grid.x[0]!r} "
-        f"x1={scenario.grid.x[-1]!r} n={scenario.grid.n}",
-        f"schedule={scenario.schedule!r}",
-        f"initial={scenario.initial!r}",
-        f"t_end={scenario.t_end!r} dt={scenario.dt!r} "
-        f"every={scenario.snapshot_every} boundary={scenario.boundary}",
-    ]
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]

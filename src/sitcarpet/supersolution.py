@@ -24,9 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .equilibria import bisect, solve_equilibria
-from .model import Bistable, ModelParams
-from .profiles import slaved_E
+from .equilibria import bisect, scale_until, solve_equilibria
+from .model import Bistable, ModelParams, slaved_E
 
 
 def lambda_roots(mu: float, drift: float) -> tuple[float, float]:
@@ -44,11 +43,8 @@ def psi_profile(eps: float, u0: float, c: float, r1: float):
     """
     if not (eps > 0 and 0 < u0 < 1 and c > 0 and r1 > 0):
         raise ValueError("psi_profile requires eps > 0, u0 in (0,1), c > 0, r1 > 0")
-    drift = c + 1.0 / r1
-    disc = np.sqrt(drift * drift + 4.0 * eps)
-    lp = 0.5 * (-drift + disc)
-    lm = 0.5 * (-drift - disc)
-    scale = u0 / disc
+    lp, lm = lambda_roots(2.0 * eps, c + 1.0 / r1)
+    scale = u0 / (lp - lm)
 
     def psi(r):
         r = np.asarray(r, dtype=float)
@@ -60,11 +56,9 @@ def psi_profile(eps: float, u0: float, c: float, r1: float):
         out = scale * (lp * lm * np.exp(lm * r) - lm * lp * np.exp(lp * r))
         return out if out.ndim else float(out)
 
-    hi = 1.0
-    while psi(hi) < 1.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError("psi fails to reach 1")
+    hi = scale_until(lambda r: psi(r) >= 1.0, 1.0, 2.0, 1e12)
+    if hi is None:
+        raise RuntimeError("psi fails to reach 1")
     L = bisect(lambda r: psi(r) - 1.0, 0.0, hi)
     return psi, dpsi, L
 
@@ -133,11 +127,6 @@ class SupersolutionBundle:
         """|x| positions of the Omega0/1, Omega1/2, Omega2/3 interfaces."""
         return (self.r1 + self.c_prime * t, self.r1 + self.c * t,
                 self.r2 + self.c * t)
-
-
-def alpha_beta(bundle: SupersolutionBundle, t, r_offset):
-    """(alpha(t), beta(r_offset)) of the Omega1 separated super-solution."""
-    return bundle.alpha(t), bundle.beta(r_offset)
 
 
 def assemble_Fbar(bundle: SupersolutionBundle, x, t: float):
@@ -241,27 +230,53 @@ class SterileBoundProfile:
     M_hat: float
     eta: float = 0.0
     eps_tail: float = 0.0
-    a_eps: float = 0.0
+
+    def _pieces(self) -> list:
+        """Piece table: (start, amplitude, shape, slope) per piece.
+
+        A piece holds from its start (unit-diffusion offset s = (|x| - ct)
+        / sqrt(D)) up to the next piece's start; its value is amplitude *
+        shape(s) and its derivative amplitude * slope(s).
+        """
+        sd = np.sqrt(self.params.D)
+        r1, r2, R1 = self.r1 / sd, self.r2 / sd, self.R1 / sd
+
+        def gauss(rate, centre):
+            def value(s):
+                return np.exp(-rate * (s - centre) ** 2)
+            return value, lambda s: -2.0 * rate * (s - centre) * value(s)
+
+        flat = (lambda s: np.ones_like(s), lambda s: np.zeros_like(s))
+        if self.kind == "lower_annulus":
+            top = self.M_hat
+            inner = [(-np.inf, top, *gauss(self.a, r1))]
+        else:
+            top = (1.0 + self.eps_tail) * self.M_hat
+            inner = [(-np.inf, self.M_hat,
+                      lambda s: np.exp(self.eta * (s - R1)),
+                      lambda s: self.eta * np.exp(self.eta * (s - R1))),
+                     (R1, top, *gauss(self.a, r1))]
+        return inner + [(r1, top, *flat), (r2, top, *gauss(self.b, r2))]
 
     def shape(self, s):
         """Profile in the co-moving radial coordinate s = |x| - ct (physical)."""
-        sd = np.sqrt(self.params.D)
-        s = np.asarray(s, dtype=float) / sd
-        r1, r2, R1 = self.r1 / sd, self.r2 / sd, self.R1 / sd
-        if self.kind == "lower_annulus":
-            out = np.where(
-                s < r1, np.exp(-self.a * (s - r1) ** 2),
-                np.where(s <= r2, 1.0, np.exp(-self.b * (s - r2) ** 2)))
-            out = self.M_hat * out
-        else:
-            one = 1.0 + self.eps_tail
-            out = np.where(
-                s < R1, np.exp(self.eta * (s - R1)),
-                np.where(
-                    s < r1, one * np.exp(-self.a_eps * (s - r1) ** 2),
-                    np.where(s <= r2, one, one * np.exp(-self.b * (s - r2) ** 2))))
-            out = self.M_hat * out
+        s = np.asarray(s, dtype=float) / np.sqrt(self.params.D)
+        pieces = self._pieces()
+        out = np.choose(_piece_index(pieces, s),
+                        [amp * f(s) for _, amp, f, _ in pieces])
         return out if out.ndim else float(out)
+
+    def _one_sided(self, s_joint: float, column: int) -> tuple[float, float]:
+        # pick each side's piece by nudging off the offset, then evaluate that
+        # piece's own closed form at the offset itself
+        s = s_joint / np.sqrt(self.params.D)
+        nudge = 1e-9 * max(abs(s), 1.0)
+        pieces = self._pieces()
+        out = []
+        for q in (s - nudge, s + nudge):
+            piece = pieces[_piece_index(pieces, q)]
+            out.append(float(piece[1] * piece[column](s)))
+        return out[0], out[1]
 
     def one_sided_slopes(self, s_joint: float) -> tuple[float, float]:
         """Analytic left/right derivatives of the shape at a physical offset.
@@ -269,56 +284,13 @@ class SterileBoundProfile:
         Used to certify C1 matching at the piece joints exactly (no finite
         differencing).  Derivatives are per physical length.
         """
+        left, right = self._one_sided(s_joint, 3)
         sd = np.sqrt(self.params.D)
-        s = s_joint / sd
-        r1, r2, R1 = self.r1 / sd, self.r2 / sd, self.R1 / sd
-
-        def piece_slope(side: str) -> float:
-            # pick the piece by nudging toward `side`, evaluate its slope at s
-            nudge = 1e-9 * max(abs(s), 1.0)
-            q = s - nudge if side == "left" else s + nudge
-            if self.kind == "lower_annulus":
-                if q < r1:
-                    return -2.0 * self.a * (s - r1) * np.exp(-self.a * (s - r1) ** 2) * self.M_hat
-                if q <= r2:
-                    return 0.0
-                return -2.0 * self.b * (s - r2) * np.exp(-self.b * (s - r2) ** 2) * self.M_hat
-            one = (1.0 + self.eps_tail) * self.M_hat
-            if q < R1:
-                return self.eta * np.exp(self.eta * (s - R1)) * self.M_hat
-            if q < r1:
-                return -2.0 * self.a_eps * (s - r1) * np.exp(-self.a_eps * (s - r1) ** 2) * one
-            if q <= r2:
-                return 0.0
-            return -2.0 * self.b * (s - r2) * np.exp(-self.b * (s - r2) ** 2) * one
-
-        return piece_slope("left") / sd, piece_slope("right") / sd
+        return left / sd, right / sd
 
     def one_sided_values(self, s_joint: float) -> tuple[float, float]:
         """Analytic left/right limits of the shape at a physical offset."""
-        sd = np.sqrt(self.params.D)
-        s = s_joint / sd
-        r1, r2, R1 = self.r1 / sd, self.r2 / sd, self.R1 / sd
-
-        def piece_value(side: str) -> float:
-            nudge = 1e-9 * max(abs(s), 1.0)
-            q = s - nudge if side == "left" else s + nudge
-            if self.kind == "lower_annulus":
-                if q < r1:
-                    return float(np.exp(-self.a * (s - r1) ** 2)) * self.M_hat
-                if q <= r2:
-                    return self.M_hat
-                return float(np.exp(-self.b * (s - r2) ** 2)) * self.M_hat
-            one = (1.0 + self.eps_tail) * self.M_hat
-            if q < R1:
-                return float(np.exp(self.eta * (s - R1))) * self.M_hat
-            if q < r1:
-                return float(np.exp(-self.a_eps * (s - r1) ** 2)) * one
-            if q <= r2:
-                return one
-            return float(np.exp(-self.b * (s - r2) ** 2)) * one
-
-        return piece_value("left"), piece_value("right")
+        return self._one_sided(s_joint, 2)
 
     def __call__(self, x, t):
         r = np.abs(np.asarray(x, dtype=float))
@@ -336,9 +308,16 @@ class SterileBoundProfile:
         return np.asarray(plateau, dtype=float)
 
 
+def _piece_index(pieces: list, s):
+    """Index of the piece holding offset(s) s: the last start <= s."""
+    return np.searchsorted([p[0] for p in pieces], s, side="right") - 1
+
+
 def _skirt_constants(params: ModelParams, c: float, r1: float, r2: float,
                      R1: float, R2: float) -> tuple[float, float]:
     """Minimal Gaussian decay rates (unit-diffusion units) for the skirts."""
+    if not 0 < R1 < r1 < r2 < R2:
+        raise ValueError("geometry must satisfy 0 < R1 < r1 < r2 < R2")
     sd = np.sqrt(params.D)
     ct = c / sd
     r1t, r2t, R1t, R2t = r1 / sd, r2 / sd, R1 / sd, R2 / sd
@@ -353,20 +332,23 @@ def _skirt_constants(params: ModelParams, c: float, r1: float, r2: float,
     return float(a), float(b)
 
 
+def _plateau_gain(params: ModelParams, c: float, r2: float, a: float,
+                  b: float) -> float:
+    """Plateau height per unit release for inner/outer skirt rates a, b."""
+    sd = np.sqrt(params.D)
+    drift = c / sd + sd / r2
+    return min(1.0 / (2.0 * b + params.mu_s + 0.25 * drift**2),
+               1.0 / (2.0 * a + params.mu_s))
+
+
 def make_sterile_lower_bound(params: ModelParams, lambda_bar: float, c: float,
                              R1: float, r1: float, r2: float,
                              R2: float) -> SterileBoundProfile:
     """Case-(i) lower bound: plateau M_hat on the inner annulus [r1, r2]."""
-    if not 0 < R1 < r1 < r2 < R2:
-        raise ValueError("geometry must satisfy 0 < R1 < r1 < r2 < R2")
     a, b = _skirt_constants(params, c, r1, r2, R1, R2)
-    sd = np.sqrt(params.D)
-    drift = c / sd + sd / r2
-    M_hat = lambda_bar * min(
-        1.0 / (2.0 * b + params.mu_s + 0.25 * drift**2),
-        1.0 / (2.0 * a + params.mu_s))
     return SterileBoundProfile(params, "lower_annulus", lambda_bar, c,
-                               R1, r1, r2, R2, a, b, M_hat)
+                               R1, r1, r2, R2, a, b,
+                               lambda_bar * _plateau_gain(params, c, r2, a, b))
 
 
 def make_sterile_lower_bound_tail(params: ModelParams, lambda_bar: float,
@@ -379,23 +361,18 @@ def make_sterile_lower_bound_tail(params: ModelParams, lambda_bar: float,
     a_eps = eta / (2 (r1 - R1)) (unit-diffusion units), under which the
     plateau floor and the sub-solution inequalities still hold.
     """
-    if not 0 < R1 < r1 < r2 < R2:
-        raise ValueError("geometry must satisfy 0 < R1 < r1 < r2 < R2")
     if not eta > 0:
         raise ValueError("eta must be > 0")
+    _, b = _skirt_constants(params, c, r1, r2, R1, R2)
     sd = np.sqrt(params.D)
     eta_t = eta * sd  # exponent per rescaled length
     din = (r1 - R1) / sd
     eps_tail = float(np.expm1(0.5 * eta_t * din))
     a_eps = eta_t / (2.0 * din)
-    _, b = _skirt_constants(params, c, r1, r2, R1, R2)
-    drift = c / sd + sd / r2
-    M_hat = lambda_bar / (1.0 + eps_tail) * min(
-        1.0 / (2.0 * b + params.mu_s + 0.25 * drift**2),
-        1.0 / (2.0 * a_eps + params.mu_s))
+    M_hat = lambda_bar / (1.0 + eps_tail) * _plateau_gain(params, c, r2, a_eps, b)
     return SterileBoundProfile(params, "lower_annulus_tail", lambda_bar, c,
                                R1, r1, r2, R2, a_eps, b, M_hat,
-                               eta=eta_t, eps_tail=eps_tail, a_eps=a_eps)
+                               eta=eta_t, eps_tail=eps_tail)
 
 
 def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,
@@ -426,14 +403,16 @@ def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,
     ce = p.mu_E + p.nu_E
 
     if mu is None:
-        mu = 0.5 * min(p.mu_F, p.mu_M)
-        while mu / 4.0 + cpt * np.sqrt(mu / 2.0) > 0.5 * ce or mu > 0.5 * p.mu_F \
-                or mu > 0.5 * p.mu_M:
-            mu *= 0.5
+        mu = scale_until(
+            lambda m: (m / 4.0 + cpt * np.sqrt(m / 2.0) <= 0.5 * ce
+                       and m <= 0.5 * min(p.mu_F, p.mu_M)),
+            0.5 * min(p.mu_F, p.mu_M), 0.5, 1e-300)
     if eps is None:
-        eps = 0.6 * min(p.mu_F, p.mu_M)
-        while ct * np.sqrt(eps) > 0.5 * ce or eps > 0.9 * min(p.mu_F, p.mu_M):
-            eps *= 0.5
+        eps = scale_until(
+            lambda e: ct * np.sqrt(e) <= 0.5 * ce and e <= 0.9 * min(p.mu_F, p.mu_M),
+            0.6 * min(p.mu_F, p.mu_M), 0.5, 1e-300)
+    if mu is None or eps is None:
+        raise RuntimeError("drift conditions unsatisfiable at this speed")
 
     drift_pen = max(mu / 4.0 + cpt * np.sqrt(mu / 2.0), ct * np.sqrt(eps))
     if drift_pen >= ce:
@@ -467,13 +446,12 @@ def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,
     lambda_bar = safety * M_hat_req / C12
 
     lp, lm = lambda_roots(mu, cpt + sd / r1)
-    disc = np.sqrt((ct + sd / r1) ** 2 + 4.0 * eps)
+    ltp, ltm = lambda_roots(2.0 * eps, ct + sd / r1)
     return SupersolutionBundle(
         params=p, u0=u0, mu=mu, eps=eps, c=c, c_prime=(5.0 / 6.0) * c,
         r1=r1, r2=r2, L=L, R1=R1, R2=R2,
         lambda_plus=lp, lambda_minus=lm,
-        lambda_tilde_plus=0.5 * (-(ct + sd / r1) + disc),
-        lambda_tilde_minus=0.5 * (-(ct + sd / r1) - disc),
+        lambda_tilde_plus=ltp, lambda_tilde_minus=ltm,
         C0=C0, C1=C1, C2=C2, lambda_bar=lambda_bar,
         M_hat=C12 * lambda_bar, F_star=F_star, M_star=M_star, E_star=E_star,
         _psi=psi, _dpsi=dpsi)

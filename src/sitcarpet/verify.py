@@ -23,15 +23,14 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .equilibria import solve_equilibria
-from .model import ModelParams, mating_factor, reaction_arrays
+from .model import ModelParams, mating_factor, reaction_arrays, slaved_E, slaved_M
 from .profiles import (
     MonotoneProfile,
     build_stationary_F,
     build_stationary_M,
     find_eps0,
-    slaved_E,
 )
-from .solver import Grid, implicit_diffusion_matrix
+from .solver import Grid, ReleaseSchedule, implicit_diffusion_matrix, release_value
 from .supersolution import (
     SterileBoundProfile,
     SupersolutionBundle,
@@ -39,7 +38,6 @@ from .supersolution import (
     ebar_ode,
     find_supersolution_bundle,
     make_sterile_lower_bound,
-    make_sterile_lower_bound_tail,
     sterile_upper_bound,
 )
 
@@ -99,7 +97,6 @@ def verify_inequality(field_fn: Callable, reaction_fn: Callable, sign: str,
     if sign not in ("sub", "super"):
         raise ValueError("sign must be 'sub' or 'super'")
     x = np.asarray(x_grid, dtype=float)
-    dx = x[1] - x[0]
     worst = -np.inf
     loc = None
     checked = 0
@@ -110,12 +107,10 @@ def verify_inequality(field_fn: Callable, reaction_fn: Callable, sign: str,
         dudt = (up - um) / (2.0 * DT_FD)
         lap = _laplacian_1d(u, x, radial)
         resid = dudt - D * lap - np.asarray(reaction_fn(x, t, u), dtype=float)
-        mask = np.ones_like(x, dtype=bool)
+        mask = _clear_of(x, [] if interfaces is None else interfaces(t),
+                         exclude_cells)
         mask[:2] = False
         mask[-2:] = False
-        if interfaces is not None:
-            for xi in np.atleast_1d(interfaces(t)):
-                mask &= np.abs(x - xi) > exclude_cells * dx
         if not mask.any():
             continue
         v = resid[mask] / scale if sign == "sub" else -resid[mask] / scale
@@ -125,6 +120,12 @@ def verify_inequality(field_fn: Callable, reaction_fn: Callable, sign: str,
             loc = (float(x[mask][k]), float(t))
         checked += int(mask.sum())
     return ResidualReport(name, sign, worst, loc, tol, worst <= tol, checked)
+
+
+def _clear_of(x: np.ndarray, points, cells: int) -> np.ndarray:
+    """Nodes of the uniform grid x more than `cells` cells away from all points."""
+    gaps = np.abs(x[:, None] - np.atleast_1d(np.asarray(points, dtype=float)))
+    return np.all(gaps > cells * (x[1] - x[0]), axis=1)
 
 
 def jump_check(field_fn: Callable, interface_x: float, t: float, sign: str, *,
@@ -264,20 +265,15 @@ def verify_subsolution(sub: SubsolutionFields, t_grid=(1.0, 7.0, 19.0),
         fE, fM, fF, _ = reaction_arrays(p, E, M, F, Ms, 0.0, p.K_scalar)
         return {"E": fE, "M": fM, "F": fF}[which]
 
+    equations = (("E", sub.E, 0.0, ce * E_star), ("M", sub.M, p.D, p.mu_M * M_star),
+                 ("F", sub.F, p.D, p.mu_F * F_star))
     for t in t_grid:
         xg = sub.c * t + sub.R_shift + s_nodes
-        reports.append(verify_inequality(
-            sub.E, lambda x, tt, u, w="E": react(x, tt, w), "sub", xg, [t],
-            D=0.0, radial=True, interfaces=interfaces,
-            tol=tol, scale=ce * E_star, name=f"E residual t={t:g}"))
-        reports.append(verify_inequality(
-            sub.M, lambda x, tt, u, w="M": react(x, tt, w), "sub", xg, [t],
-            D=p.D, radial=True, interfaces=interfaces,
-            tol=tol, scale=p.mu_M * M_star, name=f"M residual t={t:g}"))
-        reports.append(verify_inequality(
-            sub.F, lambda x, tt, u, w="F": react(x, tt, w), "sub", xg, [t],
-            D=p.D, radial=True, interfaces=interfaces,
-            tol=tol, scale=p.mu_F * F_star, name=f"F residual t={t:g}"))
+        for w, fld, D, scale in equations:
+            reports.append(verify_inequality(
+                fld, lambda x, tt, u, w=w: react(x, tt, w), "sub", xg, [t],
+                D=D, radial=True, interfaces=interfaces,
+                tol=tol, scale=scale, name=f"{w} residual t={t:g}"))
         for fld, nm in ((sub.M, "M"), (sub.F, "F")):
             reports.append(jump_check(
                 lambda x, tt, f=fld: f(x, tt), sub.c * t + sub.R_shift, t,
@@ -304,10 +300,10 @@ def verify_sterile_cap(params: ModelParams, lambda_bar: float, c: float,
     """The translating plateau/skirt dominates the annulus release equation."""
     cap = sterile_upper_bound(params, lambda_bar, c, Rs, Ms0_sup)
     amp = max(Ms0_sup, lambda_bar / params.mu_s)
+    release = ReleaseSchedule("annulus", lambda_bar, R1, R2, c)
 
     def react(x, t, u):
-        lam = lambda_bar * ((np.abs(x) >= R1 + c * t) & (np.abs(x) <= R2 + c * t))
-        return lam - params.mu_s * u
+        return release_value(release, x, t) - params.mu_s * u
 
     reports = []
     for t in t_grid:
@@ -326,19 +322,16 @@ def verify_sterile_floor(profile: SterileBoundProfile, t_grid=(0.5, 5.0, 15.0),
     """The translating floor is a sub-solution of the release equation."""
     p = profile.params
     s = profile
-
-    def release(x, t):
-        r = np.abs(np.asarray(x, dtype=float))
-        lam = s.lambda_bar * ((r >= s.R1 + s.c * t) & (r <= s.R2 + s.c * t))
-        if s.kind == "lower_annulus_tail":
-            inner = s.R1 + s.c * t
-            eta_phys = s.eta / np.sqrt(p.D)
-            lam = np.where(r < inner,
-                           s.lambda_bar * np.exp(eta_phys * (r - inner)), lam)
-        return lam
+    if s.kind == "lower_annulus_tail":
+        # the profile keeps eta per unit-diffusion length, the release per
+        # physical length
+        release = ReleaseSchedule("annulus_tail", s.lambda_bar, s.R1, s.R2,
+                                  s.c, eta=s.eta / np.sqrt(p.D))
+    else:
+        release = ReleaseSchedule("annulus", s.lambda_bar, s.R1, s.R2, s.c)
 
     def react(x, t, u):
-        return release(x, t) - p.mu_s * u
+        return release_value(release, x, t) - p.mu_s * u
 
     reports = []
     for t in t_grid:
@@ -407,13 +400,10 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
     def damped(x, t, u):
         return -g_fn(x, t) * u
 
-    def interfaces(t):
-        return list(bundle.interfaces(t))
-
     xg = np.linspace(1e-3, x_max, n_x)
     reports.append(verify_inequality(
         Fbar, damped, "super", xg, t_grid, D=p.D, radial=True,
-        interfaces=interfaces, tol=tol, scale=p.mu_F * bundle.F_star,
+        interfaces=bundle.interfaces, tol=tol, scale=p.mu_F * bundle.F_star,
         name="Fbar damped-heat residual"))
     for t in t_grid:
         i0, i1, i2 = bundle.interfaces(t)
@@ -458,8 +448,7 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
     ab_m = ab_decay(implicit_diffusion_matrix(grid, p.D, dt_m, "neumann"),
                     p.mu_M, dt_m)
     F0 = Fbar(grid.x, 0.0)
-    Mb = np.minimum(bundle.C0 * F0,
-                    (1.0 - p.rho) * p.nu_E * slaved_E(p, F0) / p.mu_M)
+    Mb = np.minimum(bundle.C0 * F0, slaved_M(p, slaved_E(p, F0)))
     worst_M = -np.inf
     n_steps = int(np.ceil(t_end / dt_m))
     _, Eb_all = ebar_ode(bundle, grid.x, t_end, dt_m)
@@ -489,9 +478,7 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
         mate = mating_factor(p, Mb_cap, Ms_floor)
         lhs = p.rho * p.nu_E * Eb_t * mate - p.mu_F * Fb
         resid = lhs + g_fn(xg, t) * Fb  # must be <= 0, relative to the cap
-        mask = np.ones_like(xg, dtype=bool)
-        for xi in bundle.interfaces(t):
-            mask &= np.abs(xg - xi) > EXCLUDE_CELLS * (xg[1] - xg[0])
+        mask = _clear_of(xg, bundle.interfaces(t), EXCLUDE_CELLS)
         v = resid[mask] / (p.mu_F * Fb[mask])
         k = int(np.argmax(v))
         if v[k] > worst_R:

@@ -79,16 +79,28 @@ def front_position(f: np.ndarray, grid: Grid, level: float):
     return float(positions.max()), positions.size > 1
 
 
+def _reference_equilibrium(scenario: Scenario) -> tuple[float, float, float]:
+    """Upper equilibrium (E*, M*, F*), heterogeneous K reduced to its nodal max."""
+    eq = solve_equilibria(scenario.params.at_max_K(scenario.grid.x))
+    if eq.upper is None:
+        raise ValueError("no positive equilibrium for the scenario's parameters")
+    return eq.upper
+
+
+def _level_or_default(level: Optional[float], scenario: Scenario,
+                      F_star: Optional[float] = None) -> float:
+    """`level` itself, or the default F*/2 of the reference equilibrium."""
+    if level is not None:
+        return level
+    if F_star is None:
+        F_star = _reference_equilibrium(scenario)[2]
+    return 0.5 * F_star
+
+
 def front_trace(traj: Trajectory, level: Optional[float] = None,
                 F_star: Optional[float] = None) -> FrontTrace:
     """Trace of the outermost F-front across all snapshots."""
-    if level is None:
-        if F_star is None:
-            eq = solve_equilibria(_scalarized(traj.scenario))
-            if eq.upper is None:
-                raise ValueError("no equilibrium to set the default level")
-            F_star = eq.upper[2]
-        level = 0.5 * F_star
+    level = _level_or_default(level, traj.scenario, F_star)
     pos = np.full(traj.times.shape, np.nan)
     mult = np.zeros(traj.times.shape, dtype=bool)
     for i in range(traj.times.size):
@@ -125,15 +137,6 @@ def estimate_speed(trace: FrontTrace, window: Optional[float] = None,
                          int(t.size))
 
 
-def _scalarized(scenario: Scenario):
-    """Params with heterogeneous K replaced by its max (reference equilibrium)."""
-    p = scenario.params
-    if callable(p.K):
-        from dataclasses import replace
-        return replace(p, K=float(np.max(p.K_at(scenario.grid.x))))
-    return p
-
-
 def _relative_fields(traj: Trajectory, i: int, eq) -> tuple[np.ndarray, np.ndarray]:
     """(sup-style size relative to eq, distance to eq relative to eq) at snapshot i."""
     E_star, M_star, F_star = eq
@@ -165,13 +168,8 @@ def classify(traj: Trajectory, c: Optional[float] = None,
     above-level region grows, else Indeterminate.
     """
     sc = traj.scenario
-    eqs = solve_equilibria(_scalarized(sc))
-    if eqs.upper is None:
-        raise ValueError("classification needs a positive equilibrium")
-    eq = eqs.upper
-    F_star = eq[2]
-    if level is None:
-        level = 0.5 * F_star
+    eq = _reference_equilibrium(sc)
+    level = _level_or_default(level, sc, eq[2])
     if c is None:
         c = sc.schedule.speed
     diag: dict = {}
@@ -182,6 +180,7 @@ def classify(traj: Trajectory, c: Optional[float] = None,
 
     trace = front_trace(traj, level=level)
     est = estimate_speed(trace)
+    speed = est.speed if est else None
 
     if c is None:
         if global_sup < tol_in:
@@ -194,8 +193,8 @@ def classify(traj: Trajectory, c: Optional[float] = None,
             diag["front_speed"] = est.speed
             diag["front_rms"] = est.rms
         if filled1 > filled0 + 0.05:
-            return Outcome("Invasion", est.speed if est else None, diag)
-        return Outcome("Indeterminate", est.speed if est else None, diag)
+            return Outcome("Invasion", speed, diag)
+        return Outcome("Indeterminate", speed, diag)
 
     if probe is None:
         probe = (0.75 * c, 1.25 * c)
@@ -239,13 +238,12 @@ def classify(traj: Trajectory, c: Optional[float] = None,
     else:
         exterior_ok = s_out < tol_out
     if s_in < tol_in and exterior_ok:
-        speed = est.speed if est is not None else None
         return Outcome("Carpet", speed, diag)
     if global_sup < tol_in:
         return Outcome("Extinction", None, diag)
     if inv_in < invasion_proximity:
-        return Outcome("Invasion", est.speed if est else None, diag)
-    return Outcome("Indeterminate", est.speed if est else None, diag)
+        return Outcome("Invasion", speed, diag)
+    return Outcome("Indeterminate", speed, diag)
 
 
 def sterile_cost(schedule: ReleaseSchedule, T: float) -> float:
@@ -308,9 +306,7 @@ def speed_monotonicity(scenario_for_gamma, gammas, level: Optional[float] = None
     rows = []
     for g in sorted(gammas):
         traj = run(scenario_for_gamma(g))
-        eq = solve_equilibria(_scalarized(traj.scenario))
-        lv = level if level is not None else 0.5 * eq.upper[2]
-        est = estimate_speed(front_trace(traj, level=lv))
+        est = estimate_speed(front_trace(traj, level=level))
         rows.append((g, est.speed if est else None, est.rms if est else None))
     speeds = [s for _, s, _ in rows if s is not None]
     nondecreasing = all(b >= a - 1e-9 for a, b in zip(speeds, speeds[1:]))

@@ -9,6 +9,7 @@ from sitcarpet.config import (
     preset,
     table1_params,
 )
+from sitcarpet.waves import front_position
 
 
 class TestConfigRoundTrip:
@@ -135,6 +136,48 @@ class TestCli:
         lines = [ln for ln in out.splitlines() if "Invasion" in ln
                  or "Carpet" in ln]
         assert "Invasion" in lines[0] and "Carpet" in lines[1]
+
+    def test_analyze_hetero_matches_scalar_max_K(self, tmp_path, capsys):
+        rc = main(["analyze", "--preset", "carpet-hetero",
+                   "--out", str(tmp_path / "hetero")])
+        assert rc == 0
+        hetero = capsys.readouterr().out
+        cfg = preset("carpet")
+        cfg.model["K"] = 250.0
+        path = tmp_path / "scalar.cfg"
+        path.write_text(cfg.to_text())
+        rc = main(["analyze", "--config", str(path),
+                   "--out", str(tmp_path / "scalar")])
+        assert rc == 0
+        scalar = capsys.readouterr().out
+        assert "upper:" in hetero and "gamma_c" in hetero
+        assert hetero == scalar
+
+    def test_level_zero_reaches_trace_and_outcome(self, tmp_path):
+        cfg = preset("fig1")
+        cfg.run["t_end"] = 10.0
+        path = tmp_path / "quick.cfg"
+        path.write_text(cfg.to_text())
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(path), "--level", "0",
+                   "--out", str(out)])
+        assert rc == 0
+        d = next(out.iterdir())
+        grid = cfg.scenario().grid
+        snaps = np.loadtxt(d / "snapshots.csv", delimiter=",", skiprows=1)
+        snaps = snaps.reshape(-1, grid.n, 6)
+        expected = []
+        for block in snaps:
+            pos, _ = front_position(block[:, 4], grid, 0.0)
+            if pos is not None:
+                expected.append((block[0, 0], pos))
+        trace = np.loadtxt(d / "trace.csv", delimiter=",", skiprows=1,
+                           ndmin=2)
+        assert [tuple(row) for row in trace] == expected
+        outcome = dict(line.split(" = ", 1) for line in
+                       (d / "outcome.txt").read_text().splitlines())
+        assert float(outcome["diag.filled_fraction_final"]) == \
+            float(np.mean(snaps[-1, :, 4] > 0.0))
 
     def test_cost_table(self, capsys, tmp_path):
         rc = main(["cost", "--preset", "carpet", "--out", str(tmp_path),

@@ -10,12 +10,39 @@ from sitcarpet.equilibria import (
     phi0,
     phi_s_eps,
     potential_G,
+    scale_until,
     solve_equilibria,
     solve_gamma_0,
     solve_zeta_c,
     thresholds,
     zeta_of_gamma,
 )
+
+
+class TestScaleUntil:
+    def test_grows_to_first_satisfying_power(self):
+        seen = []
+
+        def pred(x):
+            seen.append(x)
+            return x >= 10.0
+
+        assert scale_until(pred, 1.0, 2.0, 1e6) == 16.0
+        assert seen == [1.0, 2.0, 4.0, 8.0, 16.0]
+
+    def test_shrinks_to_first_satisfying_power(self):
+        assert scale_until(lambda x: x < 0.1, 1.0, 0.5, 1e-9) == 0.0625
+
+    def test_start_already_satisfying(self):
+        assert scale_until(lambda x: True, 3.0, 2.0, 1.0) == 3.0
+
+    def test_none_past_the_limit(self):
+        assert scale_until(lambda x: x > 100.0, 1.0, 2.0, 50.0) is None
+        assert scale_until(lambda x: x < 0.01, 1.0, 0.5, 0.1) is None
+
+    def test_limit_itself_is_still_tried(self):
+        assert scale_until(lambda x: x >= 8.0, 1.0, 2.0, 8.0) == 8.0
+        assert scale_until(lambda x: x <= 0.25, 1.0, 0.5, 0.25) == 0.25
 
 
 def test_offspring_number_and_zeta(p05):

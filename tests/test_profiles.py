@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sitcarpet.config import table1_params
-from sitcarpet.equilibria import phi, solve_equilibria
+from sitcarpet.equilibria import phi, phi0, solve_equilibria
 from sitcarpet.profiles import (
     MonotoneProfile,
     build_stationary_F,
@@ -10,7 +10,6 @@ from sitcarpet.profiles import (
     find_eps0,
     halfline_green_lower_bound,
     halfline_green_solve,
-    recruitment_psi,
 )
 
 
@@ -139,14 +138,14 @@ class TestStationaryProfiles:
                          solve_equilibria(table1_params(0.01)).upper[2]) is None
 
     def test_M_limit_closed_form(self, p05, M_prof, F_prof):
-        expect = recruitment_psi(p05, F_prof.limit) / p05.mu_M
+        expect = phi0(p05, F_prof.limit)
         assert M_prof.limit == pytest.approx(expect, rel=1e-12)
         assert M_prof(M_prof.grid[-1] * 3) == pytest.approx(expect, rel=1e-6)
 
     def test_M_lower_bound_nodewise(self, p05, M_prof, F_prof):
         # (1/(2 mu_M)) psi(x) (1 - e^{-2 sqrt(mu_M/D) x}) <= M(x)
         x = F_prof.grid
-        psi = recruitment_psi(p05, F_prof.values)
+        psi = p05.mu_M * phi0(p05, F_prof.values)
         lb = psi * (-np.expm1(-2 * np.sqrt(p05.mu_M / p05.D) * x)) / (2 * p05.mu_M)
         assert np.all(M_prof.values >= lb - 1e-9 * M_prof.limit)
 

@@ -3,7 +3,8 @@ import numpy as np
 _trapezoid = getattr(np, "trapezoid", getattr(np, "trapz", None))
 import pytest
 
-from sitcarpet.config import table1_params
+from sitcarpet.config import preset, table1_params
+from sitcarpet.model import reaction_spectral_bound
 from sitcarpet.solver import (
     Grid,
     InitialData,
@@ -15,7 +16,6 @@ from sitcarpet.solver import (
     reaction_dt_bound,
     release_value,
     run,
-    scenario_digest,
     step,
 )
 
@@ -150,6 +150,34 @@ class TestStep:
         assert grown == pytest.approx(2 * p.D * 20.0, rel=0.01)
 
 
+class TestHeterogeneousK:
+    @staticmethod
+    def _short(name, **model):
+        cfg = preset(name)
+        cfg.model.update(model)
+        cfg.run["t_end"] = 1.0
+        return cfg.scenario()
+
+    def test_run_dt_is_the_scalar_gate_at_max_K(self):
+        hetero = self._short("carpet-hetero")
+        scalar = self._short("carpet", K=250.0)
+        assert hetero.params.at_max_K(hetero.grid.x).K == 250.0
+        state0 = make_initial(scalar.params, scalar.initial, scalar.grid,
+                              lambda_bar=scalar.schedule.lambda_bar)
+        dt_max = reaction_dt_bound(scalar.params, F_sup=float(np.max(state0.F)))
+        n_steps = int(np.ceil(scalar.t_end / dt_max - 1e-12))
+        traj = run(hetero)
+        assert traj.dt == scalar.t_end / n_steps
+        assert traj.dt == run(scalar).dt
+
+    def test_spectral_bound_rejects_callable_K(self):
+        hetero = self._short("carpet-hetero")
+        with pytest.raises(ValueError):
+            reaction_spectral_bound(hetero.params)
+        assert reaction_spectral_bound(hetero.params.at_max_K(hetero.grid.x)) \
+            == reaction_spectral_bound(self._short("carpet", K=250.0).params)
+
+
 class TestRunProperties:
     def test_determinism(self, p05):
         scen = Scenario(p05, Grid.cartesian(-15, 15, 151), ReleaseSchedule(),
@@ -159,7 +187,6 @@ class TestRunProperties:
         t2 = run(scen)
         assert np.array_equal(t1.F, t2.F)
         assert np.array_equal(t1.Ms, t2.Ms)
-        assert scenario_digest(scen) == scenario_digest(scen)
 
     def test_radial_flat_matches_zero_d_march(self, p05, eq05):
         # flat fields make the radial operator exactly inert, so the run

@@ -100,7 +100,7 @@ def test_ebar_far_field_equilibrium(bundle, p05, eq05):
 
 
 def test_ebar_tracks_slaved_level_in_core(bundle, p05):
-    from sitcarpet.profiles import slaved_E
+    from sitcarpet.model import slaved_E
     x = np.array([0.0])
     times, Eb = ebar_ode(bundle, x, 80.0, 0.01)
     F_core = assemble_Fbar(bundle, 0.0, times[-1])
@@ -148,6 +148,30 @@ def test_tail_variant_c1_joints(p05):
         d_left, d_right = low.one_sided_slopes(joint)
         assert v_left == pytest.approx(v_right, rel=1e-12)
         assert d_left == pytest.approx(d_right, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind, joints", [
+    ("lower_annulus", (6.0, 30.0)),
+    ("lower_annulus_tail", (4.0, 6.0, 30.0)),
+])
+def test_sterile_profile_joints(p05, kind, joints):
+    if kind == "lower_annulus":
+        low = make_sterile_lower_bound(p05, 1000.0, 0.05, 4.0, 6.0, 30.0, 32.0)
+    else:
+        low = make_sterile_lower_bound_tail(p05, 1000.0, 0.05, 4.0, 6.0, 30.0,
+                                            32.0, eta=0.4)
+    assert low.kind == kind
+    h = 1e-6
+    for joint in joints:
+        v_left, v_right = low.one_sided_values(joint)
+        d_left, d_right = low.one_sided_slopes(joint)
+        assert v_left == pytest.approx(v_right, rel=1e-12)
+        assert d_left == pytest.approx(d_right, rel=1e-10, abs=1e-12)
+        # shape() just off the joint follows each side's closed form
+        assert low.shape(joint - h) == pytest.approx(v_left - h * d_left,
+                                                     rel=1e-9)
+        assert low.shape(joint + h) == pytest.approx(v_right + h * d_right,
+                                                     rel=1e-9)
 
 
 def test_tail_variant_floor_includes_tail(p05):
