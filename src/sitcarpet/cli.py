@@ -169,6 +169,10 @@ def cmd_verify(args) -> int:
     sched = scenario.schedule
     reports = []
     which = args.which
+    if which != "sterile-bounds" and callable(params.K):
+        raise ConfigError(f"verify --which {which} needs a scalar K; this "
+                          f"config has a heterogeneous K(x) (--which "
+                          f"sterile-bounds works)")
     if which in ("subsolution", "all"):
         sub = build_subsolution(params, c=max(sched.c, 0.01),
                                 lambda_bar=max(sched.lambda_bar, 1.0),

@@ -1,10 +1,19 @@
 """Semi-implicit time stepping on 1D Cartesian and radially symmetric grids.
 
-Diffusion is treated implicitly (one tridiagonal solve per diffusing field
-per step, unconditionally stable), reactions explicitly with a step-size
-gate dt <= 0.5 / rho_max, rho_max a conservative bound on the reaction
-Jacobian spectral radius over the invariant region.  The egg field has no
-diffusion and advances by the same explicit step.
+Diffusion is treated implicitly (unconditionally stable), reactions
+explicitly with a step-size gate dt <= 0.5 / rho_max, rho_max a conservative
+bound on the reaction Jacobian spectral radius over the invariant region.
+The egg field has no diffusion and advances by the same explicit step.
+
+The three diffusing fields M, F and Ms share the tridiagonal matrix
+I - dt D L.  `run` LU-factors it once (LAPACK dgttrf, partial pivoting) and
+each step solves the three right-hand sides together, stacked as the
+columns of one array, with a single dgttrs call.  That is the same
+elimination, in the same order, as the per-field gtsv solves of
+`scipy.linalg.solve_banded`, so the matrix, the arithmetic and the results
+are unchanged bit for bit, and so is the monotonicity and invariant-region
+argument below.  A non-finite right-hand side (a NaN or inf that reached the
+state) raises `SolverError` instead of being solved.
 
 The radial Laplacian is u'' + u'/r with the r = 0 node closed by symmetry
 (limit 2 u''(0)); boundaries are homogeneous Neumann by default with an
@@ -25,10 +34,10 @@ step gate) it is reduced to its maximum over the grid nodes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .equilibria import solve_equilibria
 from .model import (ModelParams, reaction_arrays, reaction_spectral_bound,
@@ -224,7 +233,11 @@ def make_initial(params: ModelParams, data: InitialData, grid: Grid,
 
 def implicit_diffusion_matrix(grid: Grid, D: float, dt: float,
                               boundary: str = "neumann") -> np.ndarray:
-    """(1,1)-banded form of I - dt D L for scipy.linalg.solve_banded."""
+    """I - dt D L in (1,1)-banded form: rows superdiagonal, diagonal, subdiagonal.
+
+    Entry (i, j) of the matrix is ab[1 + i - j, j]; `factor_diffusion`
+    takes this layout.
+    """
     n = grid.n
     dx = grid.dx
     lam = D * dt / dx**2
@@ -258,6 +271,40 @@ def implicit_diffusion_matrix(grid: Grid, D: float, dt: float,
     return ab
 
 
+class DiffusionLU(NamedTuple):
+    """LU factors of a tridiagonal matrix, as LAPACK dgttrf returns them."""
+
+    dl: np.ndarray
+    d: np.ndarray
+    du: np.ndarray
+    du2: np.ndarray
+    ipiv: np.ndarray
+
+
+def factor_diffusion(ab: np.ndarray) -> DiffusionLU:
+    """Factor the (1,1)-banded matrix `ab` once for any number of solves."""
+    if not np.all(np.isfinite(ab)):
+        raise SolverError("non-finite entry in the diffusion matrix")
+    dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    if info != 0:
+        raise SolverError(f"singular diffusion matrix (zero pivot {info})")
+    return DiffusionLU(dl, d, du, du2, ipiv)
+
+
+def solve_banded(lu: DiffusionLU, rhs: np.ndarray) -> np.ndarray:
+    """Solve with the factors of `factor_diffusion`, overwriting `rhs`.
+
+    `rhs` is one right-hand side (n,) or several as the columns of a
+    Fortran-ordered (n, k) array.
+    """
+    if not np.all(np.isfinite(rhs)):
+        raise SolverError("non-finite state reached the diffusion solve")
+    x, info = dgttrs(*lu, rhs, overwrite_b=1)
+    if info != 0:
+        raise SolverError(f"dgttrs rejected argument {-info}")
+    return x
+
+
 def reaction_dt_bound(params: ModelParams, F_sup: float = 0.0) -> float:
     """Largest admissible explicit step, 0.5 / rho_max (scalar K only)."""
     rho_max = reaction_spectral_bound(params)
@@ -273,19 +320,24 @@ class ClampStats:
 
 
 def step(state: SimState, params: ModelParams, schedule: ReleaseSchedule,
-         dt: float, grid: Grid, ab: Optional[np.ndarray] = None,
+         dt: float, grid: Grid, lu: Optional[DiffusionLU] = None,
          boundary: str = "neumann", K_nodes: Optional[np.ndarray] = None,
          clamps: Optional[ClampStats] = None,
          dt_max: Optional[float] = None) -> SimState:
-    """One semi-implicit step; rejects dt above the reaction-stability gate."""
+    """One semi-implicit step; rejects dt above the reaction-stability gate.
+
+    `lu` holds the factors of the implicit diffusion matrix for this dt and
+    boundary; without it the matrix is built and factored here.
+    """
     if dt_max is None:
         dt_max = reaction_dt_bound(params.at_max_K(grid.x),
                                    F_sup=float(np.max(state.F, initial=0.0)))
     if dt > dt_max * (1.0 + 1e-12):
         raise SolverError(f"dt={dt:g} exceeds the reaction-stability bound "
                           f"{dt_max:g}")
-    if ab is None:
-        ab = implicit_diffusion_matrix(grid, params.D, dt, boundary)
+    if lu is None:
+        lu = factor_diffusion(implicit_diffusion_matrix(grid, params.D, dt,
+                                                        boundary))
     if K_nodes is None:
         K_nodes = np.broadcast_to(params.K_at(grid.x), grid.x.shape)
 
@@ -294,13 +346,19 @@ def step(state: SimState, params: ModelParams, schedule: ReleaseSchedule,
                                      state.Ms, lam, K_nodes)
     E_new = np.clip(state.E + dt * fE, 0.0, K_nodes)
     eq_scale = max(float(np.max(state.F, initial=0.0)), 1.0)
+    Ms_scale = max(float(np.max(state.Ms, initial=0.0)),
+                   schedule.lambda_bar / params.mu_s, 1.0)
 
-    def diffuse(u, f, scale):
-        rhs = u + dt * f
+    rhs = np.empty((grid.n, 3), order="F")  # M, F, Ms as columns
+    for j, (u, f) in enumerate(((state.M, fM), (state.F, fF), (state.Ms, fs))):
+        rhs[:, j] = u + dt * f
         if boundary == "dirichlet":
-            rhs[-1] = u[-1]
-        out = solve_banded((1, 1), ab, rhs, overwrite_ab=False, overwrite_b=True)
-        worst = -float(np.min(out, initial=0.0))
+            rhs[-1, j] = u[-1]
+    out = solve_banded(lu, rhs)
+
+    undershoot = -out.min(axis=0, initial=0.0)
+    for j, scale in enumerate((eq_scale, eq_scale, Ms_scale)):
+        worst = float(undershoot[j])
         if worst > 0.0:
             rel = worst / scale
             if rel > CLAMP_FAIL_THRESHOLD:
@@ -309,15 +367,8 @@ def step(state: SimState, params: ModelParams, schedule: ReleaseSchedule,
             if clamps is not None and rel > CLAMP_COUNT_THRESHOLD:
                 clamps.count += 1
                 clamps.worst_rel = max(clamps.worst_rel, rel)
-            np.maximum(out, 0.0, out=out)
-        return out
-
-    M_new = diffuse(state.M, fM, eq_scale)
-    F_new = diffuse(state.F, fF, eq_scale)
-    Ms_scale = max(float(np.max(state.Ms, initial=0.0)),
-                   schedule.lambda_bar / params.mu_s, 1.0)
-    Ms_new = diffuse(state.Ms, fs, Ms_scale)
-    return SimState(state.t + dt, E_new, M_new, F_new, Ms_new)
+            np.maximum(out[:, j], 0.0, out=out[:, j])
+    return SimState(state.t + dt, E_new, out[:, 0], out[:, 1], out[:, 2])
 
 
 @dataclass(frozen=True)
@@ -365,7 +416,8 @@ def run(scenario: Scenario, state0: Optional[SimState] = None) -> Trajectory:
         raise SolverError(f"dt={dt:g} exceeds the stability bound {dt_max:g}")
     n_steps = int(np.ceil(sc.t_end / dt - 1e-12))
     dt = sc.t_end / n_steps  # land exactly on t_end
-    ab = implicit_diffusion_matrix(sc.grid, sc.params.D, dt, sc.boundary)
+    lu = factor_diffusion(implicit_diffusion_matrix(sc.grid, sc.params.D, dt,
+                                                    sc.boundary))
     K_nodes = np.array(np.broadcast_to(sc.params.K_at(sc.grid.x),
                                        sc.grid.x.shape))
     clamps = ClampStats()
@@ -374,7 +426,7 @@ def run(scenario: Scenario, state0: Optional[SimState] = None) -> Trajectory:
     times = [state.t]
     snaps = [[state.E.copy(), state.M.copy(), state.F.copy(), state.Ms.copy()]]
     for k in range(n_steps):
-        state = step(state, sc.params, sc.schedule, dt, sc.grid, ab=ab,
+        state = step(state, sc.params, sc.schedule, dt, sc.grid, lu=lu,
                      boundary=sc.boundary, K_nodes=K_nodes, clamps=clamps,
                      dt_max=dt_max)
         if (k + 1) % sc.snapshot_every == 0 or k == n_steps - 1:

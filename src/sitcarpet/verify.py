@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .equilibria import solve_equilibria
 from .model import ModelParams, mating_factor, reaction_arrays, slaved_E, slaved_M
@@ -30,7 +29,14 @@ from .profiles import (
     build_stationary_M,
     find_eps0,
 )
-from .solver import Grid, ReleaseSchedule, implicit_diffusion_matrix, release_value
+from .solver import (
+    Grid,
+    ReleaseSchedule,
+    factor_diffusion,
+    implicit_diffusion_matrix,
+    release_value,
+    solve_banded,
+)
 from .supersolution import (
     SterileBoundProfile,
     SupersolutionBundle,
@@ -445,8 +451,8 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
     # (implicit diffusion and decay, explicit source; unconditionally stable)
     grid = Grid.radial(x_max, n_x)
     dt_m = 0.02
-    ab_m = ab_decay(implicit_diffusion_matrix(grid, p.D, dt_m, "neumann"),
-                    p.mu_M, dt_m)
+    lu_m = factor_diffusion(ab_decay(
+        implicit_diffusion_matrix(grid, p.D, dt_m, "neumann"), p.mu_M, dt_m))
     F0 = Fbar(grid.x, 0.0)
     Mb = np.minimum(bundle.C0 * F0, slaved_M(p, slaved_E(p, F0)))
     worst_M = -np.inf
@@ -455,7 +461,7 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
     t = 0.0
     for k in range(n_steps):
         rhs = Mb + dt_m * (1.0 - p.rho) * p.nu_E * Eb_all[k]
-        Mb = solve_banded((1, 1), ab_m, rhs)
+        Mb = solve_banded(lu_m, rhs)
         t += dt_m
         if k % max(1, n_steps // 20) == 0 or k == n_steps - 1:
             Fb = Fbar(grid.x, t)

@@ -1,7 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a verdict line.
 
 Every criterion is exercised at its stated tolerance and wall-clock budget.
-Criterion 5's second half (the near-critical no-release fig2-right run dies
+Where the trajectory comes from a fixture, the fixture's run time is charged
+to the budget too, so the budget covers the simulation, not only the
+classification.  Criterion 5's second half (the near-critical no-release fig2-right run dies
 out) is checked at T = 2000 instead of the preset's T = 150.  Its Allee
 coefficient sits barely above critical, so the upper equilibrium is still
 locally stable and the population can only vanish as its front retreats
@@ -69,28 +71,28 @@ def report(criterion, ok, detail, elapsed=None, budget=None):
 
 
 @pytest.fixture(scope="module")
-def fig2_left_traj():
-    return run(preset("fig2-left").scenario())
+def fig2_left_run(timed_run):
+    return timed_run(preset("fig2-left").scenario())
 
 
 @pytest.fixture(scope="module")
-def fig2_right_traj():
+def fig2_right_run(timed_run):
     # Only the horizon differs from the preset: extinction needs the slow
     # retreat the module docstring measures.
-    return run(dataclasses.replace(preset("fig2-right").scenario(),
-                                   t_end=2000.0))
+    return timed_run(dataclasses.replace(preset("fig2-right").scenario(),
+                                         t_end=2000.0))
 
 
 @pytest.fixture(scope="module")
-def carpet_div100_traj():
+def carpet_div100_run(timed_run):
     cfg = preset("carpet")
     cfg.schedule["lambda_bar"] = cfg.schedule["lambda_bar"] / 100.0
-    return run(cfg.scenario())
+    return timed_run(cfg.scenario())
 
 
 @pytest.fixture(scope="module")
-def carpet_hetero_traj():
-    return run(preset("carpet-hetero").scenario())
+def carpet_hetero_run(timed_run):
+    return timed_run(preset("carpet-hetero").scenario())
 
 
 def test_criterion_01_thresholds(p05):
@@ -152,9 +154,9 @@ def test_criterion_03_stability(p05):
            elapsed, 1.0)
 
 
-def test_criterion_04_fig1(p05, eq05, fig1_traj):
+def test_criterion_04_fig1(p05, eq05, fig1_run):
     t0 = time.perf_counter()
-    out = classify(fig1_traj)
+    out = classify(fig1_run.traj)
     base = out.speed
 
     # simultaneous dx and dt halving
@@ -164,7 +166,7 @@ def test_criterion_04_fig1(p05, eq05, fig1_traj):
                     dt=dt, snapshot_every=200)
     fine_traj = run(fine)
     fine_speed = estimate_speed(front_trace(fine_traj)).speed
-    elapsed = time.perf_counter() - t0
+    elapsed = fig1_run.seconds + time.perf_counter() - t0
     drift = abs(fine_speed - base) / base
     ok = out.kind == "Invasion" and base > 0 and drift <= 0.10
     report(4, ok,
@@ -173,25 +175,26 @@ def test_criterion_04_fig1(p05, eq05, fig1_traj):
            elapsed, 60.0)
 
 
-def test_criterion_05a_fig2_left(fig2_left_traj):
+def test_criterion_05a_fig2_left(fig2_left_run):
     t0 = time.perf_counter()
-    out = classify(fig2_left_traj)
-    elapsed = time.perf_counter() - t0
+    out = classify(fig2_left_run.traj)
+    elapsed = fig2_left_run.seconds + time.perf_counter() - t0
     report("5a", out.kind == "Invasion",
            f"fig2-left outcome={out.kind} (expected Invasion), "
            f"speed={out.speed if out.speed else float('nan'):.4f}",
            elapsed, 60.0)
 
 
-def test_criterion_05b_fig2_right(fig2_right_traj):
+def test_criterion_05b_fig2_right(fig2_right_run):
     # Extinction must come from a retreating front: the upper equilibrium is
     # locally stable here, so the estimated front speed has to be negative.
+    fig2_right_traj = fig2_right_run.traj
     t0 = time.perf_counter()
     out = classify(fig2_right_traj)
     eqs = solve_equilibria(fig2_right_traj.scenario.params)
     rel_sup_F = float(fig2_right_traj.F[-1].max() / eqs.upper[2])
     est = estimate_speed(front_trace(fig2_right_traj))
-    elapsed = time.perf_counter() - t0
+    elapsed = fig2_right_run.seconds + time.perf_counter() - t0
     retreating = est is not None and est.speed < 0
     ok = out.kind == "Extinction" and rel_sup_F < 1e-3 and retreating
     speed = f"{est.speed:+.4f}" if est is not None else "none"
@@ -219,11 +222,12 @@ def test_criterion_06_speed_monotonicity(p05):
     report(6, rep["nondecreasing"], speeds, elapsed, 300.0)
 
 
-def test_criterion_07_rolling_carpet(carpet_traj, carpet_div100_traj):
+def test_criterion_07_rolling_carpet(carpet_run, carpet_div100_run):
     t0 = time.perf_counter()
-    out_full = classify(carpet_traj)
-    out_small = classify(carpet_div100_traj)
-    elapsed = time.perf_counter() - t0
+    out_full = classify(carpet_run.traj)
+    out_small = classify(carpet_div100_run.traj)
+    elapsed = (carpet_run.seconds + carpet_div100_run.seconds
+               + time.perf_counter() - t0)
     d1 = out_full.diagnostics
     ok = out_full.kind == "Carpet" and out_small.kind == "Invasion"
     report(7, ok,
@@ -360,10 +364,10 @@ def test_criterion_10_cost_scaling(rng):
            elapsed, 1.0)
 
 
-def test_criterion_11_heterogeneous_K(carpet_hetero_traj):
+def test_criterion_11_heterogeneous_K(carpet_hetero_run):
     t0 = time.perf_counter()
-    out = classify(carpet_hetero_traj, exterior_check="positivity")
-    elapsed = time.perf_counter() - t0
+    out = classify(carpet_hetero_run.traj, exterior_check="positivity")
+    elapsed = carpet_hetero_run.seconds + time.perf_counter() - t0
     d = out.diagnostics
     ok = out.kind == "Carpet" and d["interior_sup"] < 1e-3
     report(11, ok,

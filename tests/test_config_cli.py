@@ -192,3 +192,19 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("which", ["all", "subsolution", "supersolution",
+                                       "sterile-bounds"])
+    def test_verify_hetero_K(self, tmp_path, capsys, which):
+        # the sub- and super-solution certificates need a scalar K, so a
+        # heterogeneous K(x) is a config error; the sterile bounds run
+        rc = main(["verify", "--preset", "carpet-hetero", "--which", which,
+                   "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        if which == "sterile-bounds":
+            assert rc == 0
+            assert "PASS" in captured.out and "FAIL" not in captured.out
+        else:
+            assert rc == 2
+            assert "scalar K" in captured.err
+            assert "sterile-bounds" in captured.err

@@ -2,7 +2,9 @@ import numpy as np
 
 _trapezoid = getattr(np, "trapezoid", getattr(np, "trapz", None))
 import pytest
+import scipy.linalg
 
+from sitcarpet import solver
 from sitcarpet.config import preset, table1_params
 from sitcarpet.model import reaction_spectral_bound
 from sitcarpet.solver import (
@@ -12,10 +14,13 @@ from sitcarpet.solver import (
     Scenario,
     SimState,
     SolverError,
+    factor_diffusion,
+    implicit_diffusion_matrix,
     make_initial,
     reaction_dt_bound,
     release_value,
     run,
+    solve_banded,
     step,
 )
 
@@ -148,6 +153,81 @@ class TestStep:
 
         grown = variance(traj.M[-1]) - variance(traj.M[0])
         assert grown == pytest.approx(2 * p.D * 20.0, rel=0.01)
+
+
+class TestFactoredSolve:
+    @pytest.mark.parametrize("grid", [Grid.radial(20.0, 201),
+                                      Grid.cartesian(-10.0, 10.0, 201)],
+                             ids=["radial", "cartesian"])
+    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+    def test_bit_identical_to_solve_banded(self, rng, grid, boundary):
+        ab = implicit_diffusion_matrix(grid, 0.8, 0.035, boundary)
+        rhs = np.asfortranarray(rng.uniform(0.0, 100.0, (grid.n, 3)))
+        out = solve_banded(factor_diffusion(ab), rhs.copy(order="F"))
+        for j in range(3):
+            expect = scipy.linalg.solve_banded((1, 1), ab, rhs[:, j])
+            assert np.array_equal(out[:, j], expect)
+
+    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+    def test_run_matches_per_field_solves(self, rng, p05, boundary):
+        # reference: the scheme with one solve_banded call per field
+        from sitcarpet.model import reaction_arrays
+        grid = Grid.radial(12.0, 121)
+        sched = ReleaseSchedule(kind="annulus", lambda_bar=300.0, R1=2.0,
+                                R2=5.0, c=0.1)
+        xs = np.linspace(0.0, 12.0, 4)
+        mk = lambda hi: np.interp(grid.x, xs, rng.uniform(0, hi, 4))
+        state = SimState(0.0, mk(p05.K_scalar), mk(60), mk(80), mk(100))
+        dt, n_steps = 0.02, 25
+        scen = Scenario(p05, grid, sched, InitialData(kind="step"),
+                        t_end=dt * n_steps, dt=dt, snapshot_every=n_steps,
+                        boundary=boundary)
+        traj = run(scen, state0=state)
+
+        ab = implicit_diffusion_matrix(grid, p05.D, traj.dt, boundary)
+        t, E, M, F, Ms = 0.0, state.E, state.M, state.F, state.Ms
+        for _ in range(n_steps):
+            lam = release_value(sched, grid.radius, t)
+            fE, fM, fF, fs = reaction_arrays(p05, E, M, F, Ms, lam,
+                                             p05.K_scalar)
+            fields = []
+            for u, f in ((M, fM), (F, fF), (Ms, fs)):
+                rhs = u + traj.dt * f
+                if boundary == "dirichlet":
+                    rhs[-1] = u[-1]
+                out = scipy.linalg.solve_banded((1, 1), ab, rhs)
+                fields.append(np.maximum(out, 0.0))
+            E = np.clip(E + traj.dt * fE, 0.0, p05.K_scalar)
+            M, F, Ms = fields
+            t += traj.dt
+        for got, expect in zip((traj.E, traj.M, traj.F, traj.Ms),
+                               (E, M, F, Ms)):
+            assert np.array_equal(got[-1], expect)
+
+    def test_run_factors_once(self, monkeypatch, p05):
+        calls = []
+
+        def counting(ab):
+            calls.append(ab.shape)
+            return factor_diffusion(ab)
+
+        monkeypatch.setattr(solver, "factor_diffusion", counting)
+        scen = Scenario(p05, Grid.cartesian(-15, 15, 151), ReleaseSchedule(),
+                        InitialData(kind="step", x_step=0.0), t_end=3.0,
+                        snapshot_every=10)
+        traj = run(scen)
+        assert traj.times.size > 2
+        assert calls == [(3, 151)]
+
+    @pytest.mark.parametrize("field", ["F", "Ms"])
+    def test_non_finite_state_is_a_solver_error(self, p05, eq05, field):
+        grid = Grid.radial(20.0, 201)
+        E, M, F = eq05.upper
+        ones = np.ones(grid.n)
+        st0 = SimState(0.0, E * ones, M * ones, F * ones, 0.0 * ones)
+        getattr(st0, field)[50] = np.nan
+        with pytest.raises(SolverError, match="non-finite"):
+            step(st0, p05, ReleaseSchedule(), 0.02, grid)
 
 
 class TestHeterogeneousK:
