@@ -2,8 +2,9 @@
 
 Every simulation writes a self-contained run directory: the canonical config
 echo, snapshots.csv (t, x, E, M, F, Ms per node), trace.csv (t, front
-position), and outcome.txt (classification plus diagnostics and the config
-hash).  Identical configs produce byte-identical outputs.
+position), and outcome.txt (classification plus diagnostics, the config
+hash, the step dt, the step gate dt_max and its binding term, and the step
+count).  Identical configs produce byte-identical outputs.
 
 Exit codes: 0 success, 2 config error, 3 solver error, 4 verification
 failure.
@@ -23,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import equilibria as eq_mod
-from .config import ConfigError, PRESET_NAMES, ScenarioConfig, preset
+from .config import (ConfigError, PRESET_NAMES, ScenarioConfig, check_key,
+                     preset)
 from .solver import ReleaseSchedule, SolverError, run
 from .supersolution import make_sterile_lower_bound, make_sterile_lower_bound_tail
 from .verify import (
@@ -144,6 +146,10 @@ def simulate_to_dir(cfg: ScenarioConfig, out: Path,
              f"speed = {outcome.speed if outcome.speed is not None else 'n/a'}",
              f"config_hash = {digest}",
              f"wall_time_s = {wall:.3f}",
+             f"dt = {traj.dt!r}",
+             f"dt_max = {traj.dt_max!r}",
+             f"dt_max_term = {traj.dt_max_term}",
+             f"n_steps = {traj.n_steps}",
              f"clamp_count = {traj.clamps.count}",
              f"clamp_worst_rel = {traj.clamps.worst_rel:.3e}"]
     for k, v in sorted(outcome.diagnostics.items()):
@@ -219,6 +225,8 @@ def _sweep_one(payload):
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
+    sec, _, key = args.axis.partition(".")
+    check_key(sec, key)
     values = [float(v) for v in args.values.split(",")]
     payloads = [(cfg.to_text(), args.axis, v, args.level) for v in values]
     failures = []

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .model import Bistable, ModelParams, Monostable
-from .solver import Grid, InitialData, ReleaseSchedule, Scenario
+from .solver import SNAPSHOT_DT, Grid, InitialData, ReleaseSchedule, Scenario
 
 # Published parameter table for the numerical experiments; mu_s and gamma_s
 # do not appear there and are artifact defaults (sterile males assumed
@@ -120,8 +120,37 @@ def _require(d: dict, sec: str, key: str, default=None, required=False):
     return default
 
 
+# Every key build_scenario reads, by section; any other key is an error.
+KNOWN_KEYS = {
+    "model": ("gamma_kind", "gamma", "K", "K_oscillation", "K_period", "b",
+              "nu_E", "mu_E", "mu_M", "mu_F", "mu_s", "rho", "D", "gamma_s"),
+    "grid": ("kind", "n", "x_min", "x_max", "r_max"),
+    "schedule": ("kind", "lambda_bar", "R1", "R2", "c", "eta"),
+    "initial": ("kind", "R0_0", "R0_1", "u0", "C0", "x_step", "step_side"),
+    "run": ("t_end", "dt", "snapshot_dt", "boundary"),
+}
+
+
+def check_key(sec: str, key: str) -> None:
+    """Raise ConfigError unless `sec.key` is a key build_scenario reads."""
+    name = f"{sec}.{key}"
+    if name == "run.snapshot_every":
+        raise ConfigError("run.snapshot_every is no longer read: the "
+                          "snapshot spacing is given in time units as "
+                          "run.snapshot_dt")
+    if sec not in KNOWN_KEYS:
+        raise ConfigError(f"unknown config section in {name}; sections are "
+                          f"{', '.join(KNOWN_KEYS)}")
+    if key not in KNOWN_KEYS[sec]:
+        raise ConfigError(f"unknown config key {name}; {sec} keys are "
+                          f"{', '.join(KNOWN_KEYS[sec])}")
+
+
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
     """Validate a parsed config field by field and construct the Scenario."""
+    for sec in cfg.SECTIONS:
+        for key in getattr(cfg, sec):
+            check_key(sec, key)
     m = cfg.model
     gamma_kind = str(_require(m, "model", "gamma_kind", "bistable")).lower()
     if gamma_kind not in ("bistable", "monostable"):
@@ -207,7 +236,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             params=params, grid=grid, schedule=schedule, initial=initial,
             t_end=float(_require(r, "run", "t_end", required=True)),
             dt=None if dt in (None, 0, 0.0, "auto") else float(dt),
-            snapshot_every=int(_require(r, "run", "snapshot_every", 100)),
+            snapshot_dt=float(_require(r, "run", "snapshot_dt", SNAPSHOT_DT)),
             boundary=str(_require(r, "run", "boundary", "neumann")),
         )
     except ConfigError:
@@ -239,7 +268,7 @@ def _preset_1d(gamma: float) -> ScenarioConfig:
     cfg.grid = {"kind": "cartesian1d", "x_min": -40.0, "x_max": 40.0, "n": 800}
     cfg.schedule = {"kind": "none"}
     cfg.initial = {"kind": "step", "x_step": -10.0, "step_side": "left"}
-    cfg.run = {"t_end": 150.0, "dt": "auto", "snapshot_every": 100}
+    cfg.run = {"t_end": 150.0, "dt": "auto", "snapshot_dt": SNAPSHOT_DT}
     return cfg
 
 
@@ -256,7 +285,7 @@ def _preset_carpet(lambda_bar: float = CARPET_LAMBDA,
                     "R1": CARPET_R1, "R2": CARPET_R2, "c": CARPET_C}
     cfg.initial = {"kind": "well_prepared", "R0_0": CARPET_R2 + 1.0,
                    "R0_1": CARPET_R2 + 5.0, "u0": CARPET_U0}
-    cfg.run = {"t_end": CARPET_T, "dt": "auto", "snapshot_every": 100}
+    cfg.run = {"t_end": CARPET_T, "dt": "auto", "snapshot_dt": SNAPSHOT_DT}
     return cfg
 
 

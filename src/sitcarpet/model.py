@@ -23,6 +23,7 @@ The slaved relations E(F) and M(E) (egg and male equations at rest) live here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Union
 
@@ -41,8 +42,9 @@ class Bistable:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"bistable gamma must be > 0, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"bistable gamma must be finite and > 0, got "
+                             f"{self.gamma}")
 
 
 GammaKind = Union[Monostable, Bistable]
@@ -90,21 +92,22 @@ class ModelParams:
     def __post_init__(self):
         for name in ("b", "nu_E", "mu_E", "mu_M", "mu_F", "mu_s", "D"):
             v = getattr(self, name)
-            if not v > 0:
-                raise ValueError(f"{name} must be > 0, got {v}")
+            if not 0 < v < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
         if not 0 < self.rho < 1:
             raise ValueError(f"rho must be in (0,1), got {self.rho}")
-        if not self.gamma_s >= 0:
-            raise ValueError(f"gamma_s must be >= 0, got {self.gamma_s}")
-        if not callable(self.K) and not self.K > 0:
-            raise ValueError(f"K must be > 0, got {self.K}")
+        if not 0 <= self.gamma_s < math.inf:
+            raise ValueError(f"gamma_s must be finite and >= 0, got "
+                             f"{self.gamma_s}")
+        if not callable(self.K) and not 0 < self.K < math.inf:
+            raise ValueError(f"K must be finite and > 0, got {self.K}")
 
     def K_at(self, x) -> np.ndarray:
         """Carrying capacity at position(s) x (scalar K broadcasts)."""
         if callable(self.K):
             K = np.asarray(self.K(np.asarray(x, dtype=float)), dtype=float)
-            if np.any(K <= 0):
-                raise ValueError("K(x) must be > 0 pointwise")
+            if not np.all((K > 0) & np.isfinite(K)):
+                raise ValueError("K(x) must be finite and > 0 pointwise")
             return K
         return np.asarray(self.K, dtype=float)
 
@@ -112,7 +115,7 @@ class ModelParams:
         """These params with a callable K replaced by its maximum over nodes x.
 
         The reference parameter set for heterogeneous K: equilibria,
-        thresholds, classification and the step gate all use it.
+        thresholds and classification use it.
         """
         if callable(self.K):
             return replace(self, K=float(np.max(self.K_at(x))))
@@ -246,29 +249,3 @@ def jacobian_ode(params: ModelParams, s: StatePoint, x: float = 0.0) -> np.ndarr
         [(1.0 - params.rho) * params.nu_E, -params.mu_M, 0.0],
         [params.rho * params.nu_E * g, params.rho * params.nu_E * s.E * dg, -params.mu_F],
     ])
-
-
-def reaction_spectral_bound(params: ModelParams, F_cap: float | None = None,
-                            E_cap: float | None = None) -> float:
-    """Conservative bound on the reaction Jacobian spectral radius.
-
-    Gershgorin row sums with entrywise maxima over the invariant region
-    (F capped by the closed-state bound rho nu_E K / mu_F unless the caller
-    knows a larger initial sup).  The bistable mating derivative is bounded by
-    2 gamma using Gamma(P) <= gamma P and Gamma' <= gamma; the monostable
-    factor only damps fF and contributes no growth.  K must be scalar: reduce
-    a heterogeneous K first with `ModelParams.at_max_K`.
-    """
-    K_max = params.K_scalar
-    if E_cap is None:
-        E_cap = K_max
-    if F_cap is None:
-        F_cap = params.rho * params.nu_E * K_max / params.mu_F
-    dg_cap = 2.0 * params.gamma if isinstance(params.gamma_kind, Bistable) else 0.0
-    rows = (
-        params.b * F_cap / K_max + params.mu_E + params.nu_E + params.b,
-        (1.0 - params.rho) * params.nu_E + params.mu_M,
-        params.rho * params.nu_E * (1.0 + E_cap * dg_cap) + params.mu_F,
-        params.mu_s,
-    )
-    return max(rows)

@@ -1,38 +1,77 @@
 """Semi-implicit time stepping on 1D Cartesian and radially symmetric grids.
 
-Diffusion is treated implicitly (unconditionally stable), reactions
-explicitly with a step-size gate dt <= 0.5 / rho_max, rho_max a conservative
-bound on the reaction Jacobian spectral radius over the invariant region.
-The egg field has no diffusion and advances by the same explicit step.
+Diffusion is implicit, reactions explicit, and the egg field (no diffusion)
+advances by the same explicit step.  With L the discrete Laplacian, one step
+of length dt is
 
-The three diffusing fields M, F and Ms share the tridiagonal matrix
-I - dt D L.  `run` LU-factors it once (LAPACK dgttrf, partial pivoting) and
-each step solves the three right-hand sides together, stacked as the
-columns of one array, with a single dgttrs call.  That is the same
-elimination, in the same order, as the per-field gtsv solves of
-`scipy.linalg.solve_banded`, so the matrix, the arithmetic and the results
-are unchanged bit for bit, and so is the monotonicity and invariant-region
-argument below.  A non-finite right-hand side (a NaN or inf that reached the
-state) raises `SolverError` instead of being solved.
+    E' = E + dt fE,      (I - dt D L) u' = u + dt fu   for u = M, F, Ms.
+
+Step gate.  Let K_min and K_max be the extremes of K over the grid nodes and
+F_cap = max(rho nu_E K_max / mu_F, sup F0).  The step is gated by
+
+    dt <= 1 / max(b F_cap / K_min + mu_E + nu_E, mu_M, mu_F, mu_s)
+
+(`reaction_dt_bound`; `gate_rates` gives the four terms, named egg, M, F and
+Ms).  Under this gate one step is monotone for the cone order (E, M, F up,
+Ms down) and maps the invariant region
+
+    0 <= E <= K(x),   0 <= F <= F_cap,   M >= 0,   Ms >= 0
+
+into itself.  Proof, in two parts.
+
+1. The explicit update is monotone.  Each component is nondecreasing in its
+   own variable: dE'/dE = 1 - dt (b F / K(x) + mu_E + nu_E) >= 0 because
+   F <= F_cap and K(x) >= K_min, and du'/du = 1 - dt mu_u >= 0 for u = M, F,
+   Ms.  The cross terms have the cooperative signs: E' grows with F, since
+   b (1 - E/K) >= 0 for E <= K; M' and F' grow with E; F' grows with M and
+   falls with Ms, because the mating factor M/(M + gamma_s Ms) Gamma(M +
+   gamma_s Ms) increases in M and decreases in Ms for either Gamma.  No
+   mating derivative enters a diagonal term, so the Allee coefficient gamma
+   does not enter the gate.  The bounds follow from these monotonicities
+   one component at a time: E' >= E'(E = 0) = dt b F >= 0 and
+   E' <= E'(E = K(x)) = K(x) (1 - dt (mu_E + nu_E)) <= K(x); u' >= u'(u = 0)
+   >= 0 for u = M, F, Ms; and, as the mating factor is at most 1 and
+   E <= K_max, F' <= F'(F = F_cap) <= F_cap (1 - dt mu_F)
+   + dt rho nu_E K_max <= F_cap.
+2. The implicit solve is monotone for every dt.  I - dt D L has a positive
+   diagonal, nonpositive off-diagonals and rows that sum to 1 with a
+   strictly dominant diagonal.  On the radial grid the neighbour weights
+   are lam + adv and lam - adv with lam = D dt / dx^2 and
+   adv = D dt / (2 r dx), and lam >= adv at every node with r >= dx, that
+   is every node but the centre, whose row is symmetric.  So the matrix is
+   an M-matrix: its inverse is entrywise nonnegative with unit row sums, and
+   the solve keeps order, nonnegativity and upper bounds by a constant (the
+   Dirichlet row keeps the edge value).
+
+The egg term is sharp: above the gate dE'/dE < 0 at F = F_cap, K = K_min.
+This is why a heterogeneous K needs K_min there and not K_max alone: on
+`carpet-hetero` (K from 150 to 250) a gate from K_max = 250 gives
+dE'/dE = -0.64 at the K = 150 nodes.  Roundoff can still leave a tiny
+negative value; it is clamped and counted, and a relative undershoot above
+CLAMP_FAIL_THRESHOLD raises `SolverError`.
+
+A run keeps one dt, t_end / n_steps, so the three diffusing fields share one
+matrix for the whole run.  `run` LU-factors it once (LAPACK dgttrf, partial
+pivoting) and each step solves the three right-hand sides together, stacked
+as the columns of one array, with a single dgttrs call: the same elimination,
+in the same order, as the per-field gtsv solves of
+`scipy.linalg.solve_banded`.  A non-finite right-hand side (a NaN or inf that
+reached the state) raises `SolverError` instead of being solved.  Snapshots
+are taken at the initial state, at the first step at or after each multiple
+of `Scenario.snapshot_dt`, and at the final step.
 
 The radial Laplacian is u'' + u'/r with the r = 0 node closed by symmetry
 (limit 2 u''(0)); boundaries are homogeneous Neumann by default with an
 optional Dirichlet clamp at the outer edge for invasion runs.
 
-Under the step-size gate the full update is monotone for the cone order
-(E, M, F up, Ms down), which is what the comparison-principle property tests
-exercise; it also preserves the invariant region up to roundoff, and any
-nodewise undershoot is clamped, counted, and bounded by a hard failure
-threshold.
-
-A heterogeneous K(x) enters the egg equation nodewise; everywhere a single
-reference value is needed (equilibria, thresholds, classification and the
-step gate) it is reduced to its maximum over the grid nodes
-(`ModelParams.at_max_K`).
+A heterogeneous K(x) enters the egg equation nodewise.  Equilibria,
+thresholds and classification reduce it to its maximum over the grid nodes
+(`ModelParams.at_max_K`); the step gate uses both extremes, as above.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -40,11 +79,15 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .equilibria import solve_equilibria
-from .model import (ModelParams, reaction_arrays, reaction_spectral_bound,
-                    slaved_E, slaved_M)
+from .model import ModelParams, reaction_arrays, slaved_E, slaved_M
 
 CLAMP_COUNT_THRESHOLD = 1e-12
 CLAMP_FAIL_THRESHOLD = 1e-9
+BOUNDARIES = ("neumann", "dirichlet")
+# Default time between snapshots: 100 steps of 150/4239, the presets'
+# spacing when the cadence was counted in steps, so their snapshot times
+# (42 between t = 0 and T = 150) are kept.
+SNAPSHOT_DT = 100 * 150.0 / 4239
 
 
 class SolverError(RuntimeError):
@@ -305,12 +348,27 @@ def solve_banded(lu: DiffusionLU, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def reaction_dt_bound(params: ModelParams, F_sup: float = 0.0) -> float:
-    """Largest admissible explicit step, 0.5 / rho_max (scalar K only)."""
-    rho_max = reaction_spectral_bound(params)
-    if F_sup > 0.0:
-        rho_max = max(rho_max, reaction_spectral_bound(params, F_cap=F_sup))
-    return 0.5 / rho_max
+def gate_rates(params: ModelParams, F_sup: float = 0.0,
+               x: Optional[np.ndarray] = None) -> dict[str, float]:
+    """The four rates whose largest sets the step gate, by term name.
+
+    K ranges over its values at the nodes x (a scalar K needs no x); F_sup,
+    the sup of the initial F, raises F_cap when it exceeds
+    rho nu_E K_max / mu_F.  See the module docstring for the proof.
+    """
+    if callable(params.K) and x is None:
+        raise ValueError("a heterogeneous K needs the grid nodes x")
+    K = params.K_at(x)
+    K_min, K_max = float(np.min(K)), float(np.max(K))
+    F_cap = max(params.rho * params.nu_E * K_max / params.mu_F, F_sup)
+    return {"egg": params.b * F_cap / K_min + params.mu_E + params.nu_E,
+            "M": params.mu_M, "F": params.mu_F, "Ms": params.mu_s}
+
+
+def reaction_dt_bound(params: ModelParams, F_sup: float = 0.0,
+                      x: Optional[np.ndarray] = None) -> float:
+    """Largest step under which one step is monotone: 1 / max(gate_rates)."""
+    return 1.0 / max(gate_rates(params, F_sup, x).values())
 
 
 @dataclass
@@ -330,8 +388,8 @@ def step(state: SimState, params: ModelParams, schedule: ReleaseSchedule,
     boundary; without it the matrix is built and factored here.
     """
     if dt_max is None:
-        dt_max = reaction_dt_bound(params.at_max_K(grid.x),
-                                   F_sup=float(np.max(state.F, initial=0.0)))
+        dt_max = reaction_dt_bound(params, float(np.max(state.F, initial=0.0)),
+                                   grid.x)
     if dt > dt_max * (1.0 + 1e-12):
         raise SolverError(f"dt={dt:g} exceeds the reaction-stability bound "
                           f"{dt_max:g}")
@@ -378,9 +436,18 @@ class Scenario:
     schedule: ReleaseSchedule
     initial: InitialData
     t_end: float
-    dt: Optional[float] = None  # None: auto from the stability gate
-    snapshot_every: int = 100
+    dt: Optional[float] = None  # None: auto from the step gate
+    snapshot_dt: float = SNAPSHOT_DT  # time between snapshots
     boundary: str = "neumann"
+
+    def __post_init__(self):
+        for name in ("t_end", "dt", "snapshot_dt"):
+            v = getattr(self, name)
+            if v is not None and not 0 < v < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
+        if self.boundary not in BOUNDARIES:
+            raise ValueError(f"unknown boundary {self.boundary!r}; expected "
+                             f"one of {', '.join(BOUNDARIES)}")
 
 
 @dataclass
@@ -393,6 +460,9 @@ class Trajectory:
     Ms: np.ndarray
     clamps: ClampStats
     dt: float
+    dt_max: float  # the step gate at the initial state
+    dt_max_term: str  # the gate_rates term that sets dt_max
+    n_steps: int
 
     @property
     def grid(self) -> Grid:
@@ -400,7 +470,7 @@ class Trajectory:
 
 
 def run(scenario: Scenario, state0: Optional[SimState] = None) -> Trajectory:
-    """Integrate to t_end, snapshotting every snapshot_every steps.
+    """Integrate to t_end with one dt, snapshotting every snapshot_dt in time.
 
     Deterministic: no randomness, fixed evaluation order; identical scenarios
     reproduce identical arrays bit for bit.
@@ -409,8 +479,9 @@ def run(scenario: Scenario, state0: Optional[SimState] = None) -> Trajectory:
     if state0 is None:
         state0 = make_initial(sc.params, sc.initial, sc.grid,
                               lambda_bar=sc.schedule.lambda_bar)
-    dt_max = reaction_dt_bound(sc.params.at_max_K(sc.grid.x),
-                               F_sup=float(np.max(state0.F)))
+    F_sup = float(np.max(state0.F))
+    rates = gate_rates(sc.params, F_sup, sc.grid.x)
+    dt_max = reaction_dt_bound(sc.params, F_sup, sc.grid.x)
     dt = sc.dt if sc.dt is not None else dt_max
     if dt > dt_max * (1.0 + 1e-12):
         raise SolverError(f"dt={dt:g} exceeds the stability bound {dt_max:g}")
@@ -425,15 +496,20 @@ def run(scenario: Scenario, state0: Optional[SimState] = None) -> Trajectory:
     state = state0.copy()
     times = [state.t]
     snaps = [[state.E.copy(), state.M.copy(), state.F.copy(), state.Ms.copy()]]
-    for k in range(n_steps):
+    # the next snapshot is the first step k with k >= m * steps_per_snap
+    # (to a 1e-9-step tolerance for roundoff in the ratio)
+    steps_per_snap = sc.snapshot_dt / dt
+    m = 1
+    for k in range(1, n_steps + 1):
         state = step(state, sc.params, sc.schedule, dt, sc.grid, lu=lu,
                      boundary=sc.boundary, K_nodes=K_nodes, clamps=clamps,
                      dt_max=dt_max)
-        if (k + 1) % sc.snapshot_every == 0 or k == n_steps - 1:
+        if k >= m * steps_per_snap - 1e-9 or k == n_steps:
             times.append(state.t)
             snaps.append([state.E.copy(), state.M.copy(), state.F.copy(),
                           state.Ms.copy()])
+            m = int(k / steps_per_snap + 1e-9) + 1
     arr = np.array(snaps)  # (n_snap, 4, n)
     return Trajectory(sc, np.array(times), arr[:, 0], arr[:, 1], arr[:, 2],
-                      arr[:, 3], clamps, dt)
-
+                      arr[:, 3], clamps, dt, dt_max,
+                      max(rates, key=rates.get), n_steps)

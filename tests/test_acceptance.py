@@ -8,10 +8,10 @@ out) is checked at T = 2000 instead of the preset's T = 150.  Its Allee
 coefficient sits barely above critical, so the upper equilibrium is still
 locally stable and the population can only vanish as its front retreats
 across the 30-unit plateau.  That retreat is resolved, not a discretisation
-artefact: the front speed is -0.02225 at 800 nodes with the automatic step
-and -0.02225 at 1600 nodes with half the step.  The plateau clears near
-t = 1250 (relative sup F first below 1e-3 at t = 1207), so T = 2000 leaves
-about 50% margin.
+artefact: the front speed is -0.02223 at 800 nodes with the automatic step
+(dt 0.242) and -0.02224 at 1600 nodes with half the step.  The plateau
+clears near t = 1250 (relative sup F first below 1e-3 at t = 1207), so
+T = 2000 leaves about 50% margin.
 """
 
 import dataclasses
@@ -35,6 +35,7 @@ from sitcarpet.solver import (
     Grid,
     InitialData,
     ReleaseSchedule,
+    SNAPSHOT_DT,
     Scenario,
     SimState,
     reaction_dt_bound,
@@ -163,7 +164,7 @@ def test_criterion_04_fig1(p05, eq05, fig1_run):
     dt = reaction_dt_bound(p05, F_sup=eq05.upper[2]) / 2.0
     fine = Scenario(p05, Grid.cartesian(-40, 40, 1600), ReleaseSchedule(),
                     InitialData(kind="step", x_step=-10.0), t_end=150.0,
-                    dt=dt, snapshot_every=200)
+                    dt=dt, snapshot_dt=SNAPSHOT_DT)
     fine_traj = run(fine)
     fine_speed = estimate_speed(front_trace(fine_traj)).speed
     elapsed = fig1_run.seconds + time.perf_counter() - t0
@@ -214,7 +215,7 @@ def test_criterion_06_speed_monotonicity(p05):
         return Scenario(table1_params(gamma), Grid.cartesian(-40, 40, 800),
                         ReleaseSchedule(),
                         InitialData(kind="step", x_step=-10.0),
-                        t_end=150.0, snapshot_every=100)
+                        t_end=150.0, snapshot_dt=SNAPSHOT_DT)
 
     rep = speed_monotonicity(scen, [0.05, 0.1, 0.5, 1.0])
     elapsed = time.perf_counter() - t0
@@ -262,7 +263,7 @@ def test_criterion_08_comparison_suite(rng):
         Ms1 = Ms2 + mk(100)
         dt = min(reaction_dt_bound(p, F_sup=90.0), 0.02)
         scen = Scenario(p, grid, sched, InitialData(kind="step"),
-                        t_end=5.0, dt=dt, snapshot_every=20)
+                        t_end=5.0, dt=dt, snapshot_dt=20 * dt)
         lo = run(scen, state0=SimState(0.0, E1, M1, F1, Ms1))
         hi = run(scen, state0=SimState(0.0, E2, M2, F2, Ms2))
         scale = max(p.K_scalar, 100.0)

@@ -57,6 +57,25 @@ class TestConfigRoundTrip:
         with pytest.raises(ConfigError):
             preset("fig9")
 
+    def test_unknown_key_is_named(self):
+        cfg = preset("fig1")
+        cfg.model["gama"] = 0.5
+        with pytest.raises(ConfigError, match=r"model\.gama"):
+            cfg.scenario()
+
+    def test_retired_snapshot_every_points_to_snapshot_dt(self):
+        cfg = preset("fig1")
+        del cfg.run["snapshot_dt"]
+        cfg.run["snapshot_every"] = 100
+        with pytest.raises(ConfigError, match=r"run\.snapshot_dt"):
+            cfg.scenario()
+
+    def test_boundary_is_validated_at_construction(self):
+        cfg = preset("fig1")
+        cfg.run["boundary"] = "periodic"
+        with pytest.raises(ConfigError, match="periodic"):
+            cfg.scenario()
+
     def test_hetero_K_field(self):
         cfg = preset("carpet-hetero")
         scen = cfg.scenario()
@@ -82,6 +101,70 @@ class TestCli:
         assert rc == 2
         rc = main(["simulate", "--out", str(tmp_path)])
         assert rc == 2
+
+    @staticmethod
+    def _simulate_fig1_with(tmp_path, capsys, key, value):
+        """Exit code and stderr of `simulate` on a short fig1 config."""
+        cfg = preset("fig1")
+        cfg.run["t_end"] = 5.0
+        sec, name = key.split(".", 1)
+        getattr(cfg, sec)[name] = value
+        path = tmp_path / "probe.cfg"
+        path.write_text(cfg.to_text())
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+        return rc, capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["model.b", "model.mu_F", "model.gamma"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_model_rate_exits_2(self, tmp_path, capsys, key,
+                                           value):
+        rc, err = self._simulate_fig1_with(tmp_path, capsys, key, value)
+        assert rc == 2 and "finite" in err
+
+    @pytest.mark.parametrize("value", [-5.0, 0.0, float("nan"), float("inf")])
+    def test_t_end_must_be_finite_and_positive(self, tmp_path, capsys, value):
+        rc, err = self._simulate_fig1_with(tmp_path, capsys, "run.t_end",
+                                           value)
+        assert rc == 2 and "t_end" in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("run.dt", -0.1), ("run.dt", float("nan")), ("run.dt", float("inf")),
+        ("run.snapshot_dt", 0.0), ("run.snapshot_dt", -1.0),
+        ("run.snapshot_dt", float("nan")), ("run.snapshot_dt", float("inf"))])
+    def test_dt_and_snapshot_dt_must_be_finite_and_positive(
+            self, tmp_path, capsys, key, value):
+        rc, err = self._simulate_fig1_with(tmp_path, capsys, key, value)
+        assert rc == 2 and key.split(".")[1] in err
+
+    def test_unknown_boundary_exits_2(self, tmp_path, capsys):
+        rc, err = self._simulate_fig1_with(tmp_path, capsys, "run.boundary",
+                                           "periodic")
+        assert rc == 2 and "periodic" in err
+
+    @pytest.mark.parametrize("key,hint", [
+        ("model.gama", "model.gama"),
+        ("run.snapshot_every", "run.snapshot_dt")])
+    def test_unknown_key_exits_2(self, tmp_path, capsys, key, hint):
+        rc, err = self._simulate_fig1_with(tmp_path, capsys, key, 15)
+        assert rc == 2 and hint in err
+
+    def test_outcome_explains_its_step(self, tmp_path):
+        cfg = preset("fig1")
+        cfg.run["t_end"] = 10.0
+        path = tmp_path / "quick.cfg"
+        path.write_text(cfg.to_text())
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 0
+        d = next(p for p in tmp_path.iterdir() if p.is_dir())
+        outcome = dict(line.split(" = ", 1) for line in
+                       (d / "outcome.txt").read_text().splitlines())
+        dt, dt_max = float(outcome["dt"]), float(outcome["dt_max"])
+        n_steps = int(outcome["n_steps"])
+        assert outcome["dt_max_term"] == "egg"
+        assert dt <= dt_max and n_steps == int(np.ceil(10.0 / dt_max))
+        assert dt * n_steps == pytest.approx(10.0, rel=1e-14)
+        header = (d / "snapshots.csv").read_text().split("\n", 1)[0]
+        assert header == "t,x,E,M,F,Ms"
 
     def test_simulate_writes_run_dir(self, tmp_path):
         cfg = preset("fig1")
@@ -120,6 +203,14 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "Invasion" in out
+
+    @pytest.mark.parametrize("axis", ["model.gama", "run.snapshot_every",
+                                      "gamma"])
+    def test_sweep_unknown_axis_exits_2(self, tmp_path, capsys, axis):
+        rc = main(["sweep", "--preset", "fig1", "--axis", axis,
+                   "--values", "0.5", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_lambda_sweep_flips_outcome(self, tmp_path, capsys):
         # small releases leave re-invasion, the searched amplitude blocks

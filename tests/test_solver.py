@@ -6,15 +6,17 @@ import scipy.linalg
 
 from sitcarpet import solver
 from sitcarpet.config import preset, table1_params
-from sitcarpet.model import reaction_spectral_bound
+from sitcarpet.model import reaction_arrays
 from sitcarpet.solver import (
     Grid,
     InitialData,
     ReleaseSchedule,
+    SNAPSHOT_DT,
     Scenario,
     SimState,
     SolverError,
     factor_diffusion,
+    gate_rates,
     implicit_diffusion_matrix,
     make_initial,
     reaction_dt_bound,
@@ -144,7 +146,7 @@ class TestStep:
         z = np.zeros(grid.n)
         state = SimState(0.0, z.copy(), M0, z.copy(), z.copy())
         scen = Scenario(p, grid, ReleaseSchedule(), InitialData(kind="step"),
-                        t_end=20.0, dt=0.02, snapshot_every=1000)
+                        t_end=20.0, dt=0.02, snapshot_dt=1000 * 0.02)
         traj = run(scen, state0=state)
 
         def variance(f):
@@ -171,7 +173,6 @@ class TestFactoredSolve:
     @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
     def test_run_matches_per_field_solves(self, rng, p05, boundary):
         # reference: the scheme with one solve_banded call per field
-        from sitcarpet.model import reaction_arrays
         grid = Grid.radial(12.0, 121)
         sched = ReleaseSchedule(kind="annulus", lambda_bar=300.0, R1=2.0,
                                 R2=5.0, c=0.1)
@@ -180,7 +181,7 @@ class TestFactoredSolve:
         state = SimState(0.0, mk(p05.K_scalar), mk(60), mk(80), mk(100))
         dt, n_steps = 0.02, 25
         scen = Scenario(p05, grid, sched, InitialData(kind="step"),
-                        t_end=dt * n_steps, dt=dt, snapshot_every=n_steps,
+                        t_end=dt * n_steps, dt=dt, snapshot_dt=n_steps * dt,
                         boundary=boundary)
         traj = run(scen, state0=state)
 
@@ -214,7 +215,7 @@ class TestFactoredSolve:
         monkeypatch.setattr(solver, "factor_diffusion", counting)
         scen = Scenario(p05, Grid.cartesian(-15, 15, 151), ReleaseSchedule(),
                         InitialData(kind="step", x_step=0.0), t_end=3.0,
-                        snapshot_every=10)
+                        snapshot_dt=0.5)
         traj = run(scen)
         assert traj.times.size > 2
         assert calls == [(3, 151)]
@@ -238,35 +239,173 @@ class TestHeterogeneousK:
         cfg.run["t_end"] = 1.0
         return cfg.scenario()
 
-    def test_run_dt_is_the_scalar_gate_at_max_K(self):
+    def test_run_dt_takes_the_egg_term_at_min_K_and_F_cap_at_max_K(self):
         hetero = self._short("carpet-hetero")
-        scalar = self._short("carpet", K=250.0)
-        assert hetero.params.at_max_K(hetero.grid.x).K == 250.0
-        state0 = make_initial(scalar.params, scalar.initial, scalar.grid,
-                              lambda_bar=scalar.schedule.lambda_bar)
-        dt_max = reaction_dt_bound(scalar.params, F_sup=float(np.max(state0.F)))
-        n_steps = int(np.ceil(scalar.t_end / dt_max - 1e-12))
+        p, x = hetero.params, hetero.grid.x
+        K = p.K_at(x)
+        state0 = make_initial(p, hetero.initial, hetero.grid,
+                              lambda_bar=hetero.schedule.lambda_bar)
+        F_cap = max(p.rho * p.nu_E * K.max() / p.mu_F, state0.F.max())
+        expect = 1.0 / (p.b * F_cap / K.min() + p.mu_E + p.nu_E)
         traj = run(hetero)
-        assert traj.dt == scalar.t_end / n_steps
-        assert traj.dt == run(scalar).dt
+        assert traj.dt_max == pytest.approx(expect, rel=1e-14)
+        assert traj.dt_max_term == "egg"
+        assert traj.n_steps == int(np.ceil(hetero.t_end / expect))
+        assert traj.dt == hetero.t_end / traj.n_steps
+        # the K_max reduction alone gives a larger, unsafe step
+        assert traj.dt_max < 0.7 * reaction_dt_bound(p.at_max_K(x),
+                                                     state0.F.max())
+        # a scalar K is its own min and max
+        scalar = self._short("carpet", K=250.0)
+        assert run(scalar).dt_max == reaction_dt_bound(
+            scalar.params, state0.F.max())
 
-    def test_spectral_bound_rejects_callable_K(self):
+    def test_gate_needs_the_nodes_for_a_callable_K(self):
         hetero = self._short("carpet-hetero")
-        with pytest.raises(ValueError):
-            reaction_spectral_bound(hetero.params)
-        assert reaction_spectral_bound(hetero.params.at_max_K(hetero.grid.x)) \
-            == reaction_spectral_bound(self._short("carpet", K=250.0).params)
+        with pytest.raises(ValueError, match="grid nodes"):
+            reaction_dt_bound(hetero.params)
+
+
+def _ordered_pair(rng, x, K_nodes):
+    """Random cone-ordered initial states (lo <= hi), E inside [0, K(x)]."""
+    xs = np.linspace(x[0], x[-1], 4)
+    mk = lambda hi: np.interp(x, xs, rng.uniform(0, hi, 4))
+    E2, M2, F2, Ms2 = K_nodes * mk(1.0), mk(60), mk(80), mk(100)
+    lo = SimState(0.0, np.clip(E2 - mk(150), 0, None),
+                  np.clip(M2 - mk(50), 0, None), np.clip(F2 - mk(60), 0, None),
+                  Ms2 + mk(100))
+    return lo, SimState(0.0, E2, M2, F2, Ms2)
+
+
+def _hetero_K(x):
+    return 200.0 + 50.0 * np.sin(2.0 * np.pi * np.abs(x) / 10.0)
+
+
+class TestMonotoneGate:
+    """The scheme run at exactly `reaction_dt_bound` keeps cone order."""
+
+    @pytest.mark.parametrize("radial,gamma,lambda_bar,K", [
+        pytest.param(radial, gamma, lam, 200.0,
+                     id=f"{'radial' if radial else 'cartesian'}-"
+                        f"{'bistable' if gamma else 'monostable'}-"
+                        f"{'release' if lam else 'no-release'}")
+        for radial in (True, False) for gamma in (None, 0.5)
+        for lam in (0.0, 500.0)
+    ] + [pytest.param(True, 0.5, 500.0, _hetero_K,
+                      id="radial-bistable-release-K(x)")])
+    def test_ordered_pairs_at_the_gate(self, rng, radial, gamma, lambda_bar,
+                                       K):
+        p = table1_params(gamma, K=K)
+        grid = (Grid.radial(12.0, 121) if radial
+                else Grid.cartesian(-10, 10, 121))
+        sched = (ReleaseSchedule(kind="annulus", lambda_bar=lambda_bar,
+                                 R1=2.0, R2=5.0, c=0.15)
+                 if lambda_bar else ReleaseSchedule())
+        x = grid.x
+        K_nodes = np.broadcast_to(p.K_at(x), x.shape)
+        for _ in range(5):
+            lo0, hi0 = _ordered_pair(rng, x, K_nodes)
+            dt = reaction_dt_bound(p, float(hi0.F.max()), x)
+            scen = Scenario(p, grid, sched, InitialData(kind="step"),
+                            t_end=40 * dt, dt=dt, snapshot_dt=4 * dt)
+            lo, hi = run(scen, state0=lo0), run(scen, state0=hi0)
+            assert hi.n_steps == 40 and hi.dt == pytest.approx(dt, rel=1e-15)
+            tol = 1e-9 * 200.0
+            assert np.all(lo.E <= hi.E + tol) and np.all(lo.M <= hi.M + tol)
+            assert np.all(lo.F <= hi.F + tol) and np.all(lo.Ms >= hi.Ms - tol)
+            for traj in (lo, hi):
+                assert traj.clamps.count == 0
+                assert np.all(traj.E >= 0) and np.all(traj.E <= K_nodes)
+
+    @staticmethod
+    def _egg_update(p, dt, F_cap, K):
+        """Explicit E update on E in [0, K] at F = F_cap (its worst case)."""
+        E = np.linspace(0.0, K, 401)
+        z = np.zeros_like(E)
+        fE = reaction_arrays(p, E, z, np.full_like(E, F_cap), z, 0.0, K)[0]
+        return E + dt * fE
+
+    @staticmethod
+    def _monotone_inside(E_new, K):
+        # at the gate dE'/dE is 0 where F = F_cap and K = K_min, so the
+        # update is flat there up to roundoff
+        tol = 1e-12 * K
+        return bool(np.all(np.diff(E_new) >= -tol) and E_new.min() >= 0.0
+                    and E_new.max() <= K + tol)
+
+    def test_gate_is_sharp_for_the_egg_update(self, p05):
+        K = p05.K_scalar
+        F_cap = p05.rho * p05.nu_E * K / p05.mu_F
+        dt = reaction_dt_bound(p05)
+        assert gate_rates(p05)["egg"] == max(gate_rates(p05).values())
+        assert self._monotone_inside(self._egg_update(p05, dt, F_cap, K), K)
+        over = self._egg_update(p05, 1.5 * dt, F_cap, K)
+        assert np.any(np.diff(over) < 0.0) and over.max() > K
+
+    def test_max_K_gate_fails_at_a_min_K_node(self):
+        p = preset("carpet-hetero").scenario().params
+        x = Grid.radial(45.0, 901).x
+        K = p.K_at(x)
+        F_cap = p.rho * p.nu_E * K.max() / p.mu_F
+        K_min = float(K.min())
+        dt = reaction_dt_bound(p, x=x)
+        assert self._monotone_inside(self._egg_update(p, dt, F_cap, K_min),
+                                     K_min)
+        dt_max_K = reaction_dt_bound(p.at_max_K(x))
+        slope = 1.0 - dt_max_K * (p.b * F_cap / K_min + p.mu_E + p.nu_E)
+        assert slope < -0.6
+        assert not self._monotone_inside(
+            self._egg_update(p, dt_max_K, F_cap, K_min), K_min)
+
+
+def test_dt_halving_observed_order(p05, eq05):
+    # fig1 kinetics on n = 800: the front position at t = 60 converges at
+    # first order as dt halves from the gate
+    from sitcarpet.waves import front_position
+    grid = Grid.cartesian(-40, 40, 800)
+    t_end = 60.0
+    n0 = int(np.ceil(t_end / reaction_dt_bound(p05, eq05.upper[2])))
+    positions = []
+    for k in range(4):
+        scen = Scenario(p05, grid, ReleaseSchedule(),
+                        InitialData(kind="step", x_step=-10.0), t_end=t_end,
+                        dt=t_end / (n0 * 2**k), snapshot_dt=t_end)
+        traj = run(scen)
+        positions.append(front_position(traj.F[-1], grid,
+                                        eq05.upper[2] / 2)[0])
+    gaps = np.abs(np.diff(positions))
+    orders = np.log2(gaps[:-1] / gaps[1:])
+    print(f"\nobserved order in dt: {orders[0]:.3f}, {orders[1]:.3f}")
+    assert np.all((orders >= 0.8) & (orders <= 1.2))
 
 
 class TestRunProperties:
     def test_determinism(self, p05):
         scen = Scenario(p05, Grid.cartesian(-15, 15, 151), ReleaseSchedule(),
                         InitialData(kind="step", x_step=0.0), t_end=3.0,
-                        snapshot_every=10)
+                        snapshot_dt=0.5)
         t1 = run(scen)
         t2 = run(scen)
         assert np.array_equal(t1.F, t2.F)
         assert np.array_equal(t1.Ms, t2.Ms)
+
+    @pytest.mark.parametrize("snapshot_dt,steps", [
+        (0.25, [3, 5, 8, 10]),   # first step at or after 0.25, 0.5, 0.75, 1
+        (0.3, [3, 6, 9, 10]),    # plus the final step
+        (0.05, list(range(1, 11))),  # finer than dt: every step
+        (5.0, [10])])
+    def test_snapshot_times(self, p05, snapshot_dt, steps):
+        scen = Scenario(p05, Grid.cartesian(-5, 5, 21), ReleaseSchedule(),
+                        InitialData(kind="step"), t_end=1.0, dt=0.1,
+                        snapshot_dt=snapshot_dt)
+        traj = run(scen)
+        assert traj.n_steps == 10
+        assert traj.times == pytest.approx([0.0] + [0.1 * k for k in steps],
+                                           abs=1e-12)
+
+    def test_presets_keep_44_snapshots(self, fig1_traj):
+        assert fig1_traj.times.size == 44
+        assert fig1_traj.n_steps == 620
 
     def test_radial_flat_matches_zero_d_march(self, p05, eq05):
         # flat fields make the radial operator exactly inert, so the run
@@ -279,10 +418,9 @@ class TestRunProperties:
                        5.0 * ones)
         dt = 0.02
         scen = Scenario(p05, grid, ReleaseSchedule(), InitialData(kind="step"),
-                        t_end=4.0, dt=dt, snapshot_every=50)
+                        t_end=4.0, dt=dt, snapshot_dt=50 * dt)
         traj = run(scen, state0=st0)
         # 0-D fields under the identical splitting (diffusion is identity)
-        from sitcarpet.model import reaction_arrays
         y = np.array([frac * E, frac * M, frac * F, 5.0])
         lam_decay = 1.0
         n = int(round(4.0 / dt))
@@ -311,7 +449,7 @@ class TestRunProperties:
             mk = lambda hi: np.interp(x, xs, rng.uniform(0, hi, 4))
             st0 = SimState(0.0, mk(K), mk(60), mk(80), mk(200))
             scen = Scenario(p, grid, sched, InitialData(kind="step"),
-                            t_end=4.0, snapshot_every=10)
+                            t_end=4.0, snapshot_dt=0.5)
             traj = run(scen, state0=st0)
             Kx = np.broadcast_to(p.K_at(x), x.shape)
             assert np.all(traj.E >= 0) and np.all(traj.E <= Kx[None] + 1e-12)
@@ -337,7 +475,7 @@ class TestRunProperties:
             Ms1 = Ms2 + mk(80)
             dt = min(reaction_dt_bound(p, F_sup=80.0), 0.02)
             scen = Scenario(p, grid, sched, InitialData(kind="step"),
-                            t_end=4.0, dt=dt, snapshot_every=10)
+                            t_end=4.0, dt=dt, snapshot_dt=10 * dt)
             lo = run(scen, state0=SimState(0.0, E1, M1, F1, Ms1))
             hi = run(scen, state0=SimState(0.0, E2, M2, F2, Ms2))
             tol = 1e-9 * max(p.K_scalar, 100.0)
@@ -351,7 +489,7 @@ class TestRunProperties:
         scen = Scenario(p05, grid, ReleaseSchedule(),
                         InitialData(kind="well_prepared", R0_0=6, R0_1=10,
                                     u0=0.0),
-                        t_end=2.0, boundary="dirichlet", snapshot_every=10)
+                        t_end=2.0, boundary="dirichlet", snapshot_dt=0.5)
         traj = run(scen)
         assert np.allclose(traj.F[:, -1], eq05.upper[2], rtol=1e-12)
 
@@ -364,7 +502,7 @@ class TestRunProperties:
             dt = reaction_dt_bound(p05, F_sup=eq05.upper[2]) * dt_scale
             scen = Scenario(p05, grid, ReleaseSchedule(),
                             InitialData(kind="step", x_step=-10.0),
-                            t_end=60.0, dt=dt, snapshot_every=10**9)
+                            t_end=60.0, dt=dt, snapshot_dt=60.0)
             traj = run(scen)
             pos, _ = front_position(traj.F[-1], grid, eq05.upper[2] / 2)
             positions.append(pos)

@@ -156,14 +156,14 @@ class TestSterileCost:
 
 def test_speed_monotonicity_repeats_are_identical():
     from sitcarpet.config import table1_params
-    from sitcarpet.solver import InitialData, Scenario
+    from sitcarpet.solver import SNAPSHOT_DT, InitialData, Scenario
     from sitcarpet.waves import speed_monotonicity
 
     def scen(gamma):
         return Scenario(table1_params(gamma), Grid.cartesian(-30, 30, 400),
                         ReleaseSchedule(),
                         InitialData(kind="step", x_step=-10.0),
-                        t_end=60.0, snapshot_every=100)
+                        t_end=60.0, snapshot_dt=SNAPSHOT_DT)
 
     rep = speed_monotonicity(scen, [0.5, 0.5])
     speeds = [s for _, s, _ in rep["rows"]]
