@@ -35,7 +35,7 @@ from .verify import (
     verify_sterile_floor,
     verify_subsolution,
 )
-from .waves import classify, estimate_speed, front_trace, sterile_cost_report
+from .waves import classify, estimate_speed, sterile_cost_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,11 +54,9 @@ def _load_config(args) -> ScenarioConfig:
 
 
 def _out_dir(args, cfg_text: str) -> Path:
+    """The run directory for cfg_text; created by whoever writes into it."""
     root = Path(args.out or os.environ.get("SITCARPET_OUT", "runs"))
-    digest = hashlib.sha256(cfg_text.encode()).hexdigest()[:12]
-    d = root / digest
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+    return root / hashlib.sha256(cfg_text.encode()).hexdigest()[:12]
 
 
 def _write_snapshots(path: Path, traj) -> None:
@@ -105,6 +103,7 @@ def cmd_analyze(args) -> int:
     print(text)
     cfg_text = cfg.to_text()
     out = _out_dir(args, cfg_text)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "config.echo").write_text(cfg_text)
     (out / "analysis.txt").write_text(text + "\n")
     return EXIT_OK
@@ -131,12 +130,12 @@ def simulate_to_dir(cfg: ScenarioConfig, out: Path,
     wall = time.perf_counter() - t0
     exterior = "positivity" if callable(scenario.params.K) else "equilibrium"
     outcome = classify(traj, level=level, exterior_check=exterior)
-    trace = front_trace(traj, level=level)
 
+    out.mkdir(parents=True, exist_ok=True)
     (out / "config.echo").write_text(cfg_text)
     snap_path = out / "snapshots.csv"
     _write_snapshots(snap_path, traj)
-    tr = trace.valid()
+    tr = outcome.trace.valid()
     trace_path = out / "trace.csv"
     np.savetxt(trace_path,
                np.column_stack([tr.times, tr.positions]), delimiter=",",
@@ -168,11 +167,19 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _release_geometry(sched: ReleaseSchedule) -> tuple[float, float, float]:
+    """The schedule's R1, R2 and eta, or where unset 4, R1 + 28 and 0.3."""
+    R1 = sched.R1 if sched.R1 > 0 else 4.0
+    R2 = sched.R2 if sched.R2 > R1 else R1 + 28.0
+    return R1, R2, sched.eta if sched.eta > 0 else 0.3
+
+
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     scenario = cfg.scenario()
     params = scenario.params
     sched = scenario.schedule
+    c, lam = max(sched.c, 0.01), max(sched.lambda_bar, 1.0)
     reports = []
     which = args.which
     if which != "sterile-bounds" and callable(params.K):
@@ -180,27 +187,22 @@ def cmd_verify(args) -> int:
                           f"config has a heterogeneous K(x) (--which "
                           f"sterile-bounds works)")
     if which in ("subsolution", "all"):
-        sub = build_subsolution(params, c=max(sched.c, 0.01),
-                                lambda_bar=max(sched.lambda_bar, 1.0),
+        sub = build_subsolution(params, c=c, lambda_bar=lam,
                                 R2=max(sched.R2, 1.0))
         reports.append(verify_subsolution(sub))
     if which in ("supersolution", "all"):
-        bundle, rep = supersolution_certificate(params, c=max(sched.c, 0.01))
+        bundle, rep = supersolution_certificate(params, c=c)
         print(f"bundle constants: mu={bundle.mu:g} eps={bundle.eps:g} "
               f"u0={bundle.u0:g} C1={bundle.C1:g} C2={bundle.C2:g} "
               f"L={bundle.L:g} lambda_bar={bundle.lambda_bar:g}")
         reports.append(rep)
     if which in ("sterile-bounds", "all"):
-        lam = max(sched.lambda_bar, 1.0)
-        c = max(sched.c, 0.01)
-        R1 = sched.R1 if sched.R1 > 0 else 4.0
-        R2 = sched.R2 if sched.R2 > R1 else R1 + 28.0
+        R1, R2, eta = _release_geometry(sched)
         r1 = R1 + 2.0
         r2 = R2 - 2.0
         reports.append(verify_sterile_cap(params, lam, c, R1, R2, Rs=R2 + 1.0))
         reports.append(verify_sterile_floor(
             make_sterile_lower_bound(params, lam, c, R1, r1, r2, R2)))
-        eta = sched.eta if sched.eta > 0 else 0.3
         reports.append(verify_sterile_floor(
             make_sterile_lower_bound_tail(params, lam, c, R1, r1, r2, R2, eta)))
     for rep in reports:
@@ -218,7 +220,7 @@ def _sweep_one(payload):
     outcome = classify(traj, level=level)
     speed = outcome.speed
     if speed is None:
-        est = estimate_speed(front_trace(traj, level=level))
+        est = estimate_speed(outcome.trace)
         speed = est.speed if est else None
     return (value, outcome.kind, speed)
 
@@ -227,7 +229,10 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     sec, _, key = args.axis.partition(".")
     check_key(sec, key)
-    values = [float(v) for v in args.values.split(",")]
+    try:
+        values = [float(v) for v in args.values.split(",")]
+    except ValueError as e:
+        raise ConfigError(f"sweep --values: {e}") from None
     payloads = [(cfg.to_text(), args.axis, v, args.level) for v in values]
     failures = []
     rows = []
@@ -249,6 +254,7 @@ def cmd_sweep(args) -> int:
     for v, msg in failures:
         print(f"{v:>16.6g}  FAILED: {msg}")
     out = _out_dir(args, cfg.to_text() + f"\n# sweep {args.axis}")
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w") as fh:
         fh.write(f"{args.axis},outcome,speed\n")
         for v, kind, speed in rows:
@@ -269,17 +275,15 @@ def cmd_cost(args) -> int:
     sched = scenario.schedule
     T_grid = [float(v) for v in args.horizons.split(",")]
     lam = sched.lambda_bar if sched.lambda_bar > 0 else 1.0
-    R1 = sched.R1 if sched.R1 > 0 else 4.0
-    R2 = sched.R2 if sched.R2 > R1 else R1 + 28.0
+    R1, R2, eta = _release_geometry(sched)
     c = sched.c if sched.c > 0 else 0.03
     strategies = {
         "naive-disc": ReleaseSchedule(kind="disc", lambda_bar=lam, R2=R2, c=c),
         "annulus": ReleaseSchedule(kind="annulus", lambda_bar=lam, R1=R1,
                                    R2=R2, c=c),
+        "annulus-tail": ReleaseSchedule(kind="annulus_tail", lambda_bar=lam,
+                                        R1=R1, R2=R2, c=c, eta=eta),
     }
-    eta = sched.eta if sched.eta > 0 else 0.3
-    strategies["annulus-tail"] = ReleaseSchedule(
-        kind="annulus_tail", lambda_bar=lam, R1=R1, R2=R2, c=c, eta=eta)
     print(f"{'strategy':>14}  {'exponent':>9}  totals")
     for name, s in strategies.items():
         rep = sterile_cost_report(s, T_grid)
@@ -337,7 +341,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, eq_mod.ParameterRangeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as e:

@@ -36,6 +36,10 @@ DEFAULT_PANELS = 4096
 _DEGENERATE_BAND = 1e-10
 
 
+class ParameterRangeError(ValueError):
+    """The rates put a threshold or an equilibrium beyond double precision."""
+
+
 def bisect(f: Callable[[float], float], lo: float, hi: float,
            tol: float = BISECT_TOL, max_iter: int = 400) -> float:
     """Bisection for f with f(lo) < 0 < f(hi); absolute tolerance on the root."""
@@ -124,7 +128,7 @@ def solve_zeta_c(n_offspring: float) -> Optional[float]:
 
     hi = scale_until(lambda z: h(z) >= 0, 1.0, 2.0, 1e12)
     if hi is None:
-        raise RuntimeError("zeta_c bracket search failed")
+        raise ParameterRangeError(f"zeta_c is beyond 1e12 for N = {N:g}")
     return bisect(h, 1e-300, hi)
 
 
@@ -261,8 +265,12 @@ def solve_equilibria(params: ModelParams) -> EquilibriumSet:
         return EquilibriumSet(ext, None, eq, ext_stable, None,
                               _is_stable(params, *eq), degenerate=True)
 
-    m_minus = bisect(lambda m: varphi(m) - 1.0, 1e-300, m0)
-    m_plus = bisect(lambda m: 1.0 - varphi(m), m0, 1.0 - 1e-16)
+    try:
+        m_minus = bisect(lambda m: varphi(m) - 1.0, 1e-300, m0)
+        m_plus = bisect(lambda m: 1.0 - varphi(m), m0, 1.0 - 1e-16)
+    except ValueError as e:
+        raise ParameterRangeError(
+            f"an equilibrium is beyond double precision: {e}") from None
     middle = _equilibrium_from_F(params, _m_to_F(params, m_minus))
     upper = _equilibrium_from_F(params, _m_to_F(params, m_plus))
     return EquilibriumSet(ext, middle, upper, ext_stable,

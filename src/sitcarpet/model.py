@@ -188,9 +188,14 @@ def slaved_M(params: ModelParams, E):
     return (1.0 - params.rho) * params.nu_E * E / params.mu_M
 
 
+def egg_rate(params: ModelParams, E, F, K):
+    """Egg rate b F (1 - E/K) - (mu_E + nu_E) E; K already sampled."""
+    return params.b * F * (1.0 - E / K) - (params.mu_E + params.nu_E) * E
+
+
 def reaction_arrays(params: ModelParams, E, M, F, Ms, lam, K):
     """Vectorized kinetics; K is the (already sampled) carrying capacity."""
-    fE = params.b * F * (1.0 - E / K) - (params.mu_E + params.nu_E) * E
+    fE = egg_rate(params, E, F, K)
     fM = (1.0 - params.rho) * params.nu_E * E - params.mu_M * M
     fF = params.rho * params.nu_E * E * mating_factor(params, M, Ms) - params.mu_F * F
     fs = lam - params.mu_s * Ms

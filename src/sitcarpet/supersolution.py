@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .equilibria import bisect, scale_until, solve_equilibria
-from .model import Bistable, ModelParams, slaved_E
+from .model import Bistable, ModelParams, egg_rate, slaved_E
 
 
 def lambda_roots(mu: float, drift: float) -> tuple[float, float]:
@@ -128,21 +128,22 @@ class SupersolutionBundle:
         return (self.r1 + self.c_prime * t, self.r1 + self.c * t,
                 self.r2 + self.c * t)
 
+    def region(self, r, t):
+        """Index k of the Omega_k holding radius r at t >= 0 (the interfaces
+        are then sorted); Omega_k ends at, and includes, interface k."""
+        return np.searchsorted(self.interfaces(t), r)
+
 
 def assemble_Fbar(bundle: SupersolutionBundle, x, t: float):
     """Piecewise female cap Fbar(x, t); continuous, radially nondecreasing."""
     r = np.abs(np.asarray(x, dtype=float))
-    i0, i1, i2 = bundle.interfaces(t)
+    i0, i1, _ = bundle.interfaces(t)
     a = bundle.alpha(t)
-    out = np.where(
-        r <= i0,
-        a * bundle.beta(0.0),
-        np.where(
-            r <= i1,
-            a * bundle.beta(np.maximum(r - i0, 0.0)),
-            np.where(r <= i2, bundle.psi(np.maximum(r - i1, 0.0)), 1.0),
-        ),
-    )
+    k = bundle.region(r, t)
+    out = np.ones(r.shape)  # Omega3: the equilibrium
+    out[k == 0] = a * bundle.beta(0.0)
+    out[k == 1] = a * bundle.beta(r[k == 1] - i0)
+    out[k == 2] = bundle.psi(r[k == 2] - i1)
     out = bundle.F_star * out
     return out if out.ndim else float(out)
 
@@ -162,11 +163,9 @@ def ebar_ode(bundle: SupersolutionBundle, x, t_end: float, dt: float,
     if E0 is None:
         E0 = np.minimum(np.minimum(K, bundle.C0 * F0), slaved_E(p, F0))
     E = np.array(np.broadcast_to(E0, x.shape), dtype=float)
-    ce = p.mu_E + p.nu_E
 
     def rhs(E_val, t):
-        F = assemble_Fbar(bundle, x, t)
-        return p.b * F * (1.0 - E_val / K) - ce * E_val
+        return egg_rate(p, E_val, assemble_Fbar(bundle, x, t), K)
 
     n_steps = int(np.ceil(t_end / dt))
     times = np.empty(n_steps + 1)
@@ -187,24 +186,29 @@ def ebar_ode(bundle: SupersolutionBundle, x, t_end: float, dt: float,
     return times, out
 
 
-def sterile_upper_bound(params: ModelParams, lambda_bar: float, c: float,
-                        Rs: float, Ms0_sup: float) -> Callable:
-    """Translating upper cap for the sterile males.
+@dataclass(frozen=True)
+class SterileCap:
+    """Sterile-male cap: `height` on |x| <= Rs + ct, decay `rate` beyond."""
 
-    max(Ms0_sup, lambda_bar/mu_s) on |x| <= Rs + ct, exponential skirt with
-    unit-diffusion decay sqrt(mu_s) beyond.  Requires Rs beyond both the
-    release annulus and the initial support.
-    """
-    amp = max(Ms0_sup, lambda_bar / params.mu_s)
-    rate = np.sqrt(params.mu_s / params.D)
+    height: float
+    rate: float
+    Rs: float
+    c: float
 
-    def bound(x, t):
+    def __call__(self, x, t):
         r = np.abs(np.asarray(x, dtype=float))
-        edge = Rs + c * t
-        out = amp * np.where(r <= edge, 1.0, np.exp(-rate * (r - edge)))
+        edge = self.Rs + self.c * t
+        out = self.height * np.exp(-self.rate * np.maximum(r - edge, 0.0))
         return out if out.ndim else float(out)
 
-    return bound
+
+def sterile_upper_bound(params: ModelParams, lambda_bar: float, c: float,
+                        Rs: float, Ms0_sup: float) -> SterileCap:
+    """Translating upper cap for the sterile males: height max(Ms0_sup,
+    lambda_bar/mu_s), physical decay sqrt(mu_s/D).  Requires Rs beyond both
+    the release annulus and the initial support."""
+    return SterileCap(max(Ms0_sup, lambda_bar / params.mu_s),
+                      np.sqrt(params.mu_s / params.D), Rs, c)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .equilibria import solve_equilibria
-from .model import ModelParams, mating_factor, reaction_arrays, slaved_E, slaved_M
+from .model import ModelParams, reaction_arrays, slaved_E, slaved_M
 from .profiles import (
     MonotoneProfile,
     build_stationary_F,
@@ -216,26 +216,23 @@ def build_subsolution(params: ModelParams, c: float, lambda_bar: float,
     """
     if gamma is None:
         gamma = params.gamma
-    eq = solve_equilibria(params.with_gamma(gamma) if gamma is not None
-                          else params)
+    p_gamma = params.with_gamma(gamma)
+    eq = solve_equilibria(p_gamma)
     if eq.upper is None:
         raise ValueError("no positive equilibrium for a sub-solution")
     F_star = eq.upper[2]
-    eps_gamma = find_eps0(params.with_gamma(gamma), gamma, F_star)
+    eps_gamma = find_eps0(p_gamma, gamma, F_star)
     if eps_gamma is None:
         raise ValueError("no admissible sterile tail amplitude (condition fails)")
     F_prof = build_stationary_F(params, gamma=gamma, eps=eps_gamma)
     if F_prof is None:
         raise ValueError("no stationary profile in this regime")
-    M_prof = build_stationary_M(params.with_gamma(gamma), F_prof)
+    M_prof = build_stationary_M(p_gamma, F_prof)
 
     Rs = max(R2, Rs0) + 1.0
     cap = sterile_upper_bound(params, lambda_bar, c, Rs, Ms0_sup)
-    amp = max(Ms0_sup, lambda_bar / params.mu_s)
-    decay = np.sqrt(params.mu_s / params.D)
-    R_shift = Rs + np.log(max(amp / eps_gamma, 1.0)) / decay
-    return SubsolutionFields(params.with_gamma(gamma), c, R_shift, eps_gamma,
-                             F_prof, M_prof, cap)
+    R_shift = Rs + np.log(max(cap.height / eps_gamma, 1.0)) / cap.rate
+    return SubsolutionFields(p_gamma, c, R_shift, eps_gamma, F_prof, M_prof, cap)
 
 
 def verify_subsolution(sub: SubsolutionFields, t_grid=(1.0, 7.0, 19.0),
@@ -305,7 +302,6 @@ def verify_sterile_cap(params: ModelParams, lambda_bar: float, c: float,
                        tol: float = 1e-8) -> CertificateReport:
     """The translating plateau/skirt dominates the annulus release equation."""
     cap = sterile_upper_bound(params, lambda_bar, c, Rs, Ms0_sup)
-    amp = max(Ms0_sup, lambda_bar / params.mu_s)
     release = ReleaseSchedule("annulus", lambda_bar, R1, R2, c)
 
     def react(x, t, u):
@@ -317,8 +313,8 @@ def verify_sterile_cap(params: ModelParams, lambda_bar: float, c: float,
         reports.append(verify_inequality(
             cap, react, "super", xg, [t], D=params.D, radial=True,
             interfaces=lambda tt: [Rs + c * tt], tol=tol,
-            scale=params.mu_s * amp, name=f"sterile cap residual t={t:g}"))
-        reports.append(jump_check(cap, Rs + c * t, t, "super", scale=amp,
+            scale=params.mu_s * cap.height, name=f"sterile cap residual t={t:g}"))
+        reports.append(jump_check(cap, Rs + c * t, t, "super", scale=cap.height,
                                   name=f"sterile cap kink t={t:g}"))
     return _collect("sterile-upper-bound", reports)
 
@@ -381,39 +377,34 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
                          tol: float = 1e-6) -> CertificateReport:
     """Certify the moving-cap construction.
 
-    Checks, on a space-time grid: (1) the damped-heat inequality for Fbar
-    with the piecewise damping g; (2) Ebar <= C1 Fbar with Ebar the actual
+    Checks, on one radial grid and a space-time grid: (1) the damped-heat
+    inequality for Fbar with the piecewise damping g (off r = 0, where the
+    radial Laplacian divides by r); (2) Ebar <= C1 Fbar with Ebar the actual
     pointwise ODE solution; (3) Mbar <= C2 Fbar with Mbar solved from its
     parabolic equation sourced by Ebar; (4) the reaction-side inequality of
     the female equation with the sterile floor on the annulus and the
-    worst-case substitutions Mbar -> C2 Fbar, Ebar -> C1 Fbar.
+    worst-case substitutions Mbar -> C2 Fbar, Ebar -> C1 Fbar.  One Ebar
+    integration serves (2), (3) and (4).
     """
     p = bundle.params
     reports = []
-    x_max = bundle.r2 + bundle.c * t_end + 12.0
+    grid = Grid.radial(bundle.r2 + bundle.c * t_end + 12.0, n_x)
+    x = grid.x
     t_grid = np.linspace(0.3 * t_end, t_end, n_t)
+    damping = np.array([bundle.mu / 4.0, bundle.mu, bundle.eps, 0.0])
 
     def g_fn(x, t):
-        r = np.abs(np.asarray(x, dtype=float))
-        i0, i1, i2 = bundle.interfaces(t)
-        return np.where(r <= i0, bundle.mu / 4.0,
-                        np.where(r <= i1, bundle.mu,
-                                 np.where(r <= i2, bundle.eps, 0.0)))
+        return damping[bundle.region(x, t)]
 
     def Fbar(x, t):
         return assemble_Fbar(bundle, x, t)
 
-    def damped(x, t, u):
-        return -g_fn(x, t) * u
-
-    xg = np.linspace(1e-3, x_max, n_x)
     reports.append(verify_inequality(
-        Fbar, damped, "super", xg, t_grid, D=p.D, radial=True,
-        interfaces=bundle.interfaces, tol=tol, scale=p.mu_F * bundle.F_star,
-        name="Fbar damped-heat residual"))
+        Fbar, lambda x, t, u: -g_fn(x, t) * u, "super", x[1:], t_grid,
+        D=p.D, radial=True, interfaces=bundle.interfaces, tol=tol,
+        scale=p.mu_F * bundle.F_star, name="Fbar damped-heat residual"))
     for t in t_grid:
-        i0, i1, i2 = bundle.interfaces(t)
-        for xi, nm in ((i1, "r1+ct"), (i2, "r2+ct")):
+        for xi, nm in zip(bundle.interfaces(t)[1:], ("r1+ct", "r2+ct")):
             reports.append(jump_check(Fbar, xi, t, "super",
                                       scale=bundle.F_star,
                                       name=f"Fbar kink at {nm}, t={t:g}"))
@@ -437,38 +428,33 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
                                       slack < 0.0, 1))
 
     # (2) Ebar bound via the pointwise ODE (scaled by the local cap C1 Fbar)
-    dt_ode = 0.02
-    times, Eb = ebar_ode(bundle, xg, t_end, dt_ode)
+    dt = 0.02
+    times, Eb = ebar_ode(bundle, x, t_end, dt)
     worst_E = -np.inf
-    for i, t in enumerate(times):
-        Fb = Fbar(xg, t)
-        worst_E = max(worst_E, float(np.max((Eb[i] - bundle.C1 * Fb)
-                                            / (bundle.C1 * Fb))))
+    for t, E in zip(times, Eb):
+        cap = bundle.C1 * Fbar(x, t)
+        worst_E = max(worst_E, float(np.max((E - cap) / cap)))
     reports.append(ResidualReport("Ebar <= C1 Fbar", "super", worst_E, None,
                                   tol, worst_E <= tol, Eb.size))
 
     # (3) Mbar bound: solve the male equation with the Ebar source
     # (implicit diffusion and decay, explicit source; unconditionally stable)
-    grid = Grid.radial(x_max, n_x)
-    dt_m = 0.02
-    lu_m = factor_diffusion(ab_decay(
-        implicit_diffusion_matrix(grid, p.D, dt_m, "neumann"), p.mu_M, dt_m))
-    F0 = Fbar(grid.x, 0.0)
+    ab = implicit_diffusion_matrix(grid, p.D, dt, "neumann")
+    ab[1, :] += dt * p.mu_M
+    lu = factor_diffusion(ab)
+    F0 = Fbar(x, 0.0)
     Mb = np.minimum(bundle.C0 * F0, slaved_M(p, slaved_E(p, F0)))
     worst_M = -np.inf
-    n_steps = int(np.ceil(t_end / dt_m))
-    _, Eb_all = ebar_ode(bundle, grid.x, t_end, dt_m)
-    t = 0.0
+    checked_M = 0
+    n_steps = times.size - 1
     for k in range(n_steps):
-        rhs = Mb + dt_m * (1.0 - p.rho) * p.nu_E * Eb_all[k]
-        Mb = solve_banded(lu_m, rhs)
-        t += dt_m
+        Mb = solve_banded(lu, Mb + dt * (1.0 - p.rho) * p.nu_E * Eb[k])
         if k % max(1, n_steps // 20) == 0 or k == n_steps - 1:
-            Fb = Fbar(grid.x, t)
-            worst_M = max(worst_M, float(np.max((Mb - bundle.C2 * Fb)
-                                                / (bundle.C2 * Fb))))
+            cap = bundle.C2 * Fbar(x, times[k + 1])
+            worst_M = max(worst_M, float(np.max((Mb - cap) / cap)))
+            checked_M += Mb.size
     reports.append(ResidualReport("Mbar <= C2 Fbar", "super", worst_M, None,
-                                  tol, worst_M <= tol, n_x * 20))
+                                  tol, worst_M <= tol, checked_M))
 
     # (4) reaction-side inequality with worst-case bounds
     floor = make_sterile_lower_bound(p, bundle.lambda_bar, bundle.c,
@@ -476,31 +462,22 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
                                      bundle.R2)
     worst_R = -np.inf
     loc_R = None
-    for i_t, t in enumerate(t_grid):
-        Fb = Fbar(xg, t)
+    for t in t_grid:
+        Fb = Fbar(x, t)
         Eb_t = Eb[min(int(np.searchsorted(times, t)), len(times) - 1)]
-        Ms_floor = floor.floor(xg, t)
-        Mb_cap = bundle.C2 * Fb
-        mate = mating_factor(p, Mb_cap, Ms_floor)
-        lhs = p.rho * p.nu_E * Eb_t * mate - p.mu_F * Fb
-        resid = lhs + g_fn(xg, t) * Fb  # must be <= 0, relative to the cap
-        mask = _clear_of(xg, bundle.interfaces(t), EXCLUDE_CELLS)
+        fF = reaction_arrays(p, Eb_t, bundle.C2 * Fb, Fb, floor.floor(x, t),
+                             0.0, p.K_scalar)[2]
+        resid = fF + g_fn(x, t) * Fb  # must be <= 0, relative to the cap
+        mask = _clear_of(x, bundle.interfaces(t), EXCLUDE_CELLS)
         v = resid[mask] / (p.mu_F * Fb[mask])
         k = int(np.argmax(v))
         if v[k] > worst_R:
             worst_R = float(v[k])
-            loc_R = (float(xg[mask][k]), float(t))
+            loc_R = (float(x[mask][k]), float(t))
     reports.append(ResidualReport("female reaction cap", "sub", worst_R,
                                   loc_R, tol, worst_R <= tol,
                                   n_x * len(t_grid)))
     return _collect("supersolution", reports)
-
-
-def ab_decay(ab: np.ndarray, mu: float, dt: float) -> np.ndarray:
-    """Banded matrix for (I + dt mu - dt D L) from the plain diffusion one."""
-    out = ab.copy()
-    out[1, :] += dt * mu
-    return out
 
 
 def supersolution_certificate(params: ModelParams, c: float,

@@ -54,6 +54,7 @@ class Outcome:
     kind: str  # "Invasion" | "Extinction" | "Carpet" | "Indeterminate"
     speed: Optional[float] = None
     diagnostics: dict = field(default_factory=dict)
+    trace: Optional[FrontTrace] = field(default=None, compare=False)
 
 
 def front_position(f: np.ndarray, grid: Grid, level: float):
@@ -97,10 +98,9 @@ def _level_or_default(level: Optional[float], scenario: Scenario,
     return 0.5 * F_star
 
 
-def front_trace(traj: Trajectory, level: Optional[float] = None,
-                F_star: Optional[float] = None) -> FrontTrace:
+def front_trace(traj: Trajectory, level: Optional[float] = None) -> FrontTrace:
     """Trace of the outermost F-front across all snapshots."""
-    level = _level_or_default(level, traj.scenario, F_star)
+    level = _level_or_default(level, traj.scenario)
     pos = np.full(traj.times.shape, np.nan)
     mult = np.zeros(traj.times.shape, dtype=bool)
     for i in range(traj.times.size):
@@ -184,7 +184,7 @@ def classify(traj: Trajectory, c: Optional[float] = None,
 
     if c is None:
         if global_sup < tol_in:
-            return Outcome("Extinction", None, diag)
+            return Outcome("Extinction", None, diag, trace)
         filled0 = float(np.mean(traj.F[0] > level))
         filled1 = float(np.mean(traj.F[-1] > level))
         diag["filled_fraction_initial"] = filled0
@@ -193,8 +193,8 @@ def classify(traj: Trajectory, c: Optional[float] = None,
             diag["front_speed"] = est.speed
             diag["front_rms"] = est.rms
         if filled1 > filled0 + 0.05:
-            return Outcome("Invasion", speed, diag)
-        return Outcome("Indeterminate", speed, diag)
+            return Outcome("Invasion", speed, diag, trace)
+        return Outcome("Indeterminate", speed, diag, trace)
 
     if probe is None:
         probe = (0.75 * c, 1.25 * c)
@@ -205,7 +205,7 @@ def classify(traj: Trajectory, c: Optional[float] = None,
     t_final = traj.times[-1]
     if c_over * t_final > float(r.max()):
         diag["domain_too_small"] = True
-        return Outcome("Indeterminate", None, diag)
+        return Outcome("Indeterminate", None, diag, trace)
 
     window = traj.times >= 0.75 * t_final
     idxs = np.flatnonzero(window)
@@ -238,12 +238,12 @@ def classify(traj: Trajectory, c: Optional[float] = None,
     else:
         exterior_ok = s_out < tol_out
     if s_in < tol_in and exterior_ok:
-        return Outcome("Carpet", speed, diag)
+        return Outcome("Carpet", speed, diag, trace)
     if global_sup < tol_in:
-        return Outcome("Extinction", None, diag)
+        return Outcome("Extinction", None, diag, trace)
     if inv_in < invasion_proximity:
-        return Outcome("Invasion", speed, diag)
-    return Outcome("Indeterminate", speed, diag)
+        return Outcome("Invasion", speed, diag, trace)
+    return Outcome("Indeterminate", speed, diag, trace)
 
 
 def sterile_cost(schedule: ReleaseSchedule, T: float) -> float:

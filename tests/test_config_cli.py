@@ -121,6 +121,36 @@ class TestCli:
         rc, err = self._simulate_fig1_with(tmp_path, capsys, key, value)
         assert rc == 2 and "finite" in err
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("simulate", "model.b", 1e16), ("simulate", "model.b", 1e100),
+        ("simulate", "model.b", 1e308), ("simulate", "model.K", 1e300),
+        ("analyze", "model.b", 1e16)])
+    def test_extreme_finite_rates_exit_2(self, tmp_path, capsys, command,
+                                         key, value):
+        cfg = preset("fig1")
+        cfg.run["t_end"] = 5.0
+        sec, name = key.split(".", 1)
+        getattr(cfg, sec)[name] = value
+        path = tmp_path / "extreme.cfg"
+        path.write_text(cfg.to_text())
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            rc = main([command, "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_error_leaves_out_empty(self, tmp_path, capsys):
+        cfg = preset("fig1")
+        cfg.run["t_end"] = -5.0
+        path = tmp_path / "bad.cfg"
+        path.write_text(cfg.to_text())
+        out = tmp_path / "out"
+        out.mkdir()
+        rc = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert rc == 2 and "t_end" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("value", [-5.0, 0.0, float("nan"), float("inf")])
     def test_t_end_must_be_finite_and_positive(self, tmp_path, capsys, value):
         rc, err = self._simulate_fig1_with(tmp_path, capsys, "run.t_end",
@@ -212,6 +242,14 @@ class TestCli:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_sweep_bad_value_exits_2(self, tmp_path, capsys):
+        rc = main(["sweep", "--preset", "fig1", "--axis", "model.gamma",
+                   "--values", "0.5,abc", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "'abc'" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_lambda_sweep_flips_outcome(self, tmp_path, capsys):
         # small releases leave re-invasion, the searched amplitude blocks
         cfg = preset("carpet")
@@ -299,3 +337,43 @@ class TestCli:
             assert rc == 2
             assert "scalar K" in captured.err
             assert "sterile-bounds" in captured.err
+
+
+def _certificate_structure() -> list[str]:
+    """Certificate and report lines of `verify --preset carpet --which all`,
+    each cut before its numbers."""
+    sub = [f"{name} t={t}" for t in (1, 7, 19)
+           for name in ("E residual", "M residual", "F residual", "M kink",
+                        "F kink", "far-plateau reaction")]
+    sup = (["Fbar damped-heat residual"]
+           + [f"Fbar kink at {at}, t={t}" for t in (6, 9.5, 13, 16.5, 20)
+              for at in ("r1+ct", "r2+ct")]
+           + ["C1 drift hypothesis mu/4 + c' sqrt(mu/2) < mu_E + nu_E",
+              "C1 drift hypothesis c sqrt(eps) < mu_E + nu_E",
+              "C2 gap hypothesis max(mu, eps) < mu_M",
+              "reaction margin hypothesis max(mu, eps) < mu_F",
+              "Ebar <= C1 Fbar", "Mbar <= C2 Fbar", "female reaction cap"])
+    cap = [f"sterile cap {what} t={t}" for t in (0.5, 5, 15)
+           for what in ("residual", "kink")]
+    floor = [f"sterile floor residual t={t}" for t in (0.5, 5, 15)]
+    joints = [f"{c} joint at offset {o}" for o in (4, 6) for c in ("C0", "C1")]
+    lines = []
+    for cert, reports in (("subsolution", sub), ("supersolution", sup),
+                          ("sterile-upper-bound", cap),
+                          ("sterile-lower-bound-lower_annulus", floor),
+                          ("sterile-lower-bound-lower_annulus_tail",
+                           floor + joints)):
+        lines.append(f"certificate {cert}: PASS")
+        lines += [f"  [PASS] {name}" for name in reports]
+    return lines
+
+
+def test_verify_all_keeps_every_check(tmp_path, capsys):
+    # a refactor of the certificates must not drop, reorder or fail a check
+    rc = main(["verify", "--preset", "carpet", "--which", "all",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    first, *lines = capsys.readouterr().out.splitlines()
+    assert first.startswith("bundle constants:")
+    assert [ln.split(": worst violation")[0] for ln in lines] == \
+        _certificate_structure()

@@ -85,6 +85,19 @@ def test_Fbar_continuity_and_monotonicity(bundle):
         assert assemble_Fbar(bundle, i2 + 5.0, t) == bundle.F_star
 
 
+def test_regions_split_at_the_interfaces(bundle):
+    # Omega_k holds its outer interface (Omega1 is empty at t = 0); Fbar
+    # reads the split
+    for t in (7.3, 40.0):
+        i0, i1, i2 = bundle.interfaces(t)
+        r = np.array([0.0, i0, np.nextafter(i0, np.inf), i1,
+                      np.nextafter(i1, np.inf), i2, np.nextafter(i2, np.inf)])
+        assert bundle.region(r, t).tolist() == [0, 0, 1, 1, 2, 2, 3]
+        a = bundle.alpha(t)
+        assert assemble_Fbar(bundle, i0, t) == bundle.F_star * (a * bundle.beta(0.0))
+        assert assemble_Fbar(bundle, i2, t) == bundle.F_star * bundle.psi(i2 - i1)
+
+
 def test_Fbar_core_decays(bundle):
     sup0 = assemble_Fbar(bundle, 0.0, 0.0)
     sup1 = assemble_Fbar(bundle, 0.0, 200.0)
@@ -119,6 +132,7 @@ def test_sterile_upper_bound_shape(p05):
     assert cap(edge + 1e-9, t) == pytest.approx(amp, rel=1e-6)
     rate = np.sqrt(p05.mu_s / p05.D)
     assert cap(edge + 1.0 / rate, t) == pytest.approx(amp / np.e, rel=1e-9)
+    assert (cap.height, cap.rate) == (amp, rate)
 
 
 def test_lower_bound_plateau_and_cap(p05):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sitcarpet.supersolution import (
+    ebar_ode,
     find_supersolution_bundle,
     lambda_roots,
     make_sterile_lower_bound,
@@ -103,3 +104,23 @@ def test_supersolution_fails_with_oversized_mu(p05):
     assert not rep.passed
     failed = {r.name for r in rep.reports if not r.passed}
     assert any("C1" in n or "Ebar" in n for n in failed), failed
+
+
+def test_supersolution_integrates_ebar_once_and_counts_mbar_nodes(
+        p05, monkeypatch):
+    # t_end = 15 at dt = 0.02 is 750 Mbar steps; every 37th step (21 of them)
+    # plus the last one is compared, each on all 600 nodes
+    import sitcarpet.verify as verify_mod
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ebar_ode(*args, **kwargs)
+
+    monkeypatch.setattr(verify_mod, "ebar_ode", counted)
+    bundle = find_supersolution_bundle(p05, c=0.05)
+    rep = verify_supersolution(bundle, t_end=15.0, n_x=600)
+    assert len(calls) == 1
+    mbar = next(r for r in rep.reports if r.name == "Mbar <= C2 Fbar")
+    assert mbar.checked_nodes == 22 * 600
+    assert rep.passed, str(rep)
