@@ -35,7 +35,7 @@ from .verify import (
     verify_sterile_floor,
     verify_subsolution,
 )
-from .waves import classify, estimate_speed, sterile_cost_report
+from .waves import classify, sterile_cost_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -128,8 +128,7 @@ def simulate_to_dir(cfg: ScenarioConfig, out: Path,
     t0 = time.perf_counter()
     traj = run(scenario)
     wall = time.perf_counter() - t0
-    exterior = "positivity" if callable(scenario.params.K) else "equilibrium"
-    outcome = classify(traj, level=level, exterior_check=exterior)
+    outcome = classify(traj, level=level)
 
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.echo").write_text(cfg_text)
@@ -215,14 +214,8 @@ def _sweep_one(payload):
     cfg = ScenarioConfig.from_text(cfg_text)
     sec, key = axis.split(".", 1)
     getattr(cfg, sec)[key] = value
-    scenario = cfg.scenario()
-    traj = run(scenario)
-    outcome = classify(traj, level=level)
-    speed = outcome.speed
-    if speed is None:
-        est = estimate_speed(outcome.trace)
-        speed = est.speed if est else None
-    return (value, outcome.kind, speed)
+    outcome = classify(run(cfg.scenario()), level=level)
+    return (value, outcome.kind, outcome.speed)
 
 
 def cmd_sweep(args) -> int:

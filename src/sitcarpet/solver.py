@@ -147,6 +147,9 @@ class SimState:
                         self.F.copy(), self.Ms.copy())
 
 
+MOVING_KINDS = ("annulus", "annulus_tail", "disc")
+
+
 @dataclass(frozen=True)
 class ReleaseSchedule:
     """Sterile-male release field Lambda(x, t).
@@ -168,8 +171,16 @@ class ReleaseSchedule:
         if self.kind not in ("none", "annulus", "annulus_tail", "disc",
                              "fixed_region"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        for name in ("lambda_bar", "c", "eta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.lambda_bar < 0:
             raise ValueError("lambda_bar must be >= 0")
+        if self.c < 0:
+            raise ValueError("c must be >= 0")
+        if self.kind in MOVING_KINDS and not self.c > 0:
+            raise ValueError(f"c must be > 0 for the moving {self.kind} "
+                             f"release")
         if self.kind in ("annulus", "annulus_tail", "fixed_region"):
             if not 0 < self.R1 < self.R2:
                 raise ValueError("annulus needs 0 < R1 < R2")
@@ -178,7 +189,7 @@ class ReleaseSchedule:
 
     @property
     def speed(self) -> Optional[float]:
-        return self.c if self.kind in ("annulus", "annulus_tail", "disc") else None
+        return self.c if self.kind in MOVING_KINDS else None
 
 
 def release_value(schedule: ReleaseSchedule, x, t: float):

@@ -86,18 +86,13 @@ class SupersolutionBundle:
     R2: float
     lambda_plus: float
     lambda_minus: float
-    lambda_tilde_plus: float
-    lambda_tilde_minus: float
     C0: float
     C1: float
     C2: float
     lambda_bar: float
     M_hat: float
     F_star: float
-    M_star: float
-    E_star: float
     _psi: Callable = field(repr=False, compare=False)
-    _dpsi: Callable = field(repr=False, compare=False)
 
     @property
     def sqrt_D(self) -> float:
@@ -435,7 +430,7 @@ def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,
         u0 = 0.5 * (-np.log1p(-q)) / (gamma * C2 * F_star)
     u0 = min(u0, 0.5)
 
-    psi, dpsi, L_t = psi_profile(eps, u0, ct, r1 / sd)
+    psi, _, L_t = psi_profile(eps, u0, ct, r1 / sd)
     L = L_t * sd
     r2 = r1 + L
     R2 = r2 + (r1 - R1)
@@ -450,12 +445,9 @@ def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,
     lambda_bar = safety * M_hat_req / C12
 
     lp, lm = lambda_roots(mu, cpt + sd / r1)
-    ltp, ltm = lambda_roots(2.0 * eps, ct + sd / r1)
     return SupersolutionBundle(
         params=p, u0=u0, mu=mu, eps=eps, c=c, c_prime=(5.0 / 6.0) * c,
         r1=r1, r2=r2, L=L, R1=R1, R2=R2,
         lambda_plus=lp, lambda_minus=lm,
-        lambda_tilde_plus=ltp, lambda_tilde_minus=ltm,
         C0=C0, C1=C1, C2=C2, lambda_bar=lambda_bar,
-        M_hat=C12 * lambda_bar, F_star=F_star, M_star=M_star, E_star=E_star,
-        _psi=psi, _dpsi=dpsi)
+        M_hat=C12 * lambda_bar, F_star=F_star, _psi=psi)

@@ -462,6 +462,7 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
                                      bundle.R2)
     worst_R = -np.inf
     loc_R = None
+    checked_R = 0
     for t in t_grid:
         Fb = Fbar(x, t)
         Eb_t = Eb[min(int(np.searchsorted(times, t)), len(times) - 1)]
@@ -470,13 +471,13 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
         resid = fF + g_fn(x, t) * Fb  # must be <= 0, relative to the cap
         mask = _clear_of(x, bundle.interfaces(t), EXCLUDE_CELLS)
         v = resid[mask] / (p.mu_F * Fb[mask])
+        checked_R += v.size
         k = int(np.argmax(v))
         if v[k] > worst_R:
             worst_R = float(v[k])
             loc_R = (float(x[mask][k]), float(t))
     reports.append(ResidualReport("female reaction cap", "sub", worst_R,
-                                  loc_R, tol, worst_R <= tol,
-                                  n_x * len(t_grid)))
+                                  loc_R, tol, worst_R <= tol, checked_R))
     return _collect("supersolution", reports)
 
 

@@ -5,9 +5,9 @@ F*/2).  Speeds are trailing least-squares slopes of the front trace with the
 initial transient discarded.  Classification probes the final quarter of a
 run: for scheduled (moving-release) runs, the interior cone {|x| < c_under t}
 must be empty and the exterior cone {|x| > c_over t} must contain
-near-equilibrium states (the finite-horizon surrogate of the blocking
-statement); unscheduled runs are classified by global decay or by growth of
-the above-level region.
+near-equilibrium states, or positive ones for a heterogeneous K (the
+finite-horizon surrogate of the blocking statement); unscheduled runs are
+classified by global decay or by growth of the above-level region.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .equilibria import solve_equilibria
-from .solver import Grid, ReleaseSchedule, Scenario, Trajectory, run
+from .solver import Grid, ReleaseSchedule, Scenario, Trajectory
 
 DEFAULT_TOL_IN = 1e-3
 DEFAULT_TOL_OUT = 1e-2
@@ -148,30 +148,35 @@ def _relative_fields(traj: Trajectory, i: int, eq) -> tuple[np.ndarray, np.ndarr
     return size, dist
 
 
-def classify(traj: Trajectory, c: Optional[float] = None,
+def classify(traj: Trajectory,
              probe: Optional[tuple[float, float]] = None,
              level: Optional[float] = None,
-             tol_in: float = DEFAULT_TOL_IN, tol_out: float = DEFAULT_TOL_OUT,
-             invasion_proximity: float = INVASION_PROXIMITY,
-             exterior_check: str = "equilibrium") -> Outcome:
+             tol_in: float = DEFAULT_TOL_IN,
+             tol_out: float = DEFAULT_TOL_OUT) -> Outcome:
     """Classify a trajectory as Carpet / Extinction / Invasion / Indeterminate.
 
-    Scheduled runs (c from the release schedule unless given): over the final
-    quarter of the run, s_in is the worst interior-cone relative sup and
-    s_out the worst exterior-cone relative distance to the equilibrium
-    (or, with exterior_check="positivity", a positivity floor instead, for
-    heterogeneous-K runs).  Carpet needs s_in < tol_in and the exterior
+    Everything the verdict depends on is read from the run: c is the release
+    schedule's speed, and a heterogeneous K(x) has no single equilibrium to
+    compare the exterior with, so it is judged by a positivity floor.
+
+    Scheduled runs: over the final quarter of the run, s_in is the worst
+    interior-cone relative sup and s_out the worst exterior-cone relative
+    distance to the equilibrium (or, for a callable K, the worst exterior
+    positivity floor).  Carpet needs s_in < tol_in and the exterior
     condition; Extinction needs the global sup < tol_in; Invasion (fallback)
     holds when some interior point has re-approached the equilibrium.
 
     Unscheduled runs: Extinction by global decay, Invasion when the
     above-level region grows, else Indeterminate.
+
+    Outcome.speed is the trailing front-speed estimate whatever the verdict
+    (None when too few snapshots cross the level).
     """
     sc = traj.scenario
     eq = _reference_equilibrium(sc)
     level = _level_or_default(level, sc, eq[2])
-    if c is None:
-        c = sc.schedule.speed
+    c = sc.schedule.speed
+    positivity = callable(sc.params.K)
     diag: dict = {}
 
     size_final, _ = _relative_fields(traj, traj.times.size - 1, eq)
@@ -180,11 +185,13 @@ def classify(traj: Trajectory, c: Optional[float] = None,
 
     trace = front_trace(traj, level=level)
     est = estimate_speed(trace)
-    speed = est.speed if est else None
+
+    def verdict(kind: str) -> Outcome:
+        return Outcome(kind, est.speed if est else None, diag, trace)
 
     if c is None:
         if global_sup < tol_in:
-            return Outcome("Extinction", None, diag, trace)
+            return verdict("Extinction")
         filled0 = float(np.mean(traj.F[0] > level))
         filled1 = float(np.mean(traj.F[-1] > level))
         diag["filled_fraction_initial"] = filled0
@@ -192,9 +199,8 @@ def classify(traj: Trajectory, c: Optional[float] = None,
         if est is not None:
             diag["front_speed"] = est.speed
             diag["front_rms"] = est.rms
-        if filled1 > filled0 + 0.05:
-            return Outcome("Invasion", speed, diag, trace)
-        return Outcome("Indeterminate", speed, diag, trace)
+        return verdict("Invasion" if filled1 > filled0 + 0.05
+                       else "Indeterminate")
 
     if probe is None:
         probe = (0.75 * c, 1.25 * c)
@@ -205,7 +211,7 @@ def classify(traj: Trajectory, c: Optional[float] = None,
     t_final = traj.times[-1]
     if c_over * t_final > float(r.max()):
         diag["domain_too_small"] = True
-        return Outcome("Indeterminate", None, diag, trace)
+        return verdict("Indeterminate")
 
     window = traj.times >= 0.75 * t_final
     idxs = np.flatnonzero(window)
@@ -221,7 +227,7 @@ def classify(traj: Trajectory, c: Optional[float] = None,
             s_in = max(s_in, float(size[inner].max()))
             inv_in = min(inv_in, float(dist[inner].min()))
         if outer.any():
-            if exterior_check == "positivity":
+            if positivity:
                 mins = np.minimum.reduce([traj.E[i] / eq[0], traj.M[i] / eq[1],
                                           traj.F[i] / eq[2]])
                 best = float(mins[outer].max())
@@ -233,17 +239,17 @@ def classify(traj: Trajectory, c: Optional[float] = None,
     diag["exterior_mismatch"] = s_out
     diag["interior_best_equilibrium_distance"] = inv_in
 
-    if exterior_check == "positivity":
+    if positivity:
         exterior_ok = diag.get("exterior_positivity", 0.0) > tol_in
     else:
         exterior_ok = s_out < tol_out
     if s_in < tol_in and exterior_ok:
-        return Outcome("Carpet", speed, diag, trace)
+        return verdict("Carpet")
     if global_sup < tol_in:
-        return Outcome("Extinction", None, diag, trace)
-    if inv_in < invasion_proximity:
-        return Outcome("Invasion", speed, diag, trace)
-    return Outcome("Indeterminate", speed, diag, trace)
+        return verdict("Extinction")
+    if inv_in < INVASION_PROXIMITY:
+        return verdict("Invasion")
+    return verdict("Indeterminate")
 
 
 def sterile_cost(schedule: ReleaseSchedule, T: float) -> float:
@@ -260,9 +266,7 @@ def sterile_cost(schedule: ReleaseSchedule, T: float) -> float:
     if s.kind == "none" or s.lambda_bar == 0.0 or T == 0.0:
         return 0.0
     if s.kind == "disc":
-        if s.c > 0:
-            return s.lambda_bar * np.pi * ((s.R2 + s.c * T) ** 3 - s.R2**3) / (3 * s.c)
-        return s.lambda_bar * np.pi * s.R2**2 * T
+        return s.lambda_bar * np.pi * ((s.R2 + s.c * T) ** 3 - s.R2**3) / (3 * s.c)
     if s.kind == "fixed_region":
         return s.lambda_bar * np.pi * (s.R2**2 - s.R1**2) * T
     base = s.lambda_bar * np.pi * (s.R2 - s.R1) * ((s.R1 + s.R2) * T + s.c * T**2)
@@ -270,10 +274,7 @@ def sterile_cost(schedule: ReleaseSchedule, T: float) -> float:
         return float(base)
     # annulus_tail: integral of the exponential skirt over the inner disc
     eta, c, R1 = s.eta, s.c, s.R1
-    if c > 0:
-        tail_time = T - np.exp(-eta * R1) * (-np.expm1(-eta * c * T)) / (eta * c)
-    else:
-        tail_time = T * (1.0 - np.exp(-eta * R1))
+    tail_time = T - np.exp(-eta * R1) * (-np.expm1(-eta * c * T)) / (eta * c)
     tail = 2.0 * np.pi * s.lambda_bar * (
         (R1 * T + 0.5 * c * T**2) / eta - tail_time / eta**2)
     return float(base + tail)
@@ -294,20 +295,3 @@ def sterile_cost_report(schedule: ReleaseSchedule, T_grid) -> dict:
         "totals": {T: sterile_cost(schedule, T) for T in T_grid},
         "exponent": cost_exponent(schedule, T_grid),
     }
-
-
-def speed_monotonicity(scenario_for_gamma, gammas, level: Optional[float] = None):
-    """Measured front speeds across a gamma sweep (same scenario otherwise).
-
-    scenario_for_gamma: callable gamma -> Scenario.  Rows are (gamma, speed,
-    rms) sorted by gamma; runs whose speed cannot be estimated are flagged
-    with None and excluded from the monotonicity verdict.
-    """
-    rows = []
-    for g in sorted(gammas):
-        traj = run(scenario_for_gamma(g))
-        est = estimate_speed(front_trace(traj, level=level))
-        rows.append((g, est.speed if est else None, est.rms if est else None))
-    speeds = [s for _, s, _ in rows if s is not None]
-    nondecreasing = all(b >= a - 1e-9 for a, b in zip(speeds, speeds[1:]))
-    return {"rows": rows, "nondecreasing": nondecreasing}

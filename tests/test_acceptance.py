@@ -14,6 +14,7 @@ clears near t = 1250 (relative sup F first below 1e-3 at t = 1207), so
 T = 2000 leaves about 50% margin.
 """
 
+import csv
 import dataclasses
 import time
 
@@ -22,6 +23,7 @@ import numpy as np
 _trapezoid = getattr(np, "trapezoid", getattr(np, "trapz", None))
 import pytest
 
+from sitcarpet.cli import EXIT_OK, main
 from sitcarpet.config import (
     CARPET_C,
     CARPET_LAMBDA,
@@ -58,7 +60,6 @@ from sitcarpet.waves import (
     estimate_speed,
     front_trace,
     sterile_cost,
-    speed_monotonicity,
 )
 
 
@@ -194,11 +195,10 @@ def test_criterion_05b_fig2_right(fig2_right_run):
     out = classify(fig2_right_traj)
     eqs = solve_equilibria(fig2_right_traj.scenario.params)
     rel_sup_F = float(fig2_right_traj.F[-1].max() / eqs.upper[2])
-    est = estimate_speed(front_trace(fig2_right_traj))
     elapsed = fig2_right_run.seconds + time.perf_counter() - t0
-    retreating = est is not None and est.speed < 0
+    retreating = out.speed is not None and out.speed < 0
     ok = out.kind == "Extinction" and rel_sup_F < 1e-3 and retreating
-    speed = f"{est.speed:+.4f}" if est is not None else "none"
+    speed = f"{out.speed:+.4f}" if out.speed is not None else "none"
     report("5b", ok,
            f"fig2-right outcome={out.kind} (criterion: Extinction), "
            f"relative sup F at T={fig2_right_traj.times[-1]:.0f}: "
@@ -208,19 +208,21 @@ def test_criterion_05b_fig2_right(fig2_right_run):
            elapsed, 60.0)
 
 
-def test_criterion_06_speed_monotonicity(p05):
+def test_criterion_06_speed_monotonicity(tmp_path):
+    # the fig1 preset with only gamma swapped, through `sitcarpet sweep`
     t0 = time.perf_counter()
-
-    def scen(gamma):
-        return Scenario(table1_params(gamma), Grid.cartesian(-40, 40, 800),
-                        ReleaseSchedule(),
-                        InitialData(kind="step", x_step=-10.0),
-                        t_end=150.0, snapshot_dt=SNAPSHOT_DT)
-
-    rep = speed_monotonicity(scen, [0.05, 0.1, 0.5, 1.0])
+    rc = main(["sweep", "--preset", "fig1", "--axis", "model.gamma",
+               "--values", "0.05,0.1,0.5,1.0", "--out", str(tmp_path)])
     elapsed = time.perf_counter() - t0
-    speeds = ", ".join(f"c({g})={s:.4f}" for g, s, _ in rep["rows"])
-    report(6, rep["nondecreasing"], speeds, elapsed, 300.0)
+    (sweep_csv,) = tmp_path.glob("*/sweep.csv")
+    with open(sweep_csv, newline="") as fh:
+        rows = [(float(r["model.gamma"]),
+                 float("nan") if r["speed"] == "None" else float(r["speed"]))
+                for r in csv.DictReader(fh)]
+    speeds = [s for _, s in rows]
+    nondecreasing = all(b >= a - 1e-9 for a, b in zip(speeds, speeds[1:]))
+    report(6, rc == EXIT_OK and len(rows) == 4 and nondecreasing,
+           ", ".join(f"c({g})={s:.4f}" for g, s in rows), elapsed, 300.0)
 
 
 def test_criterion_07_rolling_carpet(carpet_run, carpet_div100_run):
@@ -367,7 +369,7 @@ def test_criterion_10_cost_scaling(rng):
 
 def test_criterion_11_heterogeneous_K(carpet_hetero_run):
     t0 = time.perf_counter()
-    out = classify(carpet_hetero_run.traj, exterior_check="positivity")
+    out = classify(carpet_hetero_run.traj)
     elapsed = carpet_hetero_run.seconds + time.perf_counter() - t0
     d = out.diagnostics
     ok = out.kind == "Carpet" and d["interior_sup"] < 1e-3

@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from sitcarpet.cli import main
+from sitcarpet.cli import main, simulate_to_dir
 from sitcarpet.config import (
     ConfigError,
     PRESET_NAMES,
@@ -121,6 +123,25 @@ class TestCli:
         rc, err = self._simulate_fig1_with(tmp_path, capsys, key, value)
         assert rc == 2 and "finite" in err
 
+    @pytest.mark.parametrize("key,value", [
+        ("schedule.c", 0.0), ("schedule.c", -0.03),
+        ("schedule.c", float("nan")), ("schedule.c", float("inf")),
+        ("schedule.lambda_bar", float("nan")),
+        ("schedule.lambda_bar", float("inf")),
+        ("schedule.eta", float("nan"))])
+    def test_bad_release_input_exits_2(self, tmp_path, capsys, key, value):
+        # caught when the config is read, not after the whole carpet run
+        cfg = preset("carpet")
+        sec, name = key.split(".", 1)
+        getattr(cfg, sec)[name] = value
+        path = tmp_path / "release.cfg"
+        path.write_text(cfg.to_text())
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert f"schedule: {name} must be" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,key,value", [
         ("simulate", "model.b", 1e16), ("simulate", "model.b", 1e100),
         ("simulate", "model.b", 1e308), ("simulate", "model.K", 1e300),
@@ -233,6 +254,22 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "Invasion" in out
+
+    @pytest.mark.parametrize("name", ["fig1", "carpet", "carpet-hetero"])
+    def test_sweep_and_simulate_agree(self, tmp_path, name):
+        # one verdict path: the same config gives the same outcome and the
+        # same speed, to the bit, whichever command runs it
+        cfg = preset(name)
+        record = simulate_to_dir(cfg, tmp_path / "simulate")
+        rc = main(["sweep", "--preset", name, "--axis", "model.gamma",
+                   "--values", repr(cfg.model["gamma"]),
+                   "--out", str(tmp_path / "sweep")])
+        assert rc == 0
+        (sweep_csv,) = (tmp_path / "sweep").glob("*/sweep.csv")
+        with open(sweep_csv, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["outcome"], row["speed"]) == \
+            (record.outcome, repr(record.speed))
 
     @pytest.mark.parametrize("axis", ["model.gama", "run.snapshot_every",
                                       "gamma"])

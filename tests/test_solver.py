@@ -70,6 +70,20 @@ class TestReleaseValue:
         with pytest.raises(ValueError):
             ReleaseSchedule(kind="nope")
 
+    @pytest.mark.parametrize("kind", ["annulus", "annulus_tail", "disc"])
+    def test_moving_release_needs_positive_speed(self, kind):
+        with pytest.raises(ValueError, match="c must be > 0"):
+            ReleaseSchedule(kind=kind, lambda_bar=1.0, R1=1, R2=2, eta=0.3)
+        assert ReleaseSchedule(kind=kind, lambda_bar=1.0, R1=1, R2=2,
+                               c=0.1, eta=0.3).speed == 0.1
+
+    def test_static_release_may_stand_still(self):
+        f = ReleaseSchedule(kind="fixed_region", lambda_bar=1.0, R1=1, R2=2)
+        assert f.speed is None
+        with pytest.raises(ValueError, match="c must be >= 0"):
+            ReleaseSchedule(kind="fixed_region", lambda_bar=1.0, R1=1, R2=2,
+                            c=-0.1)
+
 
 class TestMakeInitial:
     def test_well_prepared_bounds(self, p05, eq05):

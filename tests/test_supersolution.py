@@ -37,7 +37,6 @@ def test_lambda_product(bundle):
     assert bundle.lambda_plus * bundle.lambda_minus == pytest.approx(
         -bundle.mu / 2, rel=1e-12)
     assert bundle.lambda_minus < 0 < bundle.lambda_plus
-    assert bundle.lambda_tilde_minus < 0 < bundle.lambda_tilde_plus
     assert 2 * bundle.c / 3 < bundle.c_prime < bundle.c
 
 

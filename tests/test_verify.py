@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sitcarpet.solver import Grid
 from sitcarpet.supersolution import (
     ebar_ode,
     find_supersolution_bundle,
@@ -109,7 +110,9 @@ def test_supersolution_fails_with_oversized_mu(p05):
 def test_supersolution_integrates_ebar_once_and_counts_mbar_nodes(
         p05, monkeypatch):
     # t_end = 15 at dt = 0.02 is 750 Mbar steps; every 37th step (21 of them)
-    # plus the last one is compared, each on all 600 nodes
+    # plus the last one is compared, each on all 600 nodes.  The female cap
+    # compares, at each of the five check times, the nodes more than four
+    # cells away from the three interfaces.
     import sitcarpet.verify as verify_mod
     calls = []
 
@@ -123,4 +126,10 @@ def test_supersolution_integrates_ebar_once_and_counts_mbar_nodes(
     assert len(calls) == 1
     mbar = next(r for r in rep.reports if r.name == "Mbar <= C2 Fbar")
     assert mbar.checked_nodes == 22 * 600
+    x = Grid.radial(bundle.r2 + bundle.c * 15.0 + 12.0, 600).x
+    clear = [np.all(np.abs(x[:, None] - np.array(bundle.interfaces(t)))
+                    > 4 * (x[1] - x[0]), axis=1).sum()
+             for t in np.linspace(4.5, 15.0, 5)]
+    cap = next(r for r in rep.reports if r.name == "female reaction cap")
+    assert cap.checked_nodes == sum(clear) < 5 * 600
     assert rep.passed, str(rep)

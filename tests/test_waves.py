@@ -1,8 +1,12 @@
+import csv
+
 import numpy as np
 
 _trapezoid = getattr(np, "trapezoid", getattr(np, "trapz", None))
 import pytest
 
+from sitcarpet.cli import main
+from sitcarpet.config import preset
 from sitcarpet.solver import Grid, ReleaseSchedule, release_value
 from sitcarpet.waves import (
     FrontTrace,
@@ -154,20 +158,19 @@ class TestSterileCost:
                 self._quadrature_total(s, T), rel=1e-3)
 
 
-def test_speed_monotonicity_repeats_are_identical():
-    from sitcarpet.config import table1_params
-    from sitcarpet.solver import SNAPSHOT_DT, InitialData, Scenario
-    from sitcarpet.waves import speed_monotonicity
-
-    def scen(gamma):
-        return Scenario(table1_params(gamma), Grid.cartesian(-30, 30, 400),
-                        ReleaseSchedule(),
-                        InitialData(kind="step", x_step=-10.0),
-                        t_end=60.0, snapshot_dt=SNAPSHOT_DT)
-
-    rep = speed_monotonicity(scen, [0.5, 0.5])
-    speeds = [s for _, s, _ in rep["rows"]]
-    assert speeds[0] == speeds[1]  # bitwise determinism
+def test_sweep_repeats_are_identical(tmp_path):
+    cfg = preset("fig1")
+    cfg.grid.update(x_min=-30.0, x_max=30.0, n=400)
+    cfg.run["t_end"] = 60.0
+    path = tmp_path / "short.cfg"
+    path.write_text(cfg.to_text())
+    rc = main(["sweep", "--config", str(path), "--axis", "model.gamma",
+               "--values", "0.5,0.5", "--out", str(tmp_path)])
+    assert rc == 0
+    (sweep_csv,) = tmp_path.glob("*/sweep.csv")
+    with open(sweep_csv, newline="") as fh:
+        speeds = [row["speed"] for row in csv.DictReader(fh)]
+    assert speeds[0] != "None" and speeds[0] == speeds[1]  # bitwise
 
 
 def test_front_trace_on_run(fig1_traj):
