@@ -209,12 +209,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
 
-def _sweep_one(payload):
-    cfg_text, axis, value, level = payload
+def _row_config(cfg_text: str, axis: str, value: float) -> ScenarioConfig:
+    """The config of one sweep row: cfg_text with `axis` set to value."""
     cfg = ScenarioConfig.from_text(cfg_text)
     sec, key = axis.split(".", 1)
     getattr(cfg, sec)[key] = value
-    outcome = classify(run(cfg.scenario()), level=level)
+    return cfg
+
+
+def _sweep_one(payload):
+    cfg_text, axis, value, level = payload
+    scenario = _row_config(cfg_text, axis, value).scenario()
+    outcome = classify(run(scenario), level=level)
     return (value, outcome.kind, outcome.speed)
 
 
@@ -226,7 +232,15 @@ def cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",")]
     except ValueError as e:
         raise ConfigError(f"sweep --values: {e}") from None
-    payloads = [(cfg.to_text(), args.axis, v, args.level) for v in values]
+    cfg_text = cfg.to_text()
+    # every row's config is checked before any row runs, so a bad value is
+    # a config error with nothing run and nothing written
+    for v in values:
+        try:
+            _row_config(cfg_text, args.axis, v).scenario()
+        except ConfigError as e:
+            raise ConfigError(f"{args.axis} = {v!r}: {e}") from None
+    payloads = [(cfg_text, args.axis, v, args.level) for v in values]
     failures = []
     rows = []
     if args.workers > 1:
@@ -246,7 +260,7 @@ def cmd_sweep(args) -> int:
         print(f"{v:>16.6g}  {kind:>14}  {sp:>12}")
     for v, msg in failures:
         print(f"{v:>16.6g}  FAILED: {msg}")
-    out = _out_dir(args, cfg.to_text() + f"\n# sweep {args.axis}")
+    out = _out_dir(args, cfg_text + f"\n# sweep {args.axis}")
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w") as fh:
         fh.write(f"{args.axis},outcome,speed\n")

@@ -25,7 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .model import Bistable, ModelParams, Monostable
-from .solver import SNAPSHOT_DT, Grid, InitialData, ReleaseSchedule, Scenario
+from .solver import (SNAPSHOT_DT, Grid, InitialData, ReleaseSchedule,
+                     Scenario, check_run_settings)
 
 # Published parameter table for the numerical experiments; mu_s and gamma_s
 # do not appear there and are artifact defaults (sterile males assumed
@@ -186,10 +187,28 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     except ValueError as e:
         raise ConfigError(f"model: {e}") from e
 
+    # the run settings are checked before the grid is built, so a run too
+    # long to step allocates nothing
+    r = cfg.run
+    dt = _require(r, "run", "dt", None)
+    try:
+        run_settings = dict(
+            t_end=float(_require(r, "run", "t_end", required=True)),
+            dt=None if dt in (None, 0, 0.0, "auto") else float(dt),
+            snapshot_dt=float(_require(r, "run", "snapshot_dt", SNAPSHOT_DT)),
+            boundary=str(_require(r, "run", "boundary", "neumann")),
+        )
+        check_run_settings(**run_settings)
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"run: {e}") from e
+
     g = cfg.grid
     kind = str(_require(g, "grid", "kind", required=True)).lower()
-    n = int(_require(g, "grid", "n", required=True))
+    n = _require(g, "grid", "n", required=True)
     try:
+        n = int(n)
         if kind == "cartesian1d":
             grid = Grid.cartesian(float(_require(g, "grid", "x_min", required=True)),
                                   float(_require(g, "grid", "x_max", required=True)),
@@ -198,7 +217,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             grid = Grid.radial(float(_require(g, "grid", "r_max", required=True)), n)
         else:
             raise ConfigError(f"grid.kind {kind!r} unknown")
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise ConfigError(f"grid: {e}") from e
 
     s = cfg.schedule
@@ -229,20 +248,8 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     except ValueError as e:
         raise ConfigError(f"initial: {e}") from e
 
-    r = cfg.run
-    dt = _require(r, "run", "dt", None)
-    try:
-        return Scenario(
-            params=params, grid=grid, schedule=schedule, initial=initial,
-            t_end=float(_require(r, "run", "t_end", required=True)),
-            dt=None if dt in (None, 0, 0.0, "auto") else float(dt),
-            snapshot_dt=float(_require(r, "run", "snapshot_dt", SNAPSHOT_DT)),
-            boundary=str(_require(r, "run", "boundary", "neumann")),
-        )
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"run: {e}") from e
+    return Scenario(params=params, grid=grid, schedule=schedule,
+                    initial=initial, **run_settings)
 
 
 # ---------------------------------------------------------------------------

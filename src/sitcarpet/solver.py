@@ -88,6 +88,11 @@ BOUNDARIES = ("neumann", "dirichlet")
 # spacing when the cadence was counted in steps, so their snapshot times
 # (42 between t = 0 and T = 150) are kept.
 SNAPSHOT_DT = 100 * 150.0 / 4239
+# Size limits of one run, far above every preset (at most 1201 nodes and a
+# few thousand steps): a larger grid or a given dt needing more steps is an
+# input error, raised before any grid array is allocated or step taken.
+MAX_NODES = 100_000
+MAX_STEPS = 1_000_000
 
 
 class SolverError(RuntimeError):
@@ -127,11 +132,17 @@ class Grid:
 
     @staticmethod
     def cartesian(x_min: float, x_max: float, n: int) -> "Grid":
-        return Grid("cartesian1d", np.linspace(x_min, x_max, n))
+        return Grid("cartesian1d", np.linspace(x_min, x_max, _node_count(n)))
 
     @staticmethod
     def radial(r_max: float, n: int) -> "Grid":
-        return Grid("radial2d", np.linspace(0.0, r_max, n))
+        return Grid("radial2d", np.linspace(0.0, r_max, _node_count(n)))
+
+
+def _node_count(n: int) -> int:
+    if n > MAX_NODES:
+        raise ValueError(f"n = {n} nodes exceeds the limit of {MAX_NODES}")
+    return n
 
 
 @dataclass
@@ -452,13 +463,24 @@ class Scenario:
     boundary: str = "neumann"
 
     def __post_init__(self):
-        for name in ("t_end", "dt", "snapshot_dt"):
-            v = getattr(self, name)
-            if v is not None and not 0 < v < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"unknown boundary {self.boundary!r}; expected "
-                             f"one of {', '.join(BOUNDARIES)}")
+        check_run_settings(self.t_end, self.dt, self.snapshot_dt,
+                           self.boundary)
+
+
+def check_run_settings(t_end: float, dt: Optional[float], snapshot_dt: float,
+                       boundary: str) -> None:
+    """Raise ValueError unless these are valid `Scenario` run settings: finite
+    positive times, a known boundary, and at most MAX_STEPS steps of a given
+    dt (an automatic dt comes from the step gate when the run starts)."""
+    for name, v in (("t_end", t_end), ("dt", dt), ("snapshot_dt", snapshot_dt)):
+        if v is not None and not 0 < v < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {v}")
+    if dt is not None and t_end / dt > MAX_STEPS:
+        raise ValueError(f"t_end / dt = {t_end / dt:.3g} steps exceeds the "
+                         f"limit of {MAX_STEPS}")
+    if boundary not in BOUNDARIES:
+        raise ValueError(f"unknown boundary {boundary!r}; expected "
+                         f"one of {', '.join(BOUNDARIES)}")
 
 
 @dataclass

@@ -118,27 +118,50 @@ class SupersolutionBundle:
         """Bridge profile on Omega2; argument is physical offset from r1 + ct."""
         return self._psi(np.asarray(r_offset, dtype=float) / self.sqrt_D)
 
-    def interfaces(self, t: float) -> tuple[float, float, float]:
-        """|x| positions of the Omega0/1, Omega1/2, Omega2/3 interfaces."""
+    def interfaces(self, t):
+        """|x| positions of the Omega0/1, Omega1/2, Omega2/3 interfaces; each
+        has the shape of t (floats for a scalar t)."""
         return (self.r1 + self.c_prime * t, self.r1 + self.c * t,
                 self.r2 + self.c * t)
 
     def region(self, r, t):
-        """Index k of the Omega_k holding radius r at t >= 0 (the interfaces
-        are then sorted); Omega_k ends at, and includes, interface k."""
-        return np.searchsorted(self.interfaces(t), r)
+        """Index k of the Omega_k holding radius r at t >= 0: the number of
+        interfaces strictly below r, so Omega_k ends at, and includes,
+        interface k.  r and t broadcast (a time column against a row of
+        radii gives one row of indices per time)."""
+        r = np.asarray(r, dtype=float)
+        return sum((r > i).astype(np.intp) for i in self.interfaces(t))
 
 
-def assemble_Fbar(bundle: SupersolutionBundle, x, t: float):
-    """Piecewise female cap Fbar(x, t); continuous, radially nondecreasing."""
+# Rows per assemble_Fbar call when a caller walks a long time column: one
+# (FBAR_BLOCK, n_x) block at a time keeps peak memory flat in the number of
+# times, where the whole (n_t, n_x) table would grow with it.
+FBAR_BLOCK = 100
+
+
+def assemble_Fbar(bundle: SupersolutionBundle, x, t):
+    """Piecewise female cap Fbar(x, t); continuous, radially nondecreasing.
+
+    A scalar t gives an array shaped like x (a float for a scalar x).  A
+    1-D time column t gives the block of shape (len(t), *x.shape), one row
+    per time; each row is bitwise equal to the scalar-t call, since every
+    node goes through the same elementwise operations.  Callers walking
+    many times pass FBAR_BLOCK of them per call.
+    """
     r = np.abs(np.asarray(x, dtype=float))
+    t = np.asarray(t, dtype=float)
+    if t.ndim:
+        t = t.reshape(t.shape + (1,) * r.ndim)
     i0, i1, _ = bundle.interfaces(t)
     a = bundle.alpha(t)
     k = bundle.region(r, t)
-    out = np.ones(r.shape)  # Omega3: the equilibrium
-    out[k == 0] = a * bundle.beta(0.0)
-    out[k == 1] = a * bundle.beta(r[k == 1] - i0)
-    out[k == 2] = bundle.psi(r[k == 2] - i1)
+    shape = k.shape
+    r, a, i0, i1 = (np.broadcast_to(v, shape) for v in (r, a, i0, i1))
+    out = np.ones(shape)  # Omega3: the equilibrium
+    core, ramp, bridge = k == 0, k == 1, k == 2
+    out[core] = a[core] * bundle.beta(0.0)
+    out[ramp] = a[ramp] * bundle.beta(r[ramp] - i0[ramp])
+    out[bridge] = bundle.psi(r[bridge] - i1[bridge])
     out = bundle.F_star * out
     return out if out.ndim else float(out)
 
@@ -150,34 +173,50 @@ def ebar_ode(bundle: SupersolutionBundle, x, t_end: float, dt: float,
     x may be an array of positions (integrated in parallel).  E0 defaults to
     min(K, C0 Fbar(x,0), slaved E(Fbar(x,0))), the well-prepared choice.
     Returns (times, Ebar) with Ebar shaped (len(times), len(x)).
+
+    Classical RK4 with step dt and a short last step landing on t_end.  The
+    times are accumulated first (t += h, as the steps take them); the walk
+    then goes FBAR_BLOCK steps at a time, with one assemble_Fbar call for
+    the block's step-end times and one for its half-step times.  k2 and k3
+    share the half-step row, and k4's row is the next step's k1 row, so
+    each Fbar value is computed once, and only two blocks of Fbar are live
+    at any time, whatever the number of steps.
     """
     p = bundle.params
     x = np.atleast_1d(np.asarray(x, dtype=float))
     K = np.broadcast_to(p.K_at(x), x.shape)
-    F0 = assemble_Fbar(bundle, x, 0.0)
+    F_now = assemble_Fbar(bundle, x, 0.0)
     if E0 is None:
-        E0 = np.minimum(np.minimum(K, bundle.C0 * F0), slaved_E(p, F0))
+        E0 = np.minimum(np.minimum(K, bundle.C0 * F_now), slaved_E(p, F_now))
     E = np.array(np.broadcast_to(E0, x.shape), dtype=float)
-
-    def rhs(E_val, t):
-        return egg_rate(p, E_val, assemble_Fbar(bundle, x, t), K)
 
     n_steps = int(np.ceil(t_end / dt))
     times = np.empty(n_steps + 1)
-    out = np.empty((n_steps + 1, x.size))
+    steps = np.empty(n_steps)
     times[0] = 0.0
-    out[0] = E
     t = 0.0
     for k in range(n_steps):
-        h = min(dt, t_end - t)
-        k1 = rhs(E, t)
-        k2 = rhs(E + 0.5 * h * k1, t + 0.5 * h)
-        k3 = rhs(E + 0.5 * h * k2, t + 0.5 * h)
-        k4 = rhs(E + h * k3, t + h)
-        E = E + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        steps[k] = h = min(dt, t_end - t)
         t += h
         times[k + 1] = t
-        out[k + 1] = E
+    halves = times[:-1] + 0.5 * steps
+
+    out = np.empty((n_steps + 1, x.size))
+    out[0] = E
+    for start in range(0, n_steps, FBAR_BLOCK):
+        stop = min(start + FBAR_BLOCK, n_steps)
+        F_ends = assemble_Fbar(bundle, x, times[start + 1:stop + 1])
+        F_halves = assemble_Fbar(bundle, x, halves[start:stop])
+        for j in range(stop - start):
+            h = steps[start + j]
+            F_mid, F_end = F_halves[j], F_ends[j]
+            k1 = egg_rate(p, E, F_now, K)
+            k2 = egg_rate(p, E + 0.5 * h * k1, F_mid, K)
+            k3 = egg_rate(p, E + 0.5 * h * k2, F_mid, K)
+            k4 = egg_rate(p, E + h * k3, F_end, K)
+            E = E + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out[start + j + 1] = E
+            F_now = F_end
     return times, out
 
 

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+import sitcarpet.cli as cli_mod
 from sitcarpet.cli import main, simulate_to_dir
 from sitcarpet.config import (
     ConfigError,
@@ -11,6 +12,7 @@ from sitcarpet.config import (
     preset,
     table1_params,
 )
+from sitcarpet.solver import MAX_NODES, MAX_STEPS
 from sitcarpet.waves import front_position
 
 
@@ -192,6 +194,31 @@ class TestCli:
                                            "periodic")
         assert rc == 2 and "periodic" in err
 
+    @pytest.mark.parametrize("key,value,hint", [
+        ("run.dt", 1e-300, "t_end / dt"), ("grid.n", 1e9, "n = 1000000000")])
+    def test_oversized_run_exits_2_before_allocating(
+            self, tmp_path, capsys, monkeypatch, key, value, hint):
+        # rejected while the Scenario is built: a grid this large is never
+        # allocated and a dt this small never stepped (both guarded here)
+        def no_huge_linspace(start, stop, num=50, **kwargs):
+            assert num <= MAX_NODES, "a grid past the limit was allocated"
+            return linspace(start, stop, num, **kwargs)
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("an oversized run was started")
+
+        linspace = np.linspace
+        monkeypatch.setattr(np, "linspace", no_huge_linspace)
+        monkeypatch.setattr(cli_mod, "run", no_run)
+        rc, err = self._simulate_fig1_with(tmp_path, capsys, key, value)
+        assert rc == 2 and "config error" in err and hint in err
+
+    def test_presets_inside_the_run_limits(self):
+        for name in PRESET_NAMES:
+            scen = preset(name).scenario()
+            assert scen.grid.n <= MAX_NODES
+            assert scen.dt is None or scen.t_end / scen.dt <= MAX_STEPS
+
     @pytest.mark.parametrize("key,hint", [
         ("model.gama", "model.gama"),
         ("run.snapshot_every", "run.snapshot_dt")])
@@ -285,6 +312,20 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err and "'abc'" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_row_config_error_exits_2_before_any_run(
+            self, tmp_path, capsys, monkeypatch):
+        # c = 0 is a config error for a moving release: every row is built
+        # first, so the valid 0.05 row never runs and nothing is written
+        started = []
+        monkeypatch.setattr(cli_mod, "run", lambda *a, **k: started.append(a))
+        rc = main(["sweep", "--preset", "carpet", "--axis", "schedule.c",
+                   "--values", "0,0.05", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "schedule.c = 0.0" in err
+        assert started == []
         assert list(tmp_path.iterdir()) == []
 
     def test_lambda_sweep_flips_outcome(self, tmp_path, capsys):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from sitcarpet.model import egg_rate, slaved_E
 from sitcarpet.supersolution import (
+    FBAR_BLOCK,
     assemble_Fbar,
     ebar_ode,
     find_supersolution_bundle,
@@ -95,6 +97,66 @@ def test_regions_split_at_the_interfaces(bundle):
         a = bundle.alpha(t)
         assert assemble_Fbar(bundle, i0, t) == bundle.F_star * (a * bundle.beta(0.0))
         assert assemble_Fbar(bundle, i2, t) == bundle.F_star * bundle.psi(i2 - i1)
+
+
+def test_Fbar_time_column_is_bitwise_rowwise(bundle):
+    # one call on a time column equals the scalar-t calls stacked, to the
+    # bit, also on nodes placed exactly on each row's interfaces (and their
+    # mirror images, since Fbar reads |x|)
+    ts = np.array([0.0, 0.02, 3.7, 7.3, 19.99, 40.0])
+    on = np.concatenate([bundle.interfaces(t) for t in ts])
+    x = np.concatenate([np.linspace(-5.0, on.max() + 10.0, 301), on, -on])
+    block = assemble_Fbar(bundle, x, ts)
+    rows = np.stack([assemble_Fbar(bundle, x, t) for t in ts])
+    assert block.shape == (ts.size, x.size)
+    assert block.tobytes() == rows.tobytes()
+    # a scalar x against a time column gives one value per time
+    column = assemble_Fbar(bundle, on[4], ts)
+    assert column.tobytes() == np.array(
+        [assemble_Fbar(bundle, on[4], t) for t in ts]).tobytes()
+    # the region over a time column is searchsorted row by row
+    r = np.abs(x)
+    regions = bundle.region(r, ts[:, None])
+    expected = np.stack([np.searchsorted(bundle.interfaces(t), r) for t in ts])
+    assert np.array_equal(regions, expected)
+    assert {0, 1, 2, 3} <= set(regions.ravel().tolist())
+
+
+def _ebar_reference(bundle, x, t_end, dt):
+    """RK4 as written before the block walk: four scalar-t Fbar per step."""
+    p = bundle.params
+    K = np.broadcast_to(p.K_at(x), x.shape)
+    F0 = assemble_Fbar(bundle, x, 0.0)
+    E = np.minimum(np.minimum(K, bundle.C0 * F0), slaved_E(p, F0))
+
+    def rhs(E_val, t):
+        return egg_rate(p, E_val, assemble_Fbar(bundle, x, t), K)
+
+    times, out, t = [0.0], [E], 0.0
+    for _ in range(int(np.ceil(t_end / dt))):
+        h = min(dt, t_end - t)
+        k1 = rhs(E, t)
+        k2 = rhs(E + 0.5 * h * k1, t + 0.5 * h)
+        k3 = rhs(E + 0.5 * h * k2, t + 0.5 * h)
+        k4 = rhs(E + h * k3, t + h)
+        E = E + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
+        times.append(t)
+        out.append(E)
+    return np.array(times), np.array(out)
+
+
+def test_ebar_block_walk_is_bitwise_rk4(bundle):
+    # 251 steps: more than two blocks, and a short last step (25.03 is not
+    # a multiple of 0.1)
+    x = np.linspace(0.0, bundle.r2 + 20.0, 41)
+    t_end, dt = 25.03, 0.1
+    times, Eb = ebar_ode(bundle, x, t_end, dt)
+    ref_times, ref_Eb = _ebar_reference(bundle, x, t_end, dt)
+    assert times.size - 1 > 2 * FBAR_BLOCK
+    assert times[-1] - times[-2] < dt
+    assert times.tobytes() == ref_times.tobytes()
+    assert Eb.tobytes() == ref_Eb.tobytes()
 
 
 def test_Fbar_core_decays(bundle):

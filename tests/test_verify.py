@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sitcarpet.config import CARPET_C, preset
 from sitcarpet.solver import Grid
 from sitcarpet.supersolution import (
+    assemble_Fbar,
     ebar_ode,
     find_supersolution_bundle,
     lambda_roots,
@@ -133,3 +135,24 @@ def test_supersolution_integrates_ebar_once_and_counts_mbar_nodes(
     cap = next(r for r in rep.reports if r.name == "female reaction cap")
     assert cap.checked_nodes == sum(clear) < 5 * 600
     assert rep.passed, str(rep)
+
+
+def test_supersolution_evaluates_Fbar_in_time_blocks(monkeypatch):
+    # the carpet certificate at default arguments: RK4 reads two blocks of
+    # Fbar per FBAR_BLOCK steps and the C1 and Mbar checks read blocks too,
+    # where each step and each check time used to be its own call (5064)
+    import sitcarpet.supersolution as super_mod
+    import sitcarpet.verify as verify_mod
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return assemble_Fbar(*args, **kwargs)
+
+    monkeypatch.setattr(super_mod, "assemble_Fbar", counted)
+    monkeypatch.setattr(verify_mod, "assemble_Fbar", counted)
+    params = preset("carpet").scenario().params
+    bundle = find_supersolution_bundle(params, c=CARPET_C)
+    rep = verify_supersolution(bundle)
+    assert rep.passed, str(rep)
+    assert len(calls) < 100
