@@ -4,7 +4,8 @@ Every simulation writes a self-contained run directory: the canonical config
 echo, snapshots.csv (t, x, E, M, F, Ms per node), trace.csv (t, front
 position), and outcome.txt (classification plus diagnostics, the config
 hash, the step dt, the step gate dt_max and its binding term, and the step
-count).  Identical configs produce byte-identical outputs.
+count).  Identical configs produce byte-identical outputs, except the
+wall_time_s line of outcome.txt, which is a measured time.
 
 Exit codes: 0 success, 2 config error, 3 solver error, 4 verification
 failure.
@@ -60,14 +61,24 @@ def _out_dir(args, cfg_text: str) -> Path:
 
 
 def _write_snapshots(path: Path, traj) -> None:
+    """Write t, x, E, M, F, Ms, one row per node and snapshot, as "%.17g".
+
+    The bytes are those of `np.savetxt(fmt="%.17g", delimiter=",")`: every
+    value goes through the same `"%.17g" % float`.  The x column is baked
+    into the row template once, t is formatted once per snapshot, and the
+    fields of one snapshot are filled by one `%` call.
+    """
     x = traj.grid.x
-    rows = []
-    for i, t in enumerate(traj.times):
-        block = np.column_stack([
-            np.full_like(x, t), x, traj.E[i], traj.M[i], traj.F[i], traj.Ms[i]])
-        rows.append(block)
-    np.savetxt(path, np.vstack(rows), delimiter=",",
-               header="t,x,E,M,F,Ms", comments="", fmt="%.17g")
+    template = "".join("%%s,%.17g,%%.17g,%%.17g,%%.17g,%%.17g\n" % v
+                       for v in x)
+    cells = np.empty((x.size, 5), dtype=object)
+    with open(path, "w") as fh:
+        fh.write("t,x,E,M,F,Ms\n")
+        for i, t in enumerate(traj.times):
+            cells[:, 0] = "%.17g" % t
+            cells[:, 1:] = np.column_stack(
+                [traj.E[i], traj.M[i], traj.F[i], traj.Ms[i]])
+            fh.write(template % tuple(cells.ravel()))
 
 
 def cmd_analyze(args) -> int:
@@ -233,12 +244,14 @@ def cmd_sweep(args) -> int:
     except ValueError as e:
         raise ConfigError(f"sweep --values: {e}") from None
     cfg_text = cfg.to_text()
-    # every row's config is checked before any row runs, so a bad value is
-    # a config error with nothing run and nothing written
+    # every row's config and equilibria (as make_initial solves them) are
+    # checked before any row runs, so a bad value is a config error with
+    # nothing run and nothing written
     for v in values:
         try:
-            _row_config(cfg_text, args.axis, v).scenario()
-        except ConfigError as e:
+            scenario = _row_config(cfg_text, args.axis, v).scenario()
+            eq_mod.solve_equilibria(scenario.params.at_max_K(scenario.grid.x))
+        except (ConfigError, eq_mod.ParameterRangeError) as e:
             raise ConfigError(f"{args.axis} = {v!r}: {e}") from None
     payloads = [(cfg_text, args.axis, v, args.level) for v in values]
     failures = []

@@ -208,6 +208,8 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     kind = str(_require(g, "grid", "kind", required=True)).lower()
     n = _require(g, "grid", "n", required=True)
     try:
+        if isinstance(n, float) and not n.is_integer():
+            raise ValueError(f"n = {n!r} is not a whole number of nodes")
         n = int(n)
         if kind == "cartesian1d":
             grid = Grid.cartesian(float(_require(g, "grid", "x_min", required=True)),

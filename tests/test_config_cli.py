@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from sitcarpet.config import (
     preset,
     table1_params,
 )
-from sitcarpet.solver import MAX_NODES, MAX_STEPS
+from sitcarpet.solver import MAX_NODES, MAX_STEPS, Grid, run
 from sitcarpet.waves import front_position
 
 
@@ -213,6 +216,15 @@ class TestCli:
         rc, err = self._simulate_fig1_with(tmp_path, capsys, key, value)
         assert rc == 2 and "config error" in err and hint in err
 
+    def test_fractional_node_count_exits_2(self, tmp_path, capsys):
+        # a node count is never truncated: 10.7 is an error, 800.0 is 800
+        rc, err = self._simulate_fig1_with(tmp_path, capsys, "grid.n", 10.7)
+        assert rc == 2 and "config error" in err and "n = 10.7" in err
+        for n in (800, 800.0):
+            cfg = preset("fig1")
+            cfg.grid["n"] = n
+            assert cfg.scenario().grid.n == 800
+
     def test_presets_inside_the_run_limits(self):
         for name in PRESET_NAMES:
             scen = preset(name).scenario()
@@ -325,6 +337,21 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err and "schedule.c = 0.0" in err
+        assert started == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_equilibrium_out_of_range_exits_2_before_any_run(
+            self, tmp_path, capsys, monkeypatch):
+        # b = 1e16 puts an equilibrium beyond double precision: a config
+        # error, as under simulate, found before any row runs; the valid
+        # b = 10 row never runs
+        started = []
+        monkeypatch.setattr(cli_mod, "run", lambda *a, **k: started.append(a))
+        rc = main(["sweep", "--preset", "fig1", "--axis", "model.b",
+                   "--values", "10,1e16", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "model.b = 1e+16" in err
         assert started == []
         assert list(tmp_path.iterdir()) == []
 
@@ -455,3 +482,67 @@ def test_verify_all_keeps_every_check(tmp_path, capsys):
     assert first.startswith("bundle constants:")
     assert [ln.split(": worst violation")[0] for ln in lines] == \
         _certificate_structure()
+
+
+def _savetxt_bytes(path, traj) -> bytes:
+    """snapshots.csv as np.savetxt writes it: the writer's exact oracle."""
+    x = traj.grid.x
+    table = np.vstack([
+        np.column_stack([np.full_like(x, t), x, traj.E[i], traj.M[i],
+                         traj.F[i], traj.Ms[i]])
+        for i, t in enumerate(traj.times)])
+    np.savetxt(path, table, delimiter=",", header="t,x,E,M,F,Ms",
+               comments="", fmt="%.17g")
+    return path.read_bytes()
+
+
+class TestSnapshotWriter:
+    @staticmethod
+    def _short_run(name):
+        cfg = preset(name)
+        cfg.run["t_end"] = 5.0
+        return run(cfg.scenario())
+
+    def _assert_matches_savetxt(self, tmp_path, traj):
+        cli_mod._write_snapshots(tmp_path / "snapshots.csv", traj)
+        assert (tmp_path / "snapshots.csv").read_bytes() == \
+            _savetxt_bytes(tmp_path / "oracle.csv", traj)
+
+    def test_fig1_matches_savetxt(self, tmp_path):
+        # 1D: negative x and many exact zeros ahead of the step
+        traj = self._short_run("fig1")
+        assert traj.grid.x.min() < 0 and np.any(traj.F == 0.0)
+        self._assert_matches_savetxt(tmp_path, traj)
+
+    def test_carpet_matches_savetxt(self, tmp_path):
+        # radial: the first node is r = 0
+        traj = self._short_run("carpet")
+        assert traj.grid.x[0] == 0.0
+        self._assert_matches_savetxt(tmp_path, traj)
+
+    def test_extreme_values_match_savetxt(self, tmp_path):
+        # a subnormal, a huge value, a non-dyadic one and zero, on 3 nodes
+        field = np.array([[5e-324, 1e300, 0.1]])
+        traj = SimpleNamespace(
+            grid=Grid.cartesian(-1.0, 1.0, 3), times=np.array([0.1]),
+            E=field, M=field[:, ::-1], F=np.zeros((1, 3)), Ms=field * 0.1)
+        self._assert_matches_savetxt(tmp_path, traj)
+        text = (tmp_path / "snapshots.csv").read_text()
+        assert "4.9406564584124654e-324" in text and "1e+300" in text
+
+
+def test_commands_write_nothing_to_the_real_stdout(tmp_path, capfd):
+    # a caller that redirects sys.stdout (as a benchmark harness does) gets
+    # every line; nothing reaches file descriptor 1, pool workers included
+    cfg = preset("fig1")
+    cfg.run["t_end"] = 5.0
+    path = tmp_path / "quick.cfg"
+    path.write_text(cfg.to_text())
+    with contextlib.redirect_stdout(io.StringIO()) as captured:
+        simulate_to_dir(cfg, tmp_path / "simulate")
+        assert main(["sweep", "--config", str(path), "--axis", "model.gamma",
+                     "--values", "0.5,1.0", "--workers", "2",
+                     "--out", str(tmp_path / "sweep")]) == 0
+        assert main(["verify", "--preset", "carpet", "--which", "all"]) == 0
+    assert "outcome = " in captured.getvalue()
+    assert capfd.readouterr().out == ""
