@@ -3,9 +3,9 @@
 Every simulation writes a self-contained run directory: the canonical config
 echo, snapshots.csv (t, x, E, M, F, Ms per node), trace.csv (t, front
 position), and outcome.txt (classification plus diagnostics, the config
-hash, the step dt, the step gate dt_max and its binding term, and the step
-count).  Identical configs produce byte-identical outputs, except the
-wall_time_s line of outcome.txt, which is a measured time.
+hash, the step dt and the step count).  Identical configs produce
+byte-identical outputs, except the wall_time_s line of outcome.txt, which is
+a measured time.
 
 Exit codes: 0 success, 2 config error, 3 solver error, 4 verification
 failure.
@@ -156,8 +156,6 @@ def simulate_to_dir(cfg: ScenarioConfig, out: Path,
              f"config_hash = {digest}",
              f"wall_time_s = {wall:.3f}",
              f"dt = {traj.dt!r}",
-             f"dt_max = {traj.dt_max!r}",
-             f"dt_max_term = {traj.dt_max_term}",
              f"n_steps = {traj.n_steps}",
              f"clamp_count = {traj.clamps.count}",
              f"clamp_worst_rel = {traj.clamps.worst_rel:.3e}"]

@@ -1,38 +1,32 @@
 """Semi-implicit time stepping on 1D Cartesian and radially symmetric grids.
 
-Diffusion is implicit, reactions explicit, and the egg field (no diffusion)
-advances by the same explicit step.  With L the discrete Laplacian, one step
+Each reaction is advanced exactly over the step with the other fields
+frozen, then diffusion is taken implicitly.  With L the discrete Laplacian,
+fE, fu the reaction rates at the start of the step, a = b F / K(x) + mu_E +
+nu_E the egg loss rate at each node and h(r) = (1 - e^{-r dt}) / r, one step
 of length dt is
 
-    E' = E + dt fE,      (I - dt D L) u' = u + dt fu   for u = M, F, Ms.
+    E' = E + h(a) fE,   u* = u + h(mu_u) fu,   (I - dt D L) u' = u*
 
-Step gate.  Let K_min and K_max be the extremes of K over the grid nodes and
-F_cap = max(rho nu_E K_max / mu_F, sup F0).  The step is gated by
+for u = M, F, Ms.  As fE = b F - a E and fu = src_u - mu_u u, this is
+E' = e^{-a dt} E + (1 - e^{-a dt}) b F / a and u* = e^{-mu_u dt} u +
+(1 - e^{-mu_u dt}) src_u / mu_u.  For every dt > 0 one step is monotone
+for the cone order (E, M, F up, Ms down) and maps the invariant region
 
-    dt <= 1 / max(b F_cap / K_min + mu_E + nu_E, mu_M, mu_F, mu_s)
-
-(`reaction_dt_bound`; `gate_rates` gives the four terms, named egg, M, F and
-Ms).  Under this gate one step is monotone for the cone order (E, M, F up,
-Ms down) and maps the invariant region
-
-    0 <= E <= K(x),   0 <= F <= F_cap,   M >= 0,   Ms >= 0
+    0 <= E <= K(x),   0 <= F <= F_cap = max(rho nu_E K_max / mu_F, sup F0),
+    M >= 0,   Ms >= 0
 
 into itself.  Proof, in two parts.
 
-1. The explicit update is monotone.  Each component is nondecreasing in its
-   own variable: dE'/dE = 1 - dt (b F / K(x) + mu_E + nu_E) >= 0 because
-   F <= F_cap and K(x) >= K_min, and du'/du = 1 - dt mu_u >= 0 for u = M, F,
-   Ms.  The cross terms have the cooperative signs: E' grows with F, since
-   b (1 - E/K) >= 0 for E <= K; M' and F' grow with E; F' grows with M and
-   falls with Ms, because the mating factor M/(M + gamma_s Ms) Gamma(M +
-   gamma_s Ms) increases in M and decreases in Ms for either Gamma.  No
-   mating derivative enters a diagonal term, so the Allee coefficient gamma
-   does not enter the gate.  The bounds follow from these monotonicities
-   one component at a time: E' >= E'(E = 0) = dt b F >= 0 and
-   E' <= E'(E = K(x)) = K(x) (1 - dt (mu_E + nu_E)) <= K(x); u' >= u'(u = 0)
-   >= 0 for u = M, F, Ms; and, as the mating factor is at most 1 and
-   E <= K_max, F' <= F'(F = F_cap) <= F_cap (1 - dt mu_F)
-   + dt rho nu_E K_max <= F_cap.
+1. The reaction update is monotone.  dE'/dE = e^{-a dt} and du*/du =
+   e^{-mu_u dt} are positive.  u* grows with src_u, and the sources are
+   cooperative: src_M and src_F grow with E, and src_F = rho nu_E E g grows
+   with M and falls with Ms, as the mating factor g = M/(M + gamma_s Ms)
+   Gamma(M + gamma_s Ms) does for either Gamma.  With s = a dt, dE'/dF >=
+   (b (mu_E + nu_E) / a^2) (1 - e^{-s} - s e^{-s}) >= 0 for E <= K(x).
+   E' is a convex combination of E and b F / a <= K(x), so 0 <= E' <= K(x);
+   u* is one of u and src_u / mu_u >= 0, so u* >= 0; and as g <= 1 and
+   E <= K_max, src_F / mu_F <= F_cap, so F* <= F_cap.
 2. The implicit solve is monotone for every dt.  I - dt D L has a positive
    diagonal, nonpositive off-diagonals and rows that sum to 1 with a
    strictly dominant diagonal.  On the radial grid the neighbour weights
@@ -43,12 +37,12 @@ into itself.  Proof, in two parts.
    the solve keeps order, nonnegativity and upper bounds by a constant (the
    Dirichlet row keeps the edge value).
 
-The egg term is sharp: above the gate dE'/dE < 0 at F = F_cap, K = K_min.
-This is why a heterogeneous K needs K_min there and not K_max alone: on
-`carpet-hetero` (K from 150 to 250) a gate from K_max = 250 gives
-dE'/dE = -0.64 at the K = 150 nodes.  Roundoff can still leave a tiny
-negative value; it is clamped and counted, and a relative undershoot above
-CLAMP_FAIL_THRESHOLD raises `SolverError`.
+So dt is an accuracy choice, not a stability bound: the automatic step is
+DT (`reaction_dt_bound`), free of every rate, and the first-order error in
+dt sets it.  On fig1 the front speed at DT is 0.2733, against 0.2778 at
+DT / 4.  Roundoff can still leave a tiny negative value; it is clamped and
+counted, and a relative undershoot above CLAMP_FAIL_THRESHOLD raises
+`SolverError`.
 
 A run keeps one dt, t_end / n_steps, so the three diffusing fields share one
 matrix for the whole run.  `run` LU-factors it once (LAPACK dgttrf, partial
@@ -66,7 +60,7 @@ optional Dirichlet clamp at the outer edge for invasion runs.
 
 A heterogeneous K(x) enters the egg equation nodewise.  Equilibria,
 thresholds and classification reduce it to its maximum over the grid nodes
-(`ModelParams.at_max_K`); the step gate uses both extremes, as above.
+(`ModelParams.at_max_K`).
 """
 
 from __future__ import annotations
@@ -88,9 +82,13 @@ BOUNDARIES = ("neumann", "dirichlet")
 # spacing when the cadence was counted in steps, so their snapshot times
 # (42 between t = 0 and T = 150) are kept.
 SNAPSHOT_DT = 100 * 150.0 / 4239
+# The automatic step, in time units.  Halving it moves the fig1 front speed
+# by about 1%; doubling it, by about 2%.
+DT = 0.25
 # Size limits of one run, far above every preset (at most 1201 nodes and a
-# few thousand steps): a larger grid or a given dt needing more steps is an
-# input error, raised before any grid array is allocated or step taken.
+# few thousand steps): a larger grid, or a dt (given or DT) needing more
+# steps, is an input error, raised before any grid array is allocated or
+# step taken.
 MAX_NODES = 100_000
 MAX_STEPS = 1_000_000
 
@@ -370,27 +368,9 @@ def solve_banded(lu: DiffusionLU, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def gate_rates(params: ModelParams, F_sup: float = 0.0,
-               x: Optional[np.ndarray] = None) -> dict[str, float]:
-    """The four rates whose largest sets the step gate, by term name.
-
-    K ranges over its values at the nodes x (a scalar K needs no x); F_sup,
-    the sup of the initial F, raises F_cap when it exceeds
-    rho nu_E K_max / mu_F.  See the module docstring for the proof.
-    """
-    if callable(params.K) and x is None:
-        raise ValueError("a heterogeneous K needs the grid nodes x")
-    K = params.K_at(x)
-    K_min, K_max = float(np.min(K)), float(np.max(K))
-    F_cap = max(params.rho * params.nu_E * K_max / params.mu_F, F_sup)
-    return {"egg": params.b * F_cap / K_min + params.mu_E + params.nu_E,
-            "M": params.mu_M, "F": params.mu_F, "Ms": params.mu_s}
-
-
-def reaction_dt_bound(params: ModelParams, F_sup: float = 0.0,
-                      x: Optional[np.ndarray] = None) -> float:
-    """Largest step under which one step is monotone: 1 / max(gate_rates)."""
-    return 1.0 / max(gate_rates(params, F_sup, x).values())
+def reaction_dt_bound() -> float:
+    """The automatic step, DT: every dt is monotone, so accuracy sets it."""
+    return DT
 
 
 @dataclass
@@ -402,19 +382,12 @@ class ClampStats:
 def step(state: SimState, params: ModelParams, schedule: ReleaseSchedule,
          dt: float, grid: Grid, lu: Optional[DiffusionLU] = None,
          boundary: str = "neumann", K_nodes: Optional[np.ndarray] = None,
-         clamps: Optional[ClampStats] = None,
-         dt_max: Optional[float] = None) -> SimState:
-    """One semi-implicit step; rejects dt above the reaction-stability gate.
+         clamps: Optional[ClampStats] = None) -> SimState:
+    """One step: exact reaction steps, then the implicit diffusion solve.
 
     `lu` holds the factors of the implicit diffusion matrix for this dt and
     boundary; without it the matrix is built and factored here.
     """
-    if dt_max is None:
-        dt_max = reaction_dt_bound(params, float(np.max(state.F, initial=0.0)),
-                                   grid.x)
-    if dt > dt_max * (1.0 + 1e-12):
-        raise SolverError(f"dt={dt:g} exceeds the reaction-stability bound "
-                          f"{dt_max:g}")
     if lu is None:
         lu = factor_diffusion(implicit_diffusion_matrix(grid, params.D, dt,
                                                         boundary))
@@ -424,14 +397,21 @@ def step(state: SimState, params: ModelParams, schedule: ReleaseSchedule,
     lam = release_value(schedule, grid.radius, state.t)
     fE, fM, fF, fs = reaction_arrays(params, state.E, state.M, state.F,
                                      state.Ms, lam, K_nodes)
-    E_new = np.clip(state.E + dt * fE, 0.0, K_nodes)
+    # exact steps u + h(r) f with h(r) = -expm1(-r dt) / r and r the loss
+    # rate of u: a at each node for E, mu_u for M, F and Ms.  E is clipped
+    # to [0, K] against roundoff (np.clip would cost twice as much).
+    a = params.b * state.F / K_nodes + (params.mu_E + params.nu_E)
+    E_new = np.maximum(state.E - np.expm1(-dt * a) / a * fE, 0.0)
+    np.minimum(E_new, K_nodes, out=E_new)
     eq_scale = max(float(np.max(state.F, initial=0.0)), 1.0)
     Ms_scale = max(float(np.max(state.Ms, initial=0.0)),
                    schedule.lambda_bar / params.mu_s, 1.0)
 
     rhs = np.empty((grid.n, 3), order="F")  # M, F, Ms as columns
-    for j, (u, f) in enumerate(((state.M, fM), (state.F, fF), (state.Ms, fs))):
-        rhs[:, j] = u + dt * f
+    for j, (u, f, mu) in enumerate(((state.M, fM, params.mu_M),
+                                    (state.F, fF, params.mu_F),
+                                    (state.Ms, fs, params.mu_s))):
+        rhs[:, j] = u - math.expm1(-dt * mu) / mu * f
         if boundary == "dirichlet":
             rhs[-1, j] = u[-1]
     out = solve_banded(lu, rhs)
@@ -458,7 +438,7 @@ class Scenario:
     schedule: ReleaseSchedule
     initial: InitialData
     t_end: float
-    dt: Optional[float] = None  # None: auto from the step gate
+    dt: Optional[float] = None  # None: DT
     snapshot_dt: float = SNAPSHOT_DT  # time between snapshots
     boundary: str = "neumann"
 
@@ -470,13 +450,14 @@ class Scenario:
 def check_run_settings(t_end: float, dt: Optional[float], snapshot_dt: float,
                        boundary: str) -> None:
     """Raise ValueError unless these are valid `Scenario` run settings: finite
-    positive times, a known boundary, and at most MAX_STEPS steps of a given
-    dt (an automatic dt comes from the step gate when the run starts)."""
+    positive times, a known boundary, and at most MAX_STEPS steps of dt (DT
+    when dt is None)."""
     for name, v in (("t_end", t_end), ("dt", dt), ("snapshot_dt", snapshot_dt)):
         if v is not None and not 0 < v < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {v}")
-    if dt is not None and t_end / dt > MAX_STEPS:
-        raise ValueError(f"t_end / dt = {t_end / dt:.3g} steps exceeds the "
+    steps = t_end / (DT if dt is None else dt)
+    if steps > MAX_STEPS:
+        raise ValueError(f"t_end / dt = {steps:.3g} steps exceeds the "
                          f"limit of {MAX_STEPS}")
     if boundary not in BOUNDARIES:
         raise ValueError(f"unknown boundary {boundary!r}; expected "
@@ -493,8 +474,6 @@ class Trajectory:
     Ms: np.ndarray
     clamps: ClampStats
     dt: float
-    dt_max: float  # the step gate at the initial state
-    dt_max_term: str  # the gate_rates term that sets dt_max
     n_steps: int
 
     @property
@@ -512,12 +491,7 @@ def run(scenario: Scenario, state0: Optional[SimState] = None) -> Trajectory:
     if state0 is None:
         state0 = make_initial(sc.params, sc.initial, sc.grid,
                               lambda_bar=sc.schedule.lambda_bar)
-    F_sup = float(np.max(state0.F))
-    rates = gate_rates(sc.params, F_sup, sc.grid.x)
-    dt_max = reaction_dt_bound(sc.params, F_sup, sc.grid.x)
-    dt = sc.dt if sc.dt is not None else dt_max
-    if dt > dt_max * (1.0 + 1e-12):
-        raise SolverError(f"dt={dt:g} exceeds the stability bound {dt_max:g}")
+    dt = sc.dt if sc.dt is not None else reaction_dt_bound()
     n_steps = int(np.ceil(sc.t_end / dt - 1e-12))
     dt = sc.t_end / n_steps  # land exactly on t_end
     lu = factor_diffusion(implicit_diffusion_matrix(sc.grid, sc.params.D, dt,
@@ -535,8 +509,7 @@ def run(scenario: Scenario, state0: Optional[SimState] = None) -> Trajectory:
     m = 1
     for k in range(1, n_steps + 1):
         state = step(state, sc.params, sc.schedule, dt, sc.grid, lu=lu,
-                     boundary=sc.boundary, K_nodes=K_nodes, clamps=clamps,
-                     dt_max=dt_max)
+                     boundary=sc.boundary, K_nodes=K_nodes, clamps=clamps)
         if k >= m * steps_per_snap - 1e-9 or k == n_steps:
             times.append(state.t)
             snaps.append([state.E.copy(), state.M.copy(), state.F.copy(),
@@ -544,5 +517,4 @@ def run(scenario: Scenario, state0: Optional[SimState] = None) -> Trajectory:
             m = int(k / steps_per_snap + 1e-9) + 1
     arr = np.array(snaps)  # (n_snap, 4, n)
     return Trajectory(sc, np.array(times), arr[:, 0], arr[:, 1], arr[:, 2],
-                      arr[:, 3], clamps, dt, dt_max,
-                      max(rates, key=rates.get), n_steps)
+                      arr[:, 3], clamps, dt, n_steps)

@@ -8,9 +8,9 @@ out) is checked at T = 2000 instead of the preset's T = 150.  Its Allee
 coefficient sits barely above critical, so the upper equilibrium is still
 locally stable and the population can only vanish as its front retreats
 across the 30-unit plateau.  That retreat is resolved, not a discretisation
-artefact: the front speed is -0.02223 at 800 nodes with the automatic step
-(dt 0.242) and -0.02224 at 1600 nodes with half the step.  The plateau
-clears near t = 1250 (relative sup F first below 1e-3 at t = 1207), so
+artefact: the front speed is -0.02196 at 800 nodes with the automatic step
+(dt 0.25) and -0.02210 at 1600 nodes with half the step.  The plateau
+clears near t = 1250 (relative sup F first below 1e-3 at t = 1218), so
 T = 2000 leaves about 50% margin.
 """
 
@@ -156,13 +156,13 @@ def test_criterion_03_stability(p05):
            elapsed, 1.0)
 
 
-def test_criterion_04_fig1(p05, eq05, fig1_run):
+def test_criterion_04_fig1(p05, fig1_run):
     t0 = time.perf_counter()
     out = classify(fig1_run.traj)
     base = out.speed
 
     # simultaneous dx and dt halving
-    dt = reaction_dt_bound(p05, F_sup=eq05.upper[2]) / 2.0
+    dt = reaction_dt_bound() / 2.0
     fine = Scenario(p05, Grid.cartesian(-40, 40, 1600), ReleaseSchedule(),
                     InitialData(kind="step", x_step=-10.0), t_end=150.0,
                     dt=dt, snapshot_dt=SNAPSHOT_DT)
@@ -263,7 +263,7 @@ def test_criterion_08_comparison_suite(rng):
         M1 = np.clip(M2 - mk(50), 0, None)
         F1 = np.clip(F2 - mk(60), 0, None)
         Ms1 = Ms2 + mk(100)
-        dt = min(reaction_dt_bound(p, F_sup=90.0), 0.02)
+        dt = 0.02
         scen = Scenario(p, grid, sched, InitialData(kind="step"),
                         t_end=5.0, dt=dt, snapshot_dt=20 * dt)
         lo = run(scen, state0=SimState(0.0, E1, M1, F1, Ms1))

@@ -15,7 +15,7 @@ from sitcarpet.config import (
     preset,
     table1_params,
 )
-from sitcarpet.solver import MAX_NODES, MAX_STEPS, Grid, run
+from sitcarpet.solver import DT, MAX_NODES, MAX_STEPS, Grid, run
 from sitcarpet.waves import front_position
 
 
@@ -198,11 +198,13 @@ class TestCli:
         assert rc == 2 and "periodic" in err
 
     @pytest.mark.parametrize("key,value,hint", [
-        ("run.dt", 1e-300, "t_end / dt"), ("grid.n", 1e9, "n = 1000000000")])
+        ("run.dt", 1e-300, "t_end / dt"), ("grid.n", 1e9, "n = 1000000000"),
+        ("run.t_end", 1e6, "t_end / dt = 4e+06")])
     def test_oversized_run_exits_2_before_allocating(
             self, tmp_path, capsys, monkeypatch, key, value, hint):
         # rejected while the Scenario is built: a grid this large is never
-        # allocated and a dt this small never stepped (both guarded here)
+        # allocated and a dt this small, or a horizon this long at the
+        # automatic step, never stepped (both guarded here)
         def no_huge_linspace(start, stop, num=50, **kwargs):
             assert num <= MAX_NODES, "a grid past the limit was allocated"
             return linspace(start, stop, num, **kwargs)
@@ -215,6 +217,7 @@ class TestCli:
         monkeypatch.setattr(cli_mod, "run", no_run)
         rc, err = self._simulate_fig1_with(tmp_path, capsys, key, value)
         assert rc == 2 and "config error" in err and hint in err
+        assert [p.name for p in tmp_path.iterdir()] == ["probe.cfg"]
 
     def test_fractional_node_count_exits_2(self, tmp_path, capsys):
         # a node count is never truncated: 10.7 is an error, 800.0 is 800
@@ -229,7 +232,7 @@ class TestCli:
         for name in PRESET_NAMES:
             scen = preset(name).scenario()
             assert scen.grid.n <= MAX_NODES
-            assert scen.dt is None or scen.t_end / scen.dt <= MAX_STEPS
+            assert scen.t_end / (scen.dt or DT) <= MAX_STEPS
 
     @pytest.mark.parametrize("key,hint", [
         ("model.gama", "model.gama"),
@@ -238,23 +241,35 @@ class TestCli:
         rc, err = self._simulate_fig1_with(tmp_path, capsys, key, 15)
         assert rc == 2 and hint in err
 
-    def test_outcome_explains_its_step(self, tmp_path):
+    @staticmethod
+    def _outcome_of_fig1_with(tmp_path, **model):
+        """outcome.txt, as a dict, of `simulate` on fig1 to t = 10."""
         cfg = preset("fig1")
         cfg.run["t_end"] = 10.0
+        cfg.model.update(model)
         path = tmp_path / "quick.cfg"
         path.write_text(cfg.to_text())
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path)])
         assert rc == 0
         d = next(p for p in tmp_path.iterdir() if p.is_dir())
-        outcome = dict(line.split(" = ", 1) for line in
-                       (d / "outcome.txt").read_text().splitlines())
-        dt, dt_max = float(outcome["dt"]), float(outcome["dt_max"])
-        n_steps = int(outcome["n_steps"])
-        assert outcome["dt_max_term"] == "egg"
-        assert dt <= dt_max and n_steps == int(np.ceil(10.0 / dt_max))
-        assert dt * n_steps == pytest.approx(10.0, rel=1e-14)
         header = (d / "snapshots.csv").read_text().split("\n", 1)[0]
         assert header == "t,x,E,M,F,Ms"
+        return dict(line.split(" = ", 1) for line in
+                    (d / "outcome.txt").read_text().splitlines())
+
+    def test_outcome_explains_its_step(self, tmp_path):
+        outcome = self._outcome_of_fig1_with(tmp_path)
+        dt, n_steps = float(outcome["dt"]), int(outcome["n_steps"])
+        assert n_steps == int(np.ceil(10.0 / DT)) and dt <= DT
+        assert dt * n_steps == pytest.approx(10.0, rel=1e-14)
+        assert not any(k.startswith("dt_max") for k in outcome)
+
+    @pytest.mark.parametrize("b", [1e6, 1e12])
+    def test_stiff_egg_rate_keeps_the_step(self, tmp_path, b):
+        # the egg update is exact, so the step count does not grow with b
+        outcome = self._outcome_of_fig1_with(tmp_path, b=b)
+        assert outcome["n_steps"] == "40"
+        assert outcome["clamp_count"] == "0"
 
     def test_simulate_writes_run_dir(self, tmp_path):
         cfg = preset("fig1")

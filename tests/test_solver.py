@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 _trapezoid = getattr(np, "trapezoid", getattr(np, "trapz", None))
@@ -5,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from sitcarpet import solver
-from sitcarpet.config import preset, table1_params
+from sitcarpet.config import table1_params
 from sitcarpet.model import reaction_arrays
 from sitcarpet.solver import (
     Grid,
@@ -16,7 +18,6 @@ from sitcarpet.solver import (
     SimState,
     SolverError,
     factor_diffusion,
-    gate_rates,
     implicit_diffusion_matrix,
     make_initial,
     reaction_dt_bound,
@@ -141,14 +142,6 @@ class TestStep:
         assert np.max(np.abs(out.F - F)) < 1e-10 * F
         assert np.max(np.abs(out.E - E)) < 1e-10 * E
 
-    def test_dt_gate(self, p05):
-        grid = Grid.cartesian(-10, 10, 101)
-        z = np.zeros(grid.n)
-        st0 = SimState(0.0, z, z, z, z)
-        bound = reaction_dt_bound(p05)
-        with pytest.raises(SolverError, match="stability bound"):
-            step(st0, p05, ReleaseSchedule(), 5.0 * bound, grid)
-
     def test_pure_diffusion_variance_growth(self):
         # all reactions throttled to ~0: the M field spreads like the heat
         # kernel, variance growing by 2 D t
@@ -200,21 +193,23 @@ class TestFactoredSolve:
         traj = run(scen, state0=state)
 
         ab = implicit_diffusion_matrix(grid, p05.D, traj.dt, boundary)
+        K, dt = p05.K_scalar, traj.dt
         t, E, M, F, Ms = 0.0, state.E, state.M, state.F, state.Ms
         for _ in range(n_steps):
             lam = release_value(sched, grid.radius, t)
-            fE, fM, fF, fs = reaction_arrays(p05, E, M, F, Ms, lam,
-                                             p05.K_scalar)
+            fE, fM, fF, fs = reaction_arrays(p05, E, M, F, Ms, lam, K)
             fields = []
-            for u, f in ((M, fM), (F, fF), (Ms, fs)):
-                rhs = u + traj.dt * f
+            for u, f, mu in ((M, fM, p05.mu_M), (F, fF, p05.mu_F),
+                             (Ms, fs, p05.mu_s)):
+                rhs = u - math.expm1(-dt * mu) / mu * f
                 if boundary == "dirichlet":
                     rhs[-1] = u[-1]
                 out = scipy.linalg.solve_banded((1, 1), ab, rhs)
                 fields.append(np.maximum(out, 0.0))
-            E = np.clip(E + traj.dt * fE, 0.0, p05.K_scalar)
+            a = p05.b * F / K + (p05.mu_E + p05.nu_E)
+            E = np.clip(E - np.expm1(-dt * a) / a * fE, 0.0, K)
             M, F, Ms = fields
-            t += traj.dt
+            t += dt
         for got, expect in zip((traj.E, traj.M, traj.F, traj.Ms),
                                (E, M, F, Ms)):
             assert np.array_equal(got[-1], expect)
@@ -245,41 +240,6 @@ class TestFactoredSolve:
             step(st0, p05, ReleaseSchedule(), 0.02, grid)
 
 
-class TestHeterogeneousK:
-    @staticmethod
-    def _short(name, **model):
-        cfg = preset(name)
-        cfg.model.update(model)
-        cfg.run["t_end"] = 1.0
-        return cfg.scenario()
-
-    def test_run_dt_takes_the_egg_term_at_min_K_and_F_cap_at_max_K(self):
-        hetero = self._short("carpet-hetero")
-        p, x = hetero.params, hetero.grid.x
-        K = p.K_at(x)
-        state0 = make_initial(p, hetero.initial, hetero.grid,
-                              lambda_bar=hetero.schedule.lambda_bar)
-        F_cap = max(p.rho * p.nu_E * K.max() / p.mu_F, state0.F.max())
-        expect = 1.0 / (p.b * F_cap / K.min() + p.mu_E + p.nu_E)
-        traj = run(hetero)
-        assert traj.dt_max == pytest.approx(expect, rel=1e-14)
-        assert traj.dt_max_term == "egg"
-        assert traj.n_steps == int(np.ceil(hetero.t_end / expect))
-        assert traj.dt == hetero.t_end / traj.n_steps
-        # the K_max reduction alone gives a larger, unsafe step
-        assert traj.dt_max < 0.7 * reaction_dt_bound(p.at_max_K(x),
-                                                     state0.F.max())
-        # a scalar K is its own min and max
-        scalar = self._short("carpet", K=250.0)
-        assert run(scalar).dt_max == reaction_dt_bound(
-            scalar.params, state0.F.max())
-
-    def test_gate_needs_the_nodes_for_a_callable_K(self):
-        hetero = self._short("carpet-hetero")
-        with pytest.raises(ValueError, match="grid nodes"):
-            reaction_dt_bound(hetero.params)
-
-
 def _ordered_pair(rng, x, K_nodes):
     """Random cone-ordered initial states (lo <= hi), E inside [0, K(x)]."""
     xs = np.linspace(x[0], x[-1], 4)
@@ -295,9 +255,10 @@ def _hetero_K(x):
     return 200.0 + 50.0 * np.sin(2.0 * np.pi * np.abs(x) / 10.0)
 
 
-class TestMonotoneGate:
-    """The scheme run at exactly `reaction_dt_bound` keeps cone order."""
+class TestMonotoneStep:
+    """The scheme keeps cone order and the invariant region at any dt."""
 
+    @pytest.mark.parametrize("dt", [0.25, 1.0, 5.0, 50.0])
     @pytest.mark.parametrize("radial,gamma,lambda_bar,K", [
         pytest.param(radial, gamma, lam, 200.0,
                      id=f"{'radial' if radial else 'cartesian'}-"
@@ -307,8 +268,8 @@ class TestMonotoneGate:
         for lam in (0.0, 500.0)
     ] + [pytest.param(True, 0.5, 500.0, _hetero_K,
                       id="radial-bistable-release-K(x)")])
-    def test_ordered_pairs_at_the_gate(self, rng, radial, gamma, lambda_bar,
-                                       K):
+    def test_ordered_pairs_at_any_dt(self, rng, radial, gamma, lambda_bar, K,
+                                     dt):
         p = table1_params(gamma, K=K)
         grid = (Grid.radial(12.0, 121) if radial
                 else Grid.cartesian(-10, 10, 121))
@@ -317,11 +278,10 @@ class TestMonotoneGate:
                  if lambda_bar else ReleaseSchedule())
         x = grid.x
         K_nodes = np.broadcast_to(p.K_at(x), x.shape)
+        scen = Scenario(p, grid, sched, InitialData(kind="step"),
+                        t_end=40 * dt, dt=dt, snapshot_dt=4 * dt)
         for _ in range(5):
             lo0, hi0 = _ordered_pair(rng, x, K_nodes)
-            dt = reaction_dt_bound(p, float(hi0.F.max()), x)
-            scen = Scenario(p, grid, sched, InitialData(kind="step"),
-                            t_end=40 * dt, dt=dt, snapshot_dt=4 * dt)
             lo, hi = run(scen, state0=lo0), run(scen, state0=hi0)
             assert hi.n_steps == 40 and hi.dt == pytest.approx(dt, rel=1e-15)
             tol = 1e-9 * 200.0
@@ -331,54 +291,35 @@ class TestMonotoneGate:
                 assert traj.clamps.count == 0
                 assert np.all(traj.E >= 0) and np.all(traj.E <= K_nodes)
 
-    @staticmethod
-    def _egg_update(p, dt, F_cap, K):
-        """Explicit E update on E in [0, K] at F = F_cap (its worst case)."""
-        E = np.linspace(0.0, K, 401)
-        z = np.zeros_like(E)
-        fE = reaction_arrays(p, E, z, np.full_like(E, F_cap), z, 0.0, K)[0]
-        return E + dt * fE
-
-    @staticmethod
-    def _monotone_inside(E_new, K):
-        # at the gate dE'/dE is 0 where F = F_cap and K = K_min, so the
-        # update is flat there up to roundoff
-        tol = 1e-12 * K
-        return bool(np.all(np.diff(E_new) >= -tol) and E_new.min() >= 0.0
-                    and E_new.max() <= K + tol)
-
-    def test_gate_is_sharp_for_the_egg_update(self, p05):
-        K = p05.K_scalar
-        F_cap = p05.rho * p05.nu_E * K / p05.mu_F
-        dt = reaction_dt_bound(p05)
-        assert gate_rates(p05)["egg"] == max(gate_rates(p05).values())
-        assert self._monotone_inside(self._egg_update(p05, dt, F_cap, K), K)
-        over = self._egg_update(p05, 1.5 * dt, F_cap, K)
-        assert np.any(np.diff(over) < 0.0) and over.max() > K
-
-    def test_max_K_gate_fails_at_a_min_K_node(self):
-        p = preset("carpet-hetero").scenario().params
-        x = Grid.radial(45.0, 901).x
-        K = p.K_at(x)
-        F_cap = p.rho * p.nu_E * K.max() / p.mu_F
+    def test_egg_update_is_monotone_at_a_large_dt(self):
+        # E' on a mesh of E in [0, K] and F in [0, F_cap] at the smallest K
+        # of _hetero_K, where the egg loss rate a is largest; E does not
+        # diffuse, so each node is one (E, F) pair
+        p = table1_params(0.5, K=_hetero_K)
+        K = _hetero_K(np.linspace(0.0, 10.0, 1001))
         K_min = float(K.min())
-        dt = reaction_dt_bound(p, x=x)
-        assert self._monotone_inside(self._egg_update(p, dt, F_cap, K_min),
-                                     K_min)
-        dt_max_K = reaction_dt_bound(p.at_max_K(x))
-        slope = 1.0 - dt_max_K * (p.b * F_cap / K_min + p.mu_E + p.nu_E)
-        assert slope < -0.6
-        assert not self._monotone_inside(
-            self._egg_update(p, dt_max_K, F_cap, K_min), K_min)
+        F_cap = p.rho * p.nu_E * float(K.max()) / p.mu_F
+        E, F = np.meshgrid(np.linspace(0.0, K_min, 41),
+                           np.linspace(0.0, F_cap, 41), indexing="ij")
+        grid = Grid.cartesian(0.0, 1.0, E.size)
+        z = np.zeros(E.size)
+        state = SimState(0.0, E.ravel(), z, F.ravel(), z)
+        out = step(state, p, ReleaseSchedule(), 50.0, grid,
+                   K_nodes=np.full(E.size, K_min))
+        E_new = out.E.reshape(E.shape)
+        tol = 1e-12 * K_min
+        assert np.all(np.diff(E_new, axis=0) >= -tol)  # in E
+        assert np.all(np.diff(E_new, axis=1) >= -tol)  # in F
+        assert E_new.min() >= 0.0 and E_new.max() <= K_min
 
 
 def test_dt_halving_observed_order(p05, eq05):
     # fig1 kinetics on n = 800: the front position at t = 60 converges at
-    # first order as dt halves from the gate
+    # first order as dt halves from the automatic step
     from sitcarpet.waves import front_position
     grid = Grid.cartesian(-40, 40, 800)
     t_end = 60.0
-    n0 = int(np.ceil(t_end / reaction_dt_bound(p05, eq05.upper[2])))
+    n0 = int(np.ceil(t_end / reaction_dt_bound()))
     positions = []
     for k in range(4):
         scen = Scenario(p05, grid, ReleaseSchedule(),
@@ -419,11 +360,11 @@ class TestRunProperties:
 
     def test_presets_keep_44_snapshots(self, fig1_traj):
         assert fig1_traj.times.size == 44
-        assert fig1_traj.n_steps == 620
+        assert fig1_traj.n_steps == 600
 
     def test_radial_flat_matches_zero_d_march(self, p05, eq05):
         # flat fields make the radial operator exactly inert, so the run
-        # must reproduce the same explicit reaction march to roundoff
+        # must reproduce the same exact-step reaction march to roundoff
         grid = Grid.radial(10.0, 101)
         E, M, F = eq05.upper
         frac = 0.73
@@ -436,11 +377,13 @@ class TestRunProperties:
         traj = run(scen, state0=st0)
         # 0-D fields under the identical splitting (diffusion is identity)
         y = np.array([frac * E, frac * M, frac * F, 5.0])
-        lam_decay = 1.0
+        mu = np.array([p05.mu_M, p05.mu_F, p05.mu_s])
         n = int(round(4.0 / dt))
         for _ in range(n):
             fE, fM, fF, fs = reaction_arrays(p05, *y, 0.0, p05.K_scalar)
-            y = y + dt * np.array([fE, fM, fF, fs])
+            a = p05.b * y[2] / p05.K_scalar + (p05.mu_E + p05.nu_E)
+            h = -np.expm1(-dt * np.array([a, *mu])) / np.array([a, *mu])
+            y = y + h * np.array([fE, fM, fF, fs])
         for arr, val in zip((traj.E[-1], traj.M[-1], traj.F[-1], traj.Ms[-1]), y):
             assert np.max(np.abs(arr - val)) < 1e-8 * max(abs(val), 1.0)
         # flatness is preserved
@@ -487,7 +430,7 @@ class TestRunProperties:
             M1 = np.clip(M2 - mk(40), 0, None)
             F1 = np.clip(F2 - mk(50), 0, None)
             Ms1 = Ms2 + mk(80)
-            dt = min(reaction_dt_bound(p, F_sup=80.0), 0.02)
+            dt = 0.02
             scen = Scenario(p, grid, sched, InitialData(kind="step"),
                             t_end=4.0, dt=dt, snapshot_dt=10 * dt)
             lo = run(scen, state0=SimState(0.0, E1, M1, F1, Ms1))
@@ -513,7 +456,7 @@ class TestRunProperties:
         positions = []
         for n, dt_scale in ((400, 1.0), (800, 0.5)):
             grid = Grid.cartesian(-40, 40, n)
-            dt = reaction_dt_bound(p05, F_sup=eq05.upper[2]) * dt_scale
+            dt = reaction_dt_bound() * dt_scale
             scen = Scenario(p05, grid, ReleaseSchedule(),
                             InitialData(kind="step", x_step=-10.0),
                             t_end=60.0, dt=dt, snapshot_dt=60.0)
