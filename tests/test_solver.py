@@ -312,6 +312,26 @@ class TestMonotoneStep:
         assert np.all(np.diff(E_new, axis=1) >= -tol)  # in F
         assert E_new.min() >= 0.0 and E_new.max() <= K_min
 
+    def test_exact_egg_step_is_monotone_past_the_explicit_bound(self, p05):
+        # at F = F_cap the egg loss rate is a = b F_cap / K + mu_E + nu_E;
+        # forward Euler on E loses order and leaves [0, K] past dt = 1 / a,
+        # the exact egg step keeps both there
+        K = p05.K_scalar
+        F_cap = p05.rho * p05.nu_E * K / p05.mu_F
+        a = p05.b * F_cap / K + p05.mu_E + p05.nu_E
+        dt = 1.5 / a
+        E = np.linspace(0.0, K, 401)
+        z = np.zeros_like(E)
+        F = np.full_like(E, F_cap)
+        euler = E + dt * reaction_arrays(p05, E, z, F, z, 0.0, K)[0]
+        assert np.any(np.diff(euler) < 0.0) and euler.max() > K
+        out = step(SimState(0.0, E, z, F, z), p05, ReleaseSchedule(), dt,
+                   Grid.cartesian(0.0, 1.0, E.size),
+                   K_nodes=np.full(E.size, K))
+        tol = 1e-12 * K
+        assert np.all(np.diff(out.E) >= -tol)
+        assert out.E.min() >= 0.0 and out.E.max() <= K
+
 
 def test_dt_halving_observed_order(p05, eq05):
     # fig1 kinetics on n = 800: the front position at t = 60 converges at
