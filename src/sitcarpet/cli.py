@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 import time
@@ -27,16 +28,18 @@ import numpy as np
 from . import equilibria as eq_mod
 from .config import (ConfigError, PRESET_NAMES, ScenarioConfig, check_key,
                      preset)
-from .solver import ReleaseSchedule, SolverError, run
-from .supersolution import make_sterile_lower_bound, make_sterile_lower_bound_tail
+from .solver import ReleaseSchedule, Scenario, SolverError, run
+from .supersolution import (find_supersolution_bundle,
+                            make_sterile_lower_bound,
+                            make_sterile_lower_bound_tail)
 from .verify import (
     build_subsolution,
-    supersolution_certificate,
     verify_sterile_cap,
     verify_sterile_floor,
     verify_subsolution,
+    verify_supersolution,
 )
-from .waves import classify, sterile_cost_report
+from .waves import classify, cost_exponent, sterile_cost
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -132,9 +135,24 @@ class RunRecord:
     wall_time_s: float
 
 
+def _check_level(level: float | None, scenario: Scenario) -> None:
+    """Raise ConfigError unless level is None or in [0, F*), F* the upper
+    equilibrium at the largest K: any other level is never crossed, and
+    the run would end Indeterminate with no speed.  0 tracks the support."""
+    if level is None:
+        return
+    upper = eq_mod.solve_equilibria(
+        scenario.params.at_max_K(scenario.grid.x)).upper
+    F_star = float("nan") if upper is None else upper[2]
+    if not 0.0 <= level < F_star:
+        raise ConfigError(f"--level {level!r} must be finite and in [0, F*), "
+                          f"F* = {F_star:.6g}")
+
+
 def simulate_to_dir(cfg: ScenarioConfig, out: Path,
                     level: float | None = None) -> RunRecord:
     scenario = cfg.scenario()
+    _check_level(level, scenario)
     cfg_text = cfg.to_text()
     t0 = time.perf_counter()
     traj = run(scenario)
@@ -199,11 +217,11 @@ def cmd_verify(args) -> int:
                                 R2=max(sched.R2, 1.0))
         reports.append(verify_subsolution(sub))
     if which in ("supersolution", "all"):
-        bundle, rep = supersolution_certificate(params, c=c)
+        bundle = find_supersolution_bundle(params, c=c)
         print(f"bundle constants: mu={bundle.mu:g} eps={bundle.eps:g} "
               f"u0={bundle.u0:g} C1={bundle.C1:g} C2={bundle.C2:g} "
               f"L={bundle.L:g} lambda_bar={bundle.lambda_bar:g}")
-        reports.append(rep)
+        reports.append(verify_supersolution(bundle))
     if which in ("sterile-bounds", "all"):
         R1, R2, eta = _release_geometry(sched)
         r1 = R1 + 2.0
@@ -241,21 +259,27 @@ def cmd_sweep(args) -> int:
         values = [float(v) for v in args.values.split(",")]
     except ValueError as e:
         raise ConfigError(f"sweep --values: {e}") from None
+    if args.workers < 1:
+        raise ConfigError(f"sweep --workers must be >= 1, got {args.workers}")
     cfg_text = cfg.to_text()
-    # every row's config and equilibria (as make_initial solves them) are
-    # checked before any row runs, so a bad value is a config error with
-    # nothing run and nothing written
+    # every row's config, equilibria (as make_initial solves them) and
+    # level are checked before any row runs, so a bad value is a config
+    # error with nothing run and nothing written
     for v in values:
         try:
             scenario = _row_config(cfg_text, args.axis, v).scenario()
             eq_mod.solve_equilibria(scenario.params.at_max_K(scenario.grid.x))
+            _check_level(args.level, scenario)
         except (ConfigError, eq_mod.ParameterRangeError) as e:
             raise ConfigError(f"{args.axis} = {v!r}: {e}") from None
     payloads = [(cfg_text, args.axis, v, args.level) for v in values]
     failures = []
     rows = []
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as ex:
+    # a fork-started pool launches every worker up front, so it is never
+    # larger than the number of rows
+    workers = min(args.workers, len(values))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             results = list(ex.map(_sweep_one_safe, payloads))
     else:
         results = list(map(_sweep_one_safe, payloads))
@@ -291,7 +315,16 @@ def cmd_cost(args) -> int:
     cfg = _load_config(args)
     scenario = cfg.scenario()
     sched = scenario.schedule
-    T_grid = [float(v) for v in args.horizons.split(",")]
+    try:
+        T_grid = [float(v) for v in args.horizons.split(",")]
+    except ValueError as e:
+        raise ConfigError(f"cost --horizons: {e}") from None
+    if not all(0.0 < T < math.inf for T in T_grid):
+        raise ConfigError(f"cost --horizons {args.horizons}: every horizon "
+                          f"must be finite and > 0")
+    if len(T_grid) < 2 or len(set(T_grid)) < len(T_grid):
+        raise ConfigError(f"cost --horizons {args.horizons}: the exponent "
+                          f"needs at least two horizons, none repeated")
     lam = sched.lambda_bar if sched.lambda_bar > 0 else 1.0
     R1, R2, eta = _release_geometry(sched)
     c = sched.c if sched.c > 0 else 0.03
@@ -304,9 +337,8 @@ def cmd_cost(args) -> int:
     }
     print(f"{'strategy':>14}  {'exponent':>9}  totals")
     for name, s in strategies.items():
-        rep = sterile_cost_report(s, T_grid)
-        totals = "  ".join(f"T={T:g}:{tot:.4g}" for T, tot in rep["totals"].items())
-        print(f"{name:>14}  {rep['exponent']:>9.4f}  {totals}")
+        totals = "  ".join(f"T={T:g}:{sterile_cost(s, T):.4g}" for T in T_grid)
+        print(f"{name:>14}  {cost_exponent(s, T_grid):>9.4f}  {totals}")
     return EXIT_OK
 
 
@@ -316,45 +348,41 @@ def main(argv=None) -> int:
         description="rolling-carpet sterile insect technique toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_command(name, func, help, *, level=False, out=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="path to a scenario config file")
         p.add_argument("--preset", choices=PRESET_NAMES,
                        help="named preset scenario")
-        p.add_argument("--level", type=float, default=None,
-                       help="front-tracking level (default F*/2)")
-        p.add_argument("--out",
-                       help="output root (default $SITCARPET_OUT or ./runs)")
+        if level:
+            p.add_argument("--level", type=float, default=None,
+                           help="front-tracking level (default F*/2)")
+        if out:
+            p.add_argument("--out", help="output root (default "
+                                         "$SITCARPET_OUT or ./runs)")
+        p.set_defaults(func=func)
+        return p
 
-    p_an = sub.add_parser("analyze", help="thresholds and equilibria")
-    add_common(p_an)
-    p_an.set_defaults(func=cmd_analyze)
+    add_command("analyze", cmd_analyze, "thresholds and equilibria", out=True)
+    add_command("simulate", cmd_simulate, "run a scenario and classify it",
+                level=True, out=True)
 
-    p_sim = sub.add_parser("simulate", help="run a scenario and classify it")
-    add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_ver = sub.add_parser("verify", help="residual certificates")
-    add_common(p_ver)
+    p_ver = add_command("verify", cmd_verify, "residual certificates")
     p_ver.add_argument("--which",
                        choices=("subsolution", "supersolution",
                                 "sterile-bounds", "all"),
                        default="all")
-    p_ver.set_defaults(func=cmd_verify)
 
-    p_sw = sub.add_parser("sweep", help="sweep one scalar config field")
-    add_common(p_sw)
+    p_sw = add_command("sweep", cmd_sweep, "sweep one scalar config field",
+                       level=True, out=True)
     p_sw.add_argument("--axis", required=True,
                       help="dotted config field, e.g. model.gamma")
     p_sw.add_argument("--values", required=True,
                       help="comma-separated values")
     p_sw.add_argument("--workers", type=int, default=1)
-    p_sw.set_defaults(func=cmd_sweep)
 
-    p_cost = sub.add_parser("cost", help="release-cost table per strategy")
-    add_common(p_cost)
+    p_cost = add_command("cost", cmd_cost, "release-cost table per strategy")
     p_cost.add_argument("--horizons", default="10,100,1000,10000",
                         help="comma-separated horizons T")
-    p_cost.set_defaults(func=cmd_cost)
 
     args = parser.parse_args(argv)
     try:

@@ -16,9 +16,7 @@ All scalar unknowns here come from monotone equations solved by bisection:
 
 The published threshold values for the Table-1 parameter set correspond to
 evaluating the gamma_0 condition with the equilibrium F* frozen at the
-current parameter set's equilibrium; `solve_gamma_0` does that by default and
-also offers the fully self-consistent variant (re-solving F* for every trial
-gamma), which lands lower.
+current parameter set's equilibrium, which is what `solve_gamma_0` does.
 """
 
 from __future__ import annotations
@@ -32,7 +30,8 @@ from .model import (Bistable, ModelParams, Monostable, StatePoint, gamma_fn,
                     jacobian_ode, slaved_E, slaved_M)
 
 BISECT_TOL = 1e-12
-DEFAULT_PANELS = 4096
+# Composite-Simpson panels of the potential G (an even count)
+PANELS = 4096
 _DEGENERATE_BAND = 1e-10
 
 
@@ -188,22 +187,20 @@ def _simpson_uniform(y: np.ndarray, h: float) -> float:
 
 
 def potential_G(params: ModelParams, gamma: Optional[float], F_star: float,
-                F: float, eps: Optional[float] = None,
-                panels: int = DEFAULT_PANELS) -> float:
+                F: float, eps: Optional[float] = None) -> float:
     """Potential G(F): integral of the wave reaction term from 0 to F.
 
     gamma = None evaluates the monostable case (Gamma identically 1); eps, when
     given, weights the integrand by phi/(phi + phi_s^eps), the sterile-tail
-    variant.  Composite Simpson with `panels` panels (made even if needed).
+    variant.  Composite Simpson with PANELS panels.
     """
     if F < 0 or F > F_star * (1.0 + 1e-12):
         raise ValueError("potential_G requires 0 <= F <= F_star")
     if F == 0.0:
         return 0.0
-    panels = max(2, panels + (panels % 2))
-    u = np.linspace(0.0, F, panels + 1)
+    u = np.linspace(0.0, F, PANELS + 1)
     y = _wave_integrand(params, gamma, F_star, u, eps)
-    return float(_simpson_uniform(y, F / panels))
+    return float(_simpson_uniform(y, F / PANELS))
 
 
 def solve_m0(zeta: float) -> float:
@@ -277,37 +274,25 @@ def solve_equilibria(params: ModelParams) -> EquilibriumSet:
                           _is_stable(params, *middle), _is_stable(params, *upper))
 
 
-def solve_gamma_0(params: ModelParams, freeze_equilibrium: bool = True,
-                  panels: int = DEFAULT_PANELS) -> Optional[float]:
+def solve_gamma_0(params: ModelParams) -> Optional[float]:
     """Allee coefficient gamma_0 above which the bistable wave advances.
 
-    Root of G(F*; gamma) = 0 in gamma.  With freeze_equilibrium (default) the
-    equilibrium F* is the one of `params` and only the integrand's Gamma
-    varies with the trial gamma, matching the published Table-1 values;
-    otherwise F*(gamma) is re-solved for every trial gamma.  Returns None when
-    the current params admit no positive equilibrium to freeze (then only the
-    self-consistent variant is meaningful) or when N <= 1.
+    Root of G(F*; gamma) = 0 in gamma, with the equilibrium F* the one of
+    `params` and only the integrand's Gamma varying with the trial gamma,
+    matching the published Table-1 values.  Returns None when the current
+    params admit no positive equilibrium to freeze or when N <= 1.
     """
     N = offspring_number(params)
     if N <= 1.0:
         return None
     gamma_c = zeta_of_gamma(params, solve_zeta_c(N))
+    eq = solve_equilibria(params)
+    if eq.upper is None:
+        return None
+    F_star = eq.upper[2]
 
-    if freeze_equilibrium:
-        eq = solve_equilibria(params)
-        if eq.upper is None:
-            return None
-        F_star = eq.upper[2]
-
-        def h(g: float) -> float:
-            return potential_G(params, g, F_star, F_star, panels=panels)
-    else:
-        def h(g: float) -> float:
-            eq_g = solve_equilibria(params.with_gamma(g))
-            if eq_g.upper is None:
-                return -1.0
-            Fs = eq_g.upper[2]
-            return potential_G(params.with_gamma(g), g, Fs, Fs, panels=panels)
+    def h(g: float) -> float:
+        return potential_G(params, g, F_star, F_star)
 
     hi = scale_until(lambda g: h(g) > 0, 10.0 * gamma_c, 2.0, 1e9)
     lo = None if hi is None else scale_until(
@@ -315,7 +300,7 @@ def solve_gamma_0(params: ModelParams, freeze_equilibrium: bool = True,
     return None if lo is None else bisect(h, lo, hi)
 
 
-def thresholds(params: ModelParams, panels: int = DEFAULT_PANELS) -> ThresholdReport:
+def thresholds(params: ModelParams) -> ThresholdReport:
     """N, zeta, zeta_c, gamma_c, gamma_0, and the regime classification."""
     N = offspring_number(params)
     natural_extinction = N <= 1.0
@@ -328,7 +313,7 @@ def thresholds(params: ModelParams, panels: int = DEFAULT_PANELS) -> ThresholdRe
 
     gamma = params.gamma_kind.gamma
     zeta = zeta_of_gamma(params, gamma)
-    gamma_0 = solve_gamma_0(params, panels=panels)
+    gamma_0 = solve_gamma_0(params)
     if natural_extinction or (gamma_c is not None and gamma <= gamma_c):
         regime = "BistableBelowGammaC"
     elif gamma_0 is not None and gamma > gamma_0:

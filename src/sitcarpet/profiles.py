@@ -36,6 +36,12 @@ from .equilibria import (
 from .model import ModelParams
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+# Uniform cells on which `_locate_maximizer` tabulates the potential
+_SCAN_NODES = 1 << 14
+# Gauss-Legendre cells of the potential gap H on [0, F_m]
+_GAP_CELLS = 1 << 15
+# Closest relative approach of the F profile to its limit F_m
+_APPROACH_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -67,11 +73,6 @@ class MonotoneProfile:
                         left=self.values[0], right=self.limit)
         return out if out.ndim else float(out)
 
-    def to_csv(self, path) -> None:
-        np.savetxt(path, np.column_stack([self.grid, self.values]),
-                   delimiter=",", header="position,value", comments="",
-                   fmt="%.17g")
-
 
 def _gauss_cells(f: Callable, lo, hi) -> np.ndarray:
     """Per-cell Gauss-Legendre integrals of vectorized f over [lo, hi]."""
@@ -98,15 +99,16 @@ def _cell_exp_integrals(psi: Callable, grid: np.ndarray, s: float):
     return a, bint
 
 
-def halfline_green_solve(mu: float, psi: Callable, x, *, psi_limit: Optional[float] = None,
-                 tail_tol: float = 1e-16, min_nodes: int = 2001):
+def halfline_green_solve(mu: float, psi: Callable, x, *,
+                         psi_limit: Optional[float] = None):
     """Nondecreasing solution of -u'' + mu u = psi on (0, inf), u(0) = 0.
 
     psi must be a vectorized nonnegative nondecreasing callable with a finite
     limit psi_limit (estimated from the far grid end when omitted); the tail
-    integral is truncated where e^{-sqrt(mu) y} drops below tail_tol and
-    closed with the constant-psi tail in closed form.  Returns u at x (scalar
-    or array).  Raises if psi is detected decreasing on the quadrature grid.
+    integral is truncated where e^{-sqrt(mu) y} drops below 1e-16 and
+    closed with the constant-psi tail in closed form.  The quadrature grid
+    has at least 2001 nodes.  Returns u at x (scalar or array).  Raises if
+    psi is detected decreasing on the quadrature grid.
     """
     if not mu > 0:
         raise ValueError("mu must be > 0")
@@ -114,9 +116,9 @@ def halfline_green_solve(mu: float, psi: Callable, x, *, psi_limit: Optional[flo
     if np.any(x_arr < 0):
         raise ValueError("x must be >= 0")
     s = np.sqrt(mu)
-    y_trunc = -np.log(tail_tol) / s
+    y_trunc = -np.log(1e-16) / s
     y_max = max(float(x_arr.max()) if x_arr.size else 0.0, y_trunc)
-    base = np.linspace(0.0, y_max, max(min_nodes, int(20 * s * y_max) + 2))
+    base = np.linspace(0.0, y_max, max(2001, int(20 * s * y_max) + 2))
     grid = np.unique(np.concatenate([base, x_arr]))
 
     probe = np.asarray(psi(grid), dtype=float)
@@ -180,34 +182,33 @@ def _cumulative_simpson_uniform(y: np.ndarray, h: float) -> np.ndarray:
     return cum
 
 
-def find_eps0(params: ModelParams, gamma: Optional[float], F_star: float,
-              panels: int = 4096, safety: float = 0.5) -> Optional[float]:
+def find_eps0(params: ModelParams, F_star: float) -> Optional[float]:
     """A sterile-tail amplitude eps with G_eps(F*) > 0, halved for safety.
 
-    Halves eps from 1 until the tail-weighted potential at F* is positive;
-    None if even eps = 2^-199 fails (condition violated for the bare G too).
+    Halves eps from 1 until the tail-weighted potential at F*, for the
+    params' own Allee coefficient, is positive; None if even eps = 2^-199
+    fails (condition violated for the bare G too).
     """
     eps = scale_until(
-        lambda e: potential_G(params, gamma, F_star, F_star, eps=e, panels=panels) > 0,
+        lambda e: potential_G(params, params.gamma, F_star, F_star, eps=e) > 0,
         1.0, 0.5, 2.0**-199)
-    return None if eps is None else eps * safety
+    return None if eps is None else eps * 0.5
 
 
-def _locate_maximizer(pw: ModelParams, gamma, F_star: float, eps,
-                      scan_nodes: int = 1 << 14):
+def _locate_maximizer(pw: ModelParams, gamma, F_star: float, eps):
     """Smallest maximizer of the potential on [0, F*], or None if G <= 0.
 
     The maximizer is either F* (integrand still positive there) or a + -> -
     crossing of the integrand, refined by bisection; among tabulated ties the
     first (smallest) wins.
     """
-    F_scan = np.linspace(0.0, F_star, scan_nodes + 1)
+    F_scan = np.linspace(0.0, F_star, _SCAN_NODES + 1)
     integrand = _wave_integrand(pw, gamma, F_star, F_scan, eps)
-    G_scan = _cumulative_simpson_uniform(integrand, F_star / scan_nodes)
+    G_scan = _cumulative_simpson_uniform(integrand, F_star / _SCAN_NODES)
     i_max = int(np.argmax(G_scan))
     if G_scan[i_max] <= 0.0:
         return None
-    if i_max == scan_nodes and integrand[-1] >= 0.0:
+    if i_max == _SCAN_NODES and integrand[-1] >= 0.0:
         return F_star
     cross = np.flatnonzero((integrand[:-1] > 0.0) & (integrand[1:] <= 0.0))
     if not cross.size:
@@ -228,12 +229,12 @@ class _PotentialGap:
     nodes by one further local quadrature of the analytic integrand.
     """
 
-    def __init__(self, pw, gamma, F_star, F_m, eps, n_cells: int = 1 << 15):
+    def __init__(self, pw, gamma, F_star, F_m, eps):
         self.pw, self.gamma, self.F_star, self.eps = pw, gamma, F_star, eps
         self.F_m = F_m
-        self.nodes = np.linspace(0.0, F_m, n_cells + 1)
+        self.nodes = np.linspace(0.0, F_m, _GAP_CELLS + 1)
         cells = _gauss_cells(self._integrand, self.nodes[:-1], self.nodes[1:])
-        H = np.zeros(n_cells + 1)
+        H = np.zeros(_GAP_CELLS + 1)
         H[:-1] = np.cumsum(cells[::-1])[::-1]
         self.H_nodes = H
 
@@ -250,35 +251,33 @@ class _PotentialGap:
         return np.sqrt(np.maximum(2.0 * self.H(F), 0.0))
 
 
-def build_stationary_F(params: ModelParams, gamma: Optional[float] = None,
-                       eps: Optional[float] = None, *, dy_out: float = 0.01,
-                       approach_tol: float = 1e-10) -> Optional[MonotoneProfile]:
+def build_stationary_F(params: ModelParams, eps: Optional[float] = None
+                       ) -> Optional[MonotoneProfile]:
     """Nondecreasing female profile rising from 0 to the potential's maximizer.
 
-    gamma defaults to the params' own Allee coefficient (None = monostable).
-    When the potential never becomes positive on (0, F*] there is no profile
-    and None is returned (the regime does not support an invading
-    sub-solution).  With eps given, the sterile-tail-weighted potential is
-    used; the profile then certifies invasion against a small sterile remnant.
+    The potential is the one of the params' own Allee coefficient (the
+    monostable one when params.gamma is None).  When the potential never
+    becomes positive on (0, F*] there is no profile and None is returned
+    (the regime does not support an invading sub-solution).  With eps given,
+    the sterile-tail-weighted potential is used; the profile then certifies
+    invasion against a small sterile remnant.
 
     The first-order reduction F' = sqrt(2 (G(F_m) - G(F))) separates: the
     inverse map x(F) is accumulated by per-cell quadrature on an F-grid
     graded toward F_m, then the profile is resampled onto a uniform grid
-    (spacing dy_out in diffusion-rescaled units) by Newton inversion, so the
+    (spacing 0.01 in diffusion-rescaled units) by Newton inversion, so the
     sampled values solve the profile equation to near machine accuracy.
     """
-    if gamma is None and params.gamma is not None:
-        gamma = params.gamma
-    pw = params.with_gamma(gamma)
-    eq = solve_equilibria(pw)
+    gamma = params.gamma
+    eq = solve_equilibria(params)
     if eq.upper is None:
         return None
     F_star = eq.upper[2]
 
-    F_m = _locate_maximizer(pw, gamma, F_star, eps)
+    F_m = _locate_maximizer(params, gamma, F_star, eps)
     if F_m is None:
         return None
-    gap = _PotentialGap(pw, gamma, F_star, F_m, eps)
+    gap = _PotentialGap(params, gamma, F_star, F_m, eps)
     if gap.H(0.0) <= 0.0:
         return None
 
@@ -286,9 +285,9 @@ def build_stationary_F(params: ModelParams, gamma: Optional[float] = None,
     # 1/(F_m - F); per-cell Gauss-Legendre handles the constant-ratio cells
     delta_geo = 0.05
     F_uniform = np.linspace(0.0, F_m * (1.0 - delta_geo), 4097)
-    n_geo = int(np.ceil(np.log(approach_tol / delta_geo) / np.log(0.92)))
+    n_geo = int(np.ceil(np.log(_APPROACH_TOL / delta_geo) / np.log(0.92)))
     deltas = delta_geo * 0.92 ** np.arange(1, n_geo + 1)
-    deltas = np.maximum(deltas, approach_tol)
+    deltas = np.maximum(deltas, _APPROACH_TOL)
     F_geo = F_m * (1.0 - deltas)
     F_knots = np.unique(np.concatenate([F_uniform, F_geo]))
 
@@ -305,12 +304,12 @@ def build_stationary_F(params: ModelParams, gamma: Optional[float] = None,
         return x_knots[k] + _gauss_cells(inv_v, F_knots[k], F)
 
     x_max = float(x_knots[-1])
-    x_out = np.arange(0.0, x_max, dy_out)
+    x_out = np.arange(0.0, x_max, 0.01)
     F_out = np.interp(x_out, x_knots, F_knots)
     # Newton refinement of x(F) = x_target (dx/dF = 1/v)
     for _ in range(4):
         F_out = np.clip(F_out - (x_of_F(F_out) - x_out) * gap.v(F_out),
-                        0.0, F_m * (1.0 - approach_tol))
+                        0.0, F_m * (1.0 - _APPROACH_TOL))
     F_out[0] = 0.0
 
     x_phys = x_out * np.sqrt(params.D)

@@ -237,11 +237,12 @@ class SterileCap:
 
 
 def sterile_upper_bound(params: ModelParams, lambda_bar: float, c: float,
-                        Rs: float, Ms0_sup: float) -> SterileCap:
-    """Translating upper cap for the sterile males: height max(Ms0_sup,
-    lambda_bar/mu_s), physical decay sqrt(mu_s/D).  Requires Rs beyond both
-    the release annulus and the initial support."""
-    return SterileCap(max(Ms0_sup, lambda_bar / params.mu_s),
+                        Rs: float) -> SterileCap:
+    """Translating upper cap for the sterile males: height lambda_bar/mu_s,
+    physical decay sqrt(mu_s/D).  The height bounds the initial sterile
+    dose of `solver.make_initial`, which is at most lambda_bar/mu_s.
+    Requires Rs beyond both the release annulus and the initial support."""
+    return SterileCap(lambda_bar / params.mu_s,
                       np.sqrt(params.mu_s / params.D), Rs, c)
 
 
@@ -414,17 +415,16 @@ def make_sterile_lower_bound_tail(params: ModelParams, lambda_bar: float,
 
 
 def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,
-                              R1: float = 4.0, C0: Optional[float] = None,
-                              mu: Optional[float] = None,
-                              eps: Optional[float] = None,
+                              R1: float = 4.0, eps: Optional[float] = None,
                               safety: float = 2.0) -> SupersolutionBundle:
     """Derive a full constant set from the construction's sufficient conditions.
 
-    Search order: shrink mu (then eps) until the drift conditions hold with
-    margin, compute C1 and C2 from the explicit bounds, u0 from the bistable
-    smallness condition, the bridge width L from the psi root, the outer
-    release radius R2 = r2 + (r1 - R1), and finally lambda_bar so the annulus
-    suppression inequality holds with the given safety factor.
+    Search order: C0 = max(E*, M*)/F*; shrink mu (then eps, unless given)
+    until the drift conditions hold with margin, compute C1 and C2 from the
+    explicit bounds, u0 from the bistable smallness condition, the bridge
+    width L from the psi root, the outer release radius R2 = r2 + (r1 - R1),
+    and finally lambda_bar so the annulus suppression inequality holds with
+    the given safety factor.
     """
     p = params
     if not isinstance(p.gamma_kind, Bistable):
@@ -433,18 +433,16 @@ def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,
     if eq.upper is None:
         raise ValueError("no positive equilibrium: nothing to block")
     E_star, M_star, F_star = eq.upper
-    if C0 is None:
-        C0 = max(E_star / F_star, M_star / F_star)
+    C0 = max(E_star / F_star, M_star / F_star)
     sd = np.sqrt(p.D)
     ct = c / sd
     cpt = (5.0 / 6.0) * ct
     ce = p.mu_E + p.nu_E
 
-    if mu is None:
-        mu = scale_until(
-            lambda m: (m / 4.0 + cpt * np.sqrt(m / 2.0) <= 0.5 * ce
-                       and m <= 0.5 * min(p.mu_F, p.mu_M)),
-            0.5 * min(p.mu_F, p.mu_M), 0.5, 1e-300)
+    mu = scale_until(
+        lambda m: (m / 4.0 + cpt * np.sqrt(m / 2.0) <= 0.5 * ce
+                   and m <= 0.5 * min(p.mu_F, p.mu_M)),
+        0.5 * min(p.mu_F, p.mu_M), 0.5, 1e-300)
     if eps is None:
         eps = scale_until(
             lambda e: ct * np.sqrt(e) <= 0.5 * ce and e <= 0.9 * min(p.mu_F, p.mu_M),

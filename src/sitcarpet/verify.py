@@ -43,13 +43,23 @@ from .supersolution import (
     SupersolutionBundle,
     assemble_Fbar,
     ebar_ode,
-    find_supersolution_bundle,
     make_sterile_lower_bound,
     sterile_upper_bound,
 )
 
 DT_FD = 1e-5
 EXCLUDE_CELLS = 4
+# Tolerances of the certificates, each relative to the check's own scale:
+# the sub- and super-solution residuals, the sterile-bound residuals and
+# the kink slope jumps
+RESIDUAL_TOL = 1e-6
+STERILE_TOL = 1e-8
+JUMP_TOL = 1e-7
+# One-sided difference step of `jump_check`
+JUMP_H = 1e-5
+# Times and nodes of the sterile cap and floor certificates
+STERILE_T_GRID = (0.5, 5.0, 15.0)
+STERILE_N_X = 3000
 
 
 @dataclass
@@ -91,8 +101,7 @@ def verify_inequality(field_fn: Callable, reaction_fn: Callable, sign: str,
                       x_grid: np.ndarray, t_grid: Iterable[float], *,
                       D: float, radial: bool,
                       interfaces: Optional[Callable] = None,
-                      exclude_cells: int = EXCLUDE_CELLS,
-                      tol: float = 1e-6, scale: float = 1.0,
+                      tol: float = RESIDUAL_TOL, scale: float = 1.0,
                       name: str = "residual") -> ResidualReport:
     """Sign-check the residual d_t u - D lap u - reaction over a grid.
 
@@ -115,7 +124,7 @@ def verify_inequality(field_fn: Callable, reaction_fn: Callable, sign: str,
         lap = _laplacian_1d(u, x, radial)
         resid = dudt - D * lap - np.asarray(reaction_fn(x, t, u), dtype=float)
         mask = _clear_of(x, [] if interfaces is None else interfaces(t),
-                         exclude_cells)
+                         EXCLUDE_CELLS)
         mask[:2] = False
         mask[-2:] = False
         if not mask.any():
@@ -136,7 +145,6 @@ def _clear_of(x: np.ndarray, points, cells: int) -> np.ndarray:
 
 
 def jump_check(field_fn: Callable, interface_x: float, t: float, sign: str, *,
-               h: float = 1e-5, tol: float = 1e-7,
                scale: float = 1.0, name: str = "jump") -> ResidualReport:
     """Kink admissibility at a radial interface.
 
@@ -144,15 +152,15 @@ def jump_check(field_fn: Callable, interface_x: float, t: float, sign: str, *,
     outward slope jump >= 0, a super-solution <= 0.
     """
     def one_sided(x0, direction):
-        xs = x0 + direction * h * np.arange(4.0)
+        xs = x0 + direction * JUMP_H * np.arange(4.0)
         u = np.asarray(field_fn(xs, t), dtype=float)
         return direction * (-11.0 * u[0] + 18.0 * u[1] - 9.0 * u[2]
-                            + 2.0 * u[3]) / (6.0 * h)
+                            + 2.0 * u[3]) / (6.0 * JUMP_H)
 
     jump = one_sided(interface_x, +1.0) - one_sided(interface_x, -1.0)
     violation = (-jump if sign == "sub" else jump) / scale
-    return ResidualReport(name, sign, float(violation), (interface_x, t), tol,
-                          violation <= tol, 1)
+    return ResidualReport(name, sign, float(violation), (interface_x, t),
+                          JUMP_TOL, violation <= JUMP_TOL, 1)
 
 
 @dataclass
@@ -207,47 +215,45 @@ class SubsolutionFields:
 
 
 def build_subsolution(params: ModelParams, c: float, lambda_bar: float,
-                      R2: float, Rs0: float = 0.0, Ms0_sup: float = 0.0,
-                      gamma: Optional[float] = None) -> SubsolutionFields:
+                      R2: float) -> SubsolutionFields:
     """Assemble the moving sub-solution for a release bounded by the annulus.
 
     The sterile field is capped by the translating plateau/skirt bound with
-    Rs beyond both the release annulus and the initial support; the shift R
-    is chosen so the cap lies below the eps-tail the female profile tolerates.
+    Rs = R2 + 1, beyond the release annulus and the initial sterile dose;
+    the shift R is chosen so the cap lies below the eps-tail the female
+    profile tolerates.
     """
-    if gamma is None:
-        gamma = params.gamma
-    p_gamma = params.with_gamma(gamma)
-    eq = solve_equilibria(p_gamma)
+    eq = solve_equilibria(params)
     if eq.upper is None:
         raise ValueError("no positive equilibrium for a sub-solution")
     F_star = eq.upper[2]
-    eps_gamma = find_eps0(p_gamma, gamma, F_star)
+    eps_gamma = find_eps0(params, F_star)
     if eps_gamma is None:
         raise ValueError("no admissible sterile tail amplitude (condition fails)")
-    F_prof = build_stationary_F(params, gamma=gamma, eps=eps_gamma)
+    F_prof = build_stationary_F(params, eps=eps_gamma)
     if F_prof is None:
         raise ValueError("no stationary profile in this regime")
-    M_prof = build_stationary_M(p_gamma, F_prof)
+    M_prof = build_stationary_M(params, F_prof)
 
-    Rs = max(R2, Rs0) + 1.0
-    cap = sterile_upper_bound(params, lambda_bar, c, Rs, Ms0_sup)
+    Rs = R2 + 1.0
+    cap = sterile_upper_bound(params, lambda_bar, c, Rs)
     R_shift = Rs + np.log(max(cap.height / eps_gamma, 1.0)) / cap.rate
-    return SubsolutionFields(p_gamma, c, R_shift, eps_gamma, F_prof, M_prof, cap)
+    return SubsolutionFields(params, c, R_shift, eps_gamma, F_prof, M_prof,
+                             cap)
 
 
-def verify_subsolution(sub: SubsolutionFields, t_grid=(1.0, 7.0, 19.0),
-                       far_span: float = 60.0,
-                       tol: float = 1e-6) -> CertificateReport:
+def verify_subsolution(sub: SubsolutionFields,
+                       t_grid=(1.0, 7.0, 19.0)) -> CertificateReport:
     """Residual signs for all four equations of the system, cone order.
 
-    E, M, F components must be sub-solutions (residual <= tol in scaled
-    units).  The diffusing fields are checked on the profiles' own nodes (the
-    stored values are integration-accurate there, so the finite-difference
-    residual is dominated by the inequality's true margin); beyond the
-    sampled range the fields are spatially constant and the reaction sign is
-    checked directly.  Kink admissibility at the moving interface is checked
-    through the one-sided slope jump.
+    E, M, F components must be sub-solutions (residual <= RESIDUAL_TOL in
+    scaled units).  The diffusing fields are checked on the profiles' own
+    nodes (the stored values are integration-accurate there, so the
+    finite-difference residual is dominated by the inequality's true
+    margin); beyond the sampled range, up to 60 length units out, the fields
+    are spatially constant and the reaction sign is checked directly.  Kink
+    admissibility at the moving interface is checked through the one-sided
+    slope jump.
     """
     p = sub.params
     eq = solve_equilibria(p)
@@ -276,8 +282,8 @@ def verify_subsolution(sub: SubsolutionFields, t_grid=(1.0, 7.0, 19.0),
         for w, fld, D, scale in equations:
             reports.append(verify_inequality(
                 fld, lambda x, tt, u, w=w: react(x, tt, w), "sub", xg, [t],
-                D=D, radial=True, interfaces=interfaces,
-                tol=tol, scale=scale, name=f"{w} residual t={t:g}"))
+                D=D, radial=True, interfaces=interfaces, scale=scale,
+                name=f"{w} residual t={t:g}"))
         for fld, nm in ((sub.M, "M"), (sub.F, "F")):
             reports.append(jump_check(
                 lambda x, tt, f=fld: f(x, tt), sub.c * t + sub.R_shift, t,
@@ -286,42 +292,40 @@ def verify_subsolution(sub: SubsolutionFields, t_grid=(1.0, 7.0, 19.0),
 
         # beyond the sampled profiles both fields are constant in space, so
         # the sub-solution inequality reduces to reaction nonnegativity
-        x_far = xg[-1] + np.linspace(0.5, far_span, 200)
+        x_far = xg[-1] + np.linspace(0.5, 60.0, 200)
         worst = -np.inf
         for which, scale in (("M", p.mu_M * M_star), ("F", p.mu_F * F_star)):
             v = float(np.max(-react(x_far, t, which) / scale))
             worst = max(worst, v)
         reports.append(ResidualReport(
-            f"far-plateau reaction t={t:g}", "sub", worst, None, tol,
-            worst <= tol, 2 * x_far.size))
+            f"far-plateau reaction t={t:g}", "sub", worst, None,
+            RESIDUAL_TOL, worst <= RESIDUAL_TOL, 2 * x_far.size))
     return _collect("subsolution", reports)
 
 
 def verify_sterile_cap(params: ModelParams, lambda_bar: float, c: float,
-                       R1: float, R2: float, Rs: float, Ms0_sup: float = 0.0,
-                       t_grid=(0.5, 5.0, 15.0), n_x: int = 3000,
-                       tol: float = 1e-8) -> CertificateReport:
+                       R1: float, R2: float, Rs: float) -> CertificateReport:
     """The translating plateau/skirt dominates the annulus release equation."""
-    cap = sterile_upper_bound(params, lambda_bar, c, Rs, Ms0_sup)
+    cap = sterile_upper_bound(params, lambda_bar, c, Rs)
     release = ReleaseSchedule("annulus", lambda_bar, R1, R2, c)
 
     def react(x, t, u):
         return release_value(release, x, t) - params.mu_s * u
 
     reports = []
-    for t in t_grid:
-        xg = np.linspace(max(Rs + c * t - 15.0, 1e-3), Rs + c * t + 25.0, n_x)
+    for t in STERILE_T_GRID:
+        xg = np.linspace(max(Rs + c * t - 15.0, 1e-3), Rs + c * t + 25.0,
+                         STERILE_N_X)
         reports.append(verify_inequality(
             cap, react, "super", xg, [t], D=params.D, radial=True,
-            interfaces=lambda tt: [Rs + c * tt], tol=tol,
+            interfaces=lambda tt: [Rs + c * tt], tol=STERILE_TOL,
             scale=params.mu_s * cap.height, name=f"sterile cap residual t={t:g}"))
         reports.append(jump_check(cap, Rs + c * t, t, "super", scale=cap.height,
                                   name=f"sterile cap kink t={t:g}"))
     return _collect("sterile-upper-bound", reports)
 
 
-def verify_sterile_floor(profile: SterileBoundProfile, t_grid=(0.5, 5.0, 15.0),
-                         n_x: int = 3000, tol: float = 1e-8) -> CertificateReport:
+def verify_sterile_floor(profile: SterileBoundProfile) -> CertificateReport:
     """The translating floor is a sub-solution of the release equation."""
     p = profile.params
     s = profile
@@ -337,10 +341,10 @@ def verify_sterile_floor(profile: SterileBoundProfile, t_grid=(0.5, 5.0, 15.0),
         return release_value(release, x, t) - p.mu_s * u
 
     reports = []
-    for t in t_grid:
+    for t in STERILE_T_GRID:
         lo = max(s.R1 + s.c * t - 10.0, 1e-3)
         hi = s.R2 + s.c * t + 15.0
-        xg = np.linspace(lo, hi, n_x)
+        xg = np.linspace(lo, hi, STERILE_N_X)
 
         def interfaces(tt):
             pts = [s.r1 + s.c * tt, s.r2 + s.c * tt]
@@ -350,7 +354,7 @@ def verify_sterile_floor(profile: SterileBoundProfile, t_grid=(0.5, 5.0, 15.0),
 
         reports.append(verify_inequality(
             profile, react, "sub", xg, [t], D=p.D, radial=True,
-            interfaces=interfaces, tol=tol, scale=s.lambda_bar,
+            interfaces=interfaces, tol=STERILE_TOL, scale=s.lambda_bar,
             name=f"sterile floor residual t={t:g}"))
     if s.kind == "lower_annulus_tail":
         # C0/C1 matching at the two joints, from the analytic piece formulas
@@ -374,8 +378,7 @@ def verify_sterile_floor(profile: SterileBoundProfile, t_grid=(0.5, 5.0, 15.0),
 # ---------------------------------------------------------------------------
 
 def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
-                         n_x: int = 1200, n_t: int = 5,
-                         tol: float = 1e-6) -> CertificateReport:
+                         n_x: int = 1200) -> CertificateReport:
     """Certify the moving-cap construction.
 
     Checks, on one radial grid and a space-time grid: (1) the damped-heat
@@ -391,7 +394,7 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
     reports = []
     grid = Grid.radial(bundle.r2 + bundle.c * t_end + 12.0, n_x)
     x = grid.x
-    t_grid = np.linspace(0.3 * t_end, t_end, n_t)
+    t_grid = np.linspace(0.3 * t_end, t_end, 5)
     damping = np.array([bundle.mu / 4.0, bundle.mu, bundle.eps, 0.0])
 
     def g_fn(x, t):
@@ -402,7 +405,7 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
 
     reports.append(verify_inequality(
         Fbar, lambda x, t, u: -g_fn(x, t) * u, "super", x[1:], t_grid,
-        D=p.D, radial=True, interfaces=bundle.interfaces, tol=tol,
+        D=p.D, radial=True, interfaces=bundle.interfaces,
         scale=p.mu_F * bundle.F_star, name="Fbar damped-heat residual"))
     for t in t_grid:
         for xi, nm in zip(bundle.interfaces(t)[1:], ("r1+ct", "r2+ct")):
@@ -437,7 +440,8 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
         cap = bundle.C1 * Fbar(x, times[rows])
         worst_E = max(worst_E, float(np.max((Eb[rows] - cap) / cap)))
     reports.append(ResidualReport("Ebar <= C1 Fbar", "super", worst_E, None,
-                                  tol, worst_E <= tol, Eb.size))
+                                  RESIDUAL_TOL, worst_E <= RESIDUAL_TOL,
+                                  Eb.size))
 
     # (3) Mbar bound: solve the male equation with the Ebar source
     # (implicit diffusion and decay, explicit source; unconditionally stable),
@@ -460,7 +464,8 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
             worst_M = max(worst_M, float(np.max((Mb - cap) / cap)))
             checked_M += Mb.size
     reports.append(ResidualReport("Mbar <= C2 Fbar", "super", worst_M, None,
-                                  tol, worst_M <= tol, checked_M))
+                                  RESIDUAL_TOL, worst_M <= RESIDUAL_TOL,
+                                  checked_M))
 
     # (4) reaction-side inequality with worst-case bounds
     floor = make_sterile_lower_bound(p, bundle.lambda_bar, bundle.c,
@@ -483,13 +488,6 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
             worst_R = float(v[k])
             loc_R = (float(x[mask][k]), float(t))
     reports.append(ResidualReport("female reaction cap", "sub", worst_R,
-                                  loc_R, tol, worst_R <= tol, checked_R))
+                                  loc_R, RESIDUAL_TOL, worst_R <= RESIDUAL_TOL,
+                                  checked_R))
     return _collect("supersolution", reports)
-
-
-def supersolution_certificate(params: ModelParams, c: float,
-                              **kwargs) -> tuple[SupersolutionBundle,
-                                                 CertificateReport]:
-    """Documented constant search: derive the bundle, then verify it."""
-    bundle = find_supersolution_bundle(params, c, **kwargs)
-    return bundle, verify_supersolution(bundle)

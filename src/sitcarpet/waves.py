@@ -111,12 +111,11 @@ def front_trace(traj: Trajectory, level: Optional[float] = None) -> FrontTrace:
     return FrontTrace(traj.times.copy(), pos, mult)
 
 
-def estimate_speed(trace: FrontTrace, window: Optional[float] = None,
-                   min_samples: int = 10) -> Optional[SpeedEstimate]:
-    """Least-squares slope of position vs time over the trailing window.
+def estimate_speed(trace: FrontTrace) -> Optional[SpeedEstimate]:
+    """Least-squares slope of position vs time after the transient.
 
     The first 20% of samples are discarded as transient; None when fewer
-    than min_samples remain.
+    than 10 remain.
     """
     tr = trace.valid()
     n = tr.times.size
@@ -125,10 +124,7 @@ def estimate_speed(trace: FrontTrace, window: Optional[float] = None,
     k0 = int(np.ceil(0.2 * n))
     t = tr.times[k0:]
     p = tr.positions[k0:]
-    if window is not None and t.size:
-        keep = t >= t[-1] - window
-        t, p = t[keep], p[keep]
-    if t.size < min_samples:
+    if t.size < 10:
         return None
     A = np.column_stack([t - t.mean(), np.ones_like(t)])
     coef, *_ = np.linalg.lstsq(A, p, rcond=None)
@@ -287,11 +283,3 @@ def cost_exponent(schedule: ReleaseSchedule, T_grid) -> float:
     if np.any(totals <= 0):
         raise ValueError("cost exponent needs positive totals")
     return float(np.polyfit(np.log(T_grid), np.log(totals), 1)[0])
-
-
-def sterile_cost_report(schedule: ReleaseSchedule, T_grid) -> dict:
-    T_grid = list(T_grid)
-    return {
-        "totals": {T: sterile_cost(schedule, T) for T in T_grid},
-        "exponent": cost_exponent(schedule, T_grid),
-    }

@@ -44,14 +44,15 @@ from sitcarpet.solver import (
     run,
 )
 from sitcarpet.supersolution import (
+    find_supersolution_bundle,
     make_sterile_lower_bound,
     make_sterile_lower_bound_tail,
 )
 from sitcarpet.verify import (
-    supersolution_certificate,
     verify_sterile_cap,
     verify_sterile_floor,
     verify_subsolution,
+    verify_supersolution,
 )
 from sitcarpet.solver import release_value
 from sitcarpet.waves import (
@@ -313,8 +314,8 @@ def test_criterion_09_certificates(p05, rng, subsolution_05):
     details.append(f"(b) sub-solution residuals <= 1e-6: worst {worst_b:.2e}")
 
     # (c) super-solution bundle from the documented constant search
-    bundle, rep_c = supersolution_certificate(
-        p05, c=CARPET_C, safety=1.5, eps=0.08)
+    bundle = find_supersolution_bundle(p05, c=CARPET_C, safety=1.5, eps=0.08)
+    rep_c = verify_supersolution(bundle)
     details.append(f"(c) super-solution bundle: "
                    f"{'pass' if rep_c.passed else 'FAIL'} "
                    f"(lambda_bar={bundle.lambda_bar:.3e}, L={bundle.L:.2f})")

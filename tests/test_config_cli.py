@@ -192,6 +192,13 @@ class TestCli:
         rc, err = self._simulate_fig1_with(tmp_path, capsys, key, value)
         assert rc == 2 and key.split(".")[1] in err
 
+    @pytest.mark.parametrize("dt,code", [(1.0, 0), (1.5, 2)])
+    def test_given_dt_is_bounded_by_4_DT(self, tmp_path, capsys, dt, code):
+        # a coarser step gives a plausible wrong verdict, so it is refused
+        rc, err = self._simulate_fig1_with(tmp_path, capsys, "run.dt", dt)
+        assert rc == code
+        assert ("run.dt = 1.5 exceeds 1.0" in err) == (code == 2)
+
     def test_unknown_boundary_exits_2(self, tmp_path, capsys):
         rc, err = self._simulate_fig1_with(tmp_path, capsys, "run.boundary",
                                            "periodic")
@@ -341,6 +348,56 @@ class TestCli:
         assert "config error" in err and "'abc'" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("level", ["nan", "-5", "1e9", "inf"])
+    def test_level_outside_0_to_F_star_exits_2(self, tmp_path, capsys,
+                                                level):
+        # such a level is never crossed: the verdict would be a silent
+        # Indeterminate with no speed
+        out = tmp_path / "out"
+        sweep = ["sweep", "--axis", "model.gamma", "--values", "0.5,1.0"]
+        for argv in (["simulate"], sweep):
+            rc = main(argv + ["--preset", "fig1", f"--level={level}",
+                              "--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc == 2 and "--level" in err and "F* = 77.4" in err
+        assert not out.exists()
+
+    def test_sweep_pool_is_never_larger_than_the_rows(
+            self, tmp_path, capsys, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                return map(fn, payloads)
+
+        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+        cfg = preset("fig1")
+        cfg.run["t_end"] = 5.0
+        path = tmp_path / "quick.cfg"
+        path.write_text(cfg.to_text())
+
+        def sweep(values, workers):
+            return main(["sweep", "--config", str(path), "--axis",
+                         "model.gamma", "--values", values, "--workers",
+                         workers, "--out", str(tmp_path / "out")])
+
+        assert sweep("0.5,1.0", "1000") == 0
+        assert sweep("0.5", "1000") == 0
+        assert sizes == [2]  # one row runs with no pool at all
+        for workers in ("0", "-1"):
+            assert sweep("0.5,1.0", workers) == 2
+            assert "--workers must be >= 1" in capsys.readouterr().err
+        assert sizes == [2]
+
     def test_sweep_row_config_error_exits_2_before_any_run(
             self, tmp_path, capsys, monkeypatch):
         # c = 0 is a config error for a moving release: every row is built
@@ -428,27 +485,45 @@ class TestCli:
         assert float(outcome["diag.filled_fraction_final"]) == \
             float(np.mean(snaps[-1, :, 4] > 0.0))
 
-    def test_cost_table(self, capsys, tmp_path):
-        rc = main(["cost", "--preset", "carpet", "--out", str(tmp_path),
+    def test_cost_table(self, capsys):
+        rc = main(["cost", "--preset", "carpet",
                    "--horizons", "10,100,1000,10000"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "naive-disc" in out and "annulus" in out
 
-    def test_verify_sterile_bounds(self, tmp_path, capsys):
+    @pytest.mark.parametrize("horizons", ["abc", "0,10", "-1,10", "nan,10",
+                                          "10", "10,10"])
+    def test_cost_needs_two_distinct_positive_horizons(self, capsys,
+                                                       horizons):
+        rc = main(["cost", "--preset", "carpet", f"--horizons={horizons}"])
+        captured = capsys.readouterr()
+        assert rc == 2 and "--horizons" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command,flag", [
+        ("analyze", "--level"), ("verify", "--level"), ("verify", "--out"),
+        ("cost", "--level"), ("cost", "--out")])
+    def test_flag_a_command_never_reads_is_rejected(self, capsys, command,
+                                                    flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--preset", "carpet", flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_verify_sterile_bounds(self, capsys):
         rc = main(["verify", "--preset", "carpet", "--which",
-                   "sterile-bounds", "--out", str(tmp_path)])
+                   "sterile-bounds"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
     @pytest.mark.parametrize("which", ["all", "subsolution", "supersolution",
                                        "sterile-bounds"])
-    def test_verify_hetero_K(self, tmp_path, capsys, which):
+    def test_verify_hetero_K(self, capsys, which):
         # the sub- and super-solution certificates need a scalar K, so a
         # heterogeneous K(x) is a config error; the sterile bounds run
-        rc = main(["verify", "--preset", "carpet-hetero", "--which", which,
-                   "--out", str(tmp_path)])
+        rc = main(["verify", "--preset", "carpet-hetero", "--which", which])
         captured = capsys.readouterr()
         if which == "sterile-bounds":
             assert rc == 0
@@ -488,10 +563,9 @@ def _certificate_structure() -> list[str]:
     return lines
 
 
-def test_verify_all_keeps_every_check(tmp_path, capsys):
+def test_verify_all_keeps_every_check(capsys):
     # a refactor of the certificates must not drop, reorder or fail a check
-    rc = main(["verify", "--preset", "carpet", "--which", "all",
-               "--out", str(tmp_path)])
+    rc = main(["verify", "--preset", "carpet", "--which", "all"])
     assert rc == 0
     first, *lines = capsys.readouterr().out.splitlines()
     assert first.startswith("bundle constants:")

@@ -219,13 +219,6 @@ def test_potential_G_basics(p05, eq05):
     assert potential_G(mono, None, Fs_m, Fs_m) > 0
 
 
-def test_potential_G_quadrature_convergence(p05, eq05):
-    Fs = eq05.upper[2]
-    g1 = potential_G(p05, 0.5, Fs, Fs, panels=4096)
-    g2 = potential_G(p05, 0.5, Fs, Fs, panels=8192)
-    assert abs(g1 - g2) < 1e-8 * abs(g2)
-
-
 def test_potential_G_against_adaptive_quadrature(p05, eq05):
     Fs = eq05.upper[2]
     for F_hi, eps in ((Fs, None), (0.6 * Fs, None), (Fs, 1e-3)):
@@ -245,11 +238,3 @@ def test_gamma0_brackets_sign_change(p05, eq05):
     rep = thresholds(p05)
     assert g0 > rep.gamma_c
 
-
-def test_gamma0_self_consistent_variant(p05):
-    g0 = solve_gamma_0(p05, freeze_equilibrium=False)
-    rep = thresholds(p05)
-    assert rep.gamma_c < g0 < rep.gamma_0
-    eqs = solve_equilibria(p05.with_gamma(g0 * 1.01))
-    assert potential_G(p05.with_gamma(g0 * 1.01), g0 * 1.01,
-                       eqs.upper[2], eqs.upper[2]) > 0

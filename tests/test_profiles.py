@@ -132,9 +132,9 @@ class TestStationaryProfiles:
         assert prof.limit > 0.6 * Fs
 
     def test_find_eps0(self, p05, eq05):
-        e0 = find_eps0(p05, 0.5, eq05.upper[2])
+        e0 = find_eps0(p05, eq05.upper[2])
         assert e0 is not None and e0 > 0
-        assert find_eps0(table1_params(0.01), 0.01,
+        assert find_eps0(table1_params(0.01),
                          solve_equilibria(table1_params(0.01)).upper[2]) is None
 
     def test_M_limit_closed_form(self, p05, M_prof, F_prof):
@@ -167,10 +167,3 @@ class TestStationaryProfiles:
         M = build_stationary_M(p05, flat)
         assert np.allclose(M.values, 0.0, atol=1e-12)
         assert M.limit == 0.0
-
-    def test_csv_export(self, F_prof, tmp_path):
-        path = tmp_path / "prof.csv"
-        F_prof.to_csv(path)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.allclose(data[:, 0], F_prof.grid)
-        assert np.allclose(data[:, 1], F_prof.values)

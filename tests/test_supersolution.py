@@ -185,7 +185,7 @@ def test_ebar_tracks_slaved_level_in_core(bundle, p05):
 
 
 def test_sterile_upper_bound_shape(p05):
-    cap = sterile_upper_bound(p05, 500.0, 0.1, 20.0, 0.0)
+    cap = sterile_upper_bound(p05, 500.0, 0.1, 20.0)
     amp = 500.0 / p05.mu_s
     t = 7.0
     edge = 20.0 + 0.1 * t

@@ -15,7 +15,6 @@ from sitcarpet.supersolution import (
 )
 from sitcarpet.verify import (
     jump_check,
-    supersolution_certificate,
     verify_inequality,
     verify_sterile_cap,
     verify_sterile_floor,
@@ -93,7 +92,7 @@ def test_sterile_floor_certificates(p05):
 
 
 def test_supersolution_certificate(p05):
-    bundle, rep = supersolution_certificate(p05, c=0.05)
+    rep = verify_supersolution(find_supersolution_bundle(p05, c=0.05))
     assert rep.passed, str(rep)
 
 
