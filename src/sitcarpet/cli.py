@@ -28,11 +28,14 @@ import numpy as np
 from . import equilibria as eq_mod
 from .config import (ConfigError, PRESET_NAMES, ScenarioConfig, check_key,
                      preset)
-from .solver import ReleaseSchedule, Scenario, SolverError, run
+from .solver import (ReleaseSchedule, Scenario, SolverError, batch_key,
+                     run, run_batch)
 from .supersolution import (find_supersolution_bundle,
                             make_sterile_lower_bound,
                             make_sterile_lower_bound_tail)
 from .verify import (
+    CertificateReport,
+    SubsolutionUnavailable,
     build_subsolution,
     verify_sterile_cap,
     verify_sterile_floor,
@@ -45,6 +48,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
+# The most sweep rows one batch advances together.  The step's cost per
+# member levels off after a few members (on fig1, about 115, 80, 70 and
+# 65 us at 1, 2, 4 and 8), while a batch holds every member's snapshots
+# until it ends, so a long sweep runs in batches of this size.
+SWEEP_BATCH_ROWS = 8
 
 
 def _load_config(args) -> ScenarioConfig:
@@ -213,9 +221,14 @@ def cmd_verify(args) -> int:
                           f"config has a heterogeneous K(x) (--which "
                           f"sterile-bounds works)")
     if which in ("subsolution", "all"):
-        sub = build_subsolution(params, c=c, lambda_bar=lam,
-                                R2=max(sched.R2, 1.0))
-        reports.append(verify_subsolution(sub))
+        try:
+            sub = build_subsolution(params, c=c, lambda_bar=lam,
+                                    R2=max(sched.R2, 1.0))
+        except SubsolutionUnavailable as e:  # a failed check, not a crash
+            reports.append(CertificateReport("subsolution", [], False,
+                                             unbuilt=str(e)))
+        else:
+            reports.append(verify_subsolution(sub))
     if which in ("supersolution", "all"):
         bundle = find_supersolution_bundle(params, c=c)
         print(f"bundle constants: mu={bundle.mu:g} eps={bundle.eps:g} "
@@ -244,11 +257,39 @@ def _row_config(cfg_text: str, axis: str, value: float) -> ScenarioConfig:
     return cfg
 
 
-def _sweep_one(payload):
-    cfg_text, axis, value, level = payload
-    scenario = _row_config(cfg_text, axis, value).scenario()
-    outcome = classify(run(scenario), level=level)
-    return (value, outcome.kind, outcome.speed)
+def _run_rows(scenarios) -> list:
+    """Each scenario's Trajectory, or the exception that stopped it: as one
+    batch, or one by one if the batch fails, so only failing rows fail."""
+    try:
+        return run_batch(scenarios)
+    except Exception as e:  # recorded per row, reported in the exit code
+        if len(scenarios) == 1:
+            return [e]
+        return [_run_rows([sc])[0] for sc in scenarios]
+
+
+def _sweep_share(payload) -> list:
+    """One worker's share of the rows, in order: (value, outcome, speed) or
+    an error message per row.  Rows with equal `batch_key` run as batches
+    of up to SWEEP_BATCH_ROWS."""
+    cfg_text, axis, values, level = payload
+    scenarios = [_row_config(cfg_text, axis, v).scenario() for v in values]
+    compatible: dict = {}
+    for i, sc in enumerate(scenarios):
+        compatible.setdefault(batch_key(sc), []).append(i)
+    batches = [rows[k:k + SWEEP_BATCH_ROWS] for rows in compatible.values()
+               for k in range(0, len(rows), SWEEP_BATCH_ROWS)]
+    results = [None] * len(values)
+    for rows in batches:
+        for i, traj in zip(rows, _run_rows([scenarios[i] for i in rows])):
+            try:
+                if isinstance(traj, Exception):
+                    raise traj
+                outcome = classify(traj, level=level)
+                results[i] = (values[i], outcome.kind, outcome.speed)
+            except Exception as e:  # reported per row and in the exit code
+                results[i] = f"{type(e).__name__}: {e}"
+    return results
 
 
 def cmd_sweep(args) -> int:
@@ -272,18 +313,22 @@ def cmd_sweep(args) -> int:
             _check_level(args.level, scenario)
         except (ConfigError, eq_mod.ParameterRangeError) as e:
             raise ConfigError(f"{args.axis} = {v!r}: {e}") from None
-    payloads = [(cfg_text, args.axis, v, args.level) for v in values]
-    failures = []
-    rows = []
-    # a fork-started pool launches every worker up front, so it is never
-    # larger than the number of rows
+    # each worker takes a near-equal run of consecutive rows; a fork-started
+    # pool launches every worker up front, so it is never larger than the
+    # number of rows
     workers = min(args.workers, len(values))
+    q, r = divmod(len(values), workers)
+    cuts = [i * q + min(i, r) for i in range(workers + 1)]
+    payloads = [(cfg_text, args.axis, values[a:b], args.level)
+                for a, b in zip(cuts, cuts[1:])]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_sweep_one_safe, payloads))
+            shares = list(ex.map(_sweep_share, payloads))
     else:
-        results = list(map(_sweep_one_safe, payloads))
-    for v, res in zip(values, results):
+        shares = [_sweep_share(payloads[0])]
+    failures = []
+    rows = []
+    for v, res in zip(values, (res for share in shares for res in share)):
         if isinstance(res, str):
             failures.append((v, res))
         else:
@@ -302,13 +347,6 @@ def cmd_sweep(args) -> int:
         for v, kind, speed in rows:
             fh.write(f"{v!r},{kind},{speed!r}\n")
     return EXIT_OK if not failures else EXIT_SOLVER
-
-
-def _sweep_one_safe(payload):
-    try:
-        return _sweep_one(payload)
-    except Exception as e:  # recorded per-row, reported in the exit code
-        return f"{type(e).__name__}: {e}"
 
 
 def cmd_cost(args) -> int:
@@ -335,10 +373,22 @@ def cmd_cost(args) -> int:
         "annulus-tail": ReleaseSchedule(kind="annulus_tail", lambda_bar=lam,
                                         R1=R1, R2=R2, c=c, eta=eta),
     }
-    print(f"{'strategy':>14}  {'exponent':>9}  totals")
+    # every total before anything is printed: a horizon whose total
+    # overflows a double is a config error with empty output
+    table = []
     for name, s in strategies.items():
-        totals = "  ".join(f"T={T:g}:{sterile_cost(s, T):.4g}" for T in T_grid)
-        print(f"{name:>14}  {cost_exponent(s, T_grid):>9.4f}  {totals}")
+        try:
+            totals = [sterile_cost(s, T) for T in T_grid]
+        except OverflowError:
+            totals = [math.inf]
+        if not all(math.isfinite(v) for v in totals):
+            raise ConfigError(f"cost --horizons {args.horizons}: the "
+                              f"{name} total overflows a double")
+        table.append((name, cost_exponent(s, T_grid), totals))
+    print(f"{'strategy':>14}  {'exponent':>9}  totals")
+    for name, exponent, totals in table:
+        cells = "  ".join(f"T={T:g}:{v:.4g}" for T, v in zip(T_grid, totals))
+        print(f"{name:>14}  {exponent:>9.4f}  {cells}")
     return EXIT_OK
 
 

@@ -24,7 +24,7 @@ The slaved relations E(F) and M(E) (egg and male equations at rest) live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -88,6 +88,10 @@ class ModelParams:
     D: float
     gamma_kind: GammaKind
     gamma_s: float = 1.0
+    # derived rates, set from the fields above; the kinetics read them
+    egg_loss: float = field(init=False, repr=False, compare=False)
+    male_recruitment: float = field(init=False, repr=False, compare=False)
+    female_recruitment: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("b", "nu_E", "mu_E", "mu_M", "mu_F", "mu_s", "D"):
@@ -101,6 +105,12 @@ class ModelParams:
                              f"{self.gamma_s}")
         if not callable(self.K) and not 0 < self.K < math.inf:
             raise ValueError(f"K must be finite and > 0, got {self.K}")
+        # mu_E + nu_E, the egg loss rate without crowding; (1 - rho) nu_E
+        # and rho nu_E, the males and (unmated) females emerging per egg
+        for name, v in (("egg_loss", self.mu_E + self.nu_E),
+                        ("male_recruitment", (1.0 - self.rho) * self.nu_E),
+                        ("female_recruitment", self.rho * self.nu_E)):
+            object.__setattr__(self, name, v)
 
     def K_at(self, x) -> np.ndarray:
         """Carrying capacity at position(s) x (scalar K broadcasts)."""
@@ -137,6 +147,36 @@ class ModelParams:
         return replace(self, gamma_kind=kind)
 
 
+class RateRows(NamedTuple):
+    """The rates of S parameter sets as (S, n) rows, one per set, for
+    kinetics on (S, n) states: `reaction_arrays` reads them as it reads one
+    ModelParams, so each row gets the same floating-point operations as
+    alone.  `gamma` is None when every set is monostable."""
+
+    b: np.ndarray
+    gamma_s: np.ndarray
+    mu_M: np.ndarray
+    mu_F: np.ndarray
+    mu_s: np.ndarray
+    egg_loss: np.ndarray
+    male_recruitment: np.ndarray
+    female_recruitment: np.ndarray
+    gamma: np.ndarray | None
+
+    @classmethod
+    def of(cls, params_list, n: int) -> "RateRows":
+        """The rows of `params_list` on n nodes: all monostable or all
+        bistable.  Full rows, not (S, 1) columns: numpy is faster on equal
+        shapes than broadcasting a column."""
+        def rows(name):
+            return np.repeat(np.array([[getattr(p, name)]
+                                       for p in params_list]), n, axis=1)
+
+        return cls(*map(rows, cls._fields[:-1]),
+                   gamma=None if params_list[0].gamma is None
+                   else rows("gamma"))
+
+
 def gamma_fn(kind: GammaKind, m):
     """Mate-finding factor Gamma evaluated at total male density m >= 0."""
     m = np.asarray(m, dtype=float)
@@ -159,14 +199,14 @@ def gamma_fn_prime(kind: GammaKind, m):
     return out if out.ndim else float(out)
 
 
-def mating_factor(params: ModelParams, M, Ms):
+def mating_factor(params: ModelParams | RateRows, M, Ms):
     """M/(M + gamma_s Ms) * Gamma(M + gamma_s Ms), 0 at M = Ms = 0."""
     M = np.asarray(M, dtype=float)
     Ms = np.asarray(Ms, dtype=float)
     P = M + params.gamma_s * Ms
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(P > 0, M / np.where(P > 0, P, 1.0), 0.0)
-    out = frac * gamma_fn(params.gamma_kind, np.maximum(P, 0.0))
+    out = np.divide(M, P, out=np.zeros_like(P), where=P > 0)
+    if params.gamma is not None:  # P < 0 only off the invariant region
+        out *= -np.expm1(-params.gamma * np.maximum(P, 0.0))
     return out if out.ndim else float(out)
 
 
@@ -185,19 +225,22 @@ def slaved_E(params: ModelParams, F, K=None):
 
 def slaved_M(params: ModelParams, E):
     """Male density slaved to E: M = (1 - rho) nu_E E / mu_M."""
-    return (1.0 - params.rho) * params.nu_E * E / params.mu_M
+    return params.male_recruitment * E / params.mu_M
 
 
-def egg_rate(params: ModelParams, E, F, K):
+def egg_rate(params: ModelParams | RateRows, E, F, K):
     """Egg rate b F (1 - E/K) - (mu_E + nu_E) E; K already sampled."""
-    return params.b * F * (1.0 - E / K) - (params.mu_E + params.nu_E) * E
+    return params.b * F * (1.0 - E / K) - params.egg_loss * E
 
 
-def reaction_arrays(params: ModelParams, E, M, F, Ms, lam, K):
-    """Vectorized kinetics; K is the (already sampled) carrying capacity."""
+def reaction_arrays(params: ModelParams | RateRows, E, M, F, Ms, lam, K):
+    """Vectorized kinetics; K is the (already sampled) carrying capacity.
+
+    With RateRows, E, M, F, Ms and K are (S, n) and lam (n,) or (S, n)."""
     fE = egg_rate(params, E, F, K)
-    fM = (1.0 - params.rho) * params.nu_E * E - params.mu_M * M
-    fF = params.rho * params.nu_E * E * mating_factor(params, M, Ms) - params.mu_F * F
+    fM = params.male_recruitment * E - params.mu_M * M
+    fF = (params.female_recruitment * E * mating_factor(params, M, Ms)
+          - params.mu_F * F)
     fs = lam - params.mu_s * Ms
     return fE, fM, fF, fs
 
@@ -248,9 +291,10 @@ def jacobian_ode(params: ModelParams, s: StatePoint, x: float = 0.0) -> np.ndarr
     """
     K = float(params.K_at(x))
     g, dg = _mating_and_dM(params, s.M, s.Ms)
-    ce = params.mu_E + params.nu_E
+    rF = params.female_recruitment
     return np.array([
-        [-params.b * s.F / K - ce, 0.0, params.b * (1.0 - s.E / K)],
-        [(1.0 - params.rho) * params.nu_E, -params.mu_M, 0.0],
-        [params.rho * params.nu_E * g, params.rho * params.nu_E * s.E * dg, -params.mu_F],
+        [-params.b * s.F / K - params.egg_loss, 0.0,
+         params.b * (1.0 - s.E / K)],
+        [params.male_recruitment, -params.mu_M, 0.0],
+        [rF * g, rF * s.E * dg, -params.mu_F],
     ])

@@ -45,14 +45,26 @@ counted, and a relative undershoot above CLAMP_FAIL_THRESHOLD raises
 `SolverError`.
 
 A run keeps one dt, t_end / n_steps, so the three diffusing fields share one
-matrix for the whole run.  `run` LU-factors it once (LAPACK dgttrf, partial
-pivoting) and each step solves the three right-hand sides together, stacked
-as the columns of one array, with a single dgttrs call: the same elimination,
-in the same order, as the per-field gtsv solves of
-`scipy.linalg.solve_banded`.  A non-finite right-hand side (a NaN or inf that
-reached the state) raises `SolverError` instead of being solved.  Snapshots
-are taken at the initial state, at the first step at or after each multiple
-of `Scenario.snapshot_dt`, and at the final step.
+matrix for the whole run.  It is LU-factored once (LAPACK dgttrf, partial
+pivoting) and each step solves all right-hand sides together, stacked as the
+columns of one array, with a single dgttrs call: the same elimination, in
+the same order, as the per-field gtsv solves of `scipy.linalg.solve_banded`.
+A non-finite right-hand side (a NaN or inf that reached the state) raises
+`SolverError` instead of being solved.  Snapshots are taken at the initial
+state, at the first step at or after each multiple of
+`Scenario.snapshot_dt`, and at the final step.
+
+Batches.  `run_batch` advances S scenarios that share the grid, D,
+boundary, dt, t_end, snapshot_dt and Gamma kind (`batch_key`) as one
+(S, n) state, one row per member; `run` is the batch of one.  Their rates
+differ per member and K may too: `Batch` builds them once per run as
+(S, n) rows, with each h(mu_u) factor, the LU factors and the release
+schedules.  A step makes one `reaction_arrays` call on the whole
+state, and the 3S right-hand sides (M, F, Ms of each member) go to one
+dgttrs call.  Every operation of the step is elementwise within a member's
+row and the solve works column by column, so the proof above holds per
+member, and each member's arrays are bit for bit those of its own run.
+Clamp counts, scales and the `SolverError` threshold are per member too.
 
 The radial Laplacian is u'' + u'/r with the r = 0 node closed by symmetry
 (limit 2 u''(0)); boundaries are homogeneous Neumann by default with an
@@ -73,7 +85,8 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .equilibria import solve_equilibria
-from .model import ModelParams, reaction_arrays, slaved_E, slaved_M
+from .model import (ModelParams, RateRows, reaction_arrays, slaved_E,
+                    slaved_M)
 
 CLAMP_COUNT_THRESHOLD = 1e-12
 CLAMP_FAIL_THRESHOLD = 1e-9
@@ -145,15 +158,14 @@ def _node_count(n: int) -> int:
 
 @dataclass
 class SimState:
+    """The fields at time t: (n,) arrays, or (S, n) with a row per member of
+    a batch."""
+
     t: float
     E: np.ndarray
     M: np.ndarray
     F: np.ndarray
     Ms: np.ndarray
-
-    def copy(self) -> "SimState":
-        return SimState(self.t, self.E.copy(), self.M.copy(),
-                        self.F.copy(), self.Ms.copy())
 
 
 MOVING_KINDS = ("annulus", "annulus_tail", "disc")
@@ -379,56 +391,109 @@ class ClampStats:
     worst_rel: float = 0.0
 
 
-def step(state: SimState, params: ModelParams, schedule: ReleaseSchedule,
-         dt: float, grid: Grid, lu: Optional[DiffusionLU] = None,
-         boundary: str = "neumann", K_nodes: Optional[np.ndarray] = None,
-         clamps: Optional[ClampStats] = None) -> SimState:
-    """One step: exact reaction steps, then the implicit diffusion solve.
+class Batch:
+    """What stays fixed while S members advance as one (S, n) state, built
+    once per run: the LU factors of the shared diffusion matrix, and as
+    (S, n) rows the rates, the h factors and K sampled on the nodes; and the
+    release schedules, each with the member rows that share it."""
 
-    `lu` holds the factors of the implicit diffusion matrix for this dt and
-    boundary; without it the matrix is built and factored here.
+    def __init__(self, scenarios, dt: float):
+        sc = scenarios[0]
+        params = [s.params for s in scenarios]
+        x = sc.grid.x
+        self.grid, self.dt, self.boundary = sc.grid, dt, sc.boundary
+        self.lu = factor_diffusion(implicit_diffusion_matrix(
+            sc.grid, sc.params.D, dt, sc.boundary))
+        self.rates = RateRows.of(params, x.size)
+        self.K = np.array([np.broadcast_to(p.K_at(x), x.shape)
+                           for p in params])
+        # -h(mu_u) = expm1(-dt mu_u) / mu_u for u = M, F, Ms, as (3, S, n)
+        neg_h = [[math.expm1(-dt * mu) / mu
+                  for mu in (p.mu_M, p.mu_F, p.mu_s)] for p in params]
+        self.neg_h = np.repeat(np.array(neg_h).T[:, :, None], x.size, axis=2)
+        # (S,): a floor of each member's Ms clamp scale
+        self.Ms_floor = np.array([s.schedule.lambda_bar / s.params.mu_s
+                                  for s in scenarios])
+        rows: dict = {}
+        for i, s in enumerate(scenarios):
+            rows.setdefault(s.schedule, []).append(i)
+        self.releases = [(schedule, slice(None) if len(r) == len(scenarios)
+                          else r) for schedule, r in rows.items()]
+
+
+def batch_key(scenario: "Scenario") -> tuple:
+    """Scenarios with equal keys can advance as one batch: the same grid, D,
+    boundary, dt, t_end, snapshot_dt and Gamma kind."""
+    sc = scenario
+    return (sc.grid.kind, sc.grid.x.tobytes(), sc.params.D, sc.boundary,
+            sc.dt, sc.t_end, sc.snapshot_dt, sc.params.gamma is None)
+
+
+def _release(batch: Batch, t: float):
+    """Lambda of every member at time t: (n,) if one schedule, else (S, n)."""
+    x = batch.grid.x  # release_value takes |x| itself
+    if len(batch.releases) == 1:
+        return release_value(batch.releases[0][0], x, t)
+    lam = np.empty(batch.K.shape)
+    for schedule, rows in batch.releases:
+        lam[rows] = release_value(schedule, x, t)
+    return lam
+
+
+def step(state: SimState, batch: Batch,
+         clamps: Optional[list] = None) -> SimState:
+    """One step of every member: exact reaction steps, then one solve.
+
+    `state` holds (S, n) fields, one row per member of `batch`; `clamps`,
+    if given, one ClampStats per member.
     """
-    if lu is None:
-        lu = factor_diffusion(implicit_diffusion_matrix(grid, params.D, dt,
-                                                        boundary))
-    if K_nodes is None:
-        K_nodes = np.broadcast_to(params.K_at(grid.x), grid.x.shape)
-
-    lam = release_value(schedule, grid.radius, state.t)
-    fE, fM, fF, fs = reaction_arrays(params, state.E, state.M, state.F,
-                                     state.Ms, lam, K_nodes)
+    E, M, F, Ms = state.E, state.M, state.F, state.Ms
+    rates, K = batch.rates, batch.K
+    fE, fM, fF, fs = reaction_arrays(rates, E, M, F, Ms,
+                                     _release(batch, state.t), K)
     # exact steps u + h(r) f with h(r) = -expm1(-r dt) / r and r the loss
     # rate of u: a at each node for E, mu_u for M, F and Ms.  E is clipped
     # to [0, K] against roundoff (np.clip would cost twice as much).
-    a = params.b * state.F / K_nodes + (params.mu_E + params.nu_E)
-    E_new = np.maximum(state.E - np.expm1(-dt * a) / a * fE, 0.0)
-    np.minimum(E_new, K_nodes, out=E_new)
-    eq_scale = max(float(np.max(state.F, initial=0.0)), 1.0)
-    Ms_scale = max(float(np.max(state.Ms, initial=0.0)),
-                   schedule.lambda_bar / params.mu_s, 1.0)
+    new = np.empty((4,) + E.shape)  # E, then M, F, Ms: the solve's columns
+    a = rates.b * F / K + rates.egg_loss
+    np.maximum(E - np.expm1(-batch.dt * a) / a * fE, 0.0, out=new[0])
+    np.minimum(new[0], K, out=new[0])
+    for j, (u, f) in enumerate(((M, fM), (F, fF), (Ms, fs))):
+        np.subtract(u, batch.neg_h[j] * f, out=new[1 + j])
+        if batch.boundary == "dirichlet":
+            new[1 + j, :, -1] = u[:, -1]
+    # row (field, member) of new[1:] is column field * S + member of one
+    # Fortran-ordered (n, 3S) right-hand side
+    n = E.shape[-1]
+    out = solve_banded(batch.lu, new[1:].reshape(-1, n).T).T.reshape(
+        new[1:].shape)
+    if out.min() < 0.0:
+        _clamp(out, state, batch, clamps)
+    return SimState(state.t + batch.dt, new[0], out[0], out[1], out[2])
 
-    rhs = np.empty((grid.n, 3), order="F")  # M, F, Ms as columns
-    for j, (u, f, mu) in enumerate(((state.M, fM, params.mu_M),
-                                    (state.F, fF, params.mu_F),
-                                    (state.Ms, fs, params.mu_s))):
-        rhs[:, j] = u - math.expm1(-dt * mu) / mu * f
-        if boundary == "dirichlet":
-            rhs[-1, j] = u[-1]
-    out = solve_banded(lu, rhs)
 
-    undershoot = -out.min(axis=0, initial=0.0)
-    for j, scale in enumerate((eq_scale, eq_scale, Ms_scale)):
-        worst = float(undershoot[j])
-        if worst > 0.0:
-            rel = worst / scale
-            if rel > CLAMP_FAIL_THRESHOLD:
-                raise SolverError(f"negative undershoot {worst:g} exceeds "
-                                  f"{CLAMP_FAIL_THRESHOLD:g} of scale {scale:g}")
-            if clamps is not None and rel > CLAMP_COUNT_THRESHOLD:
-                clamps.count += 1
-                clamps.worst_rel = max(clamps.worst_rel, rel)
-            np.maximum(out[:, j], 0.0, out=out[:, j])
-    return SimState(state.t + dt, E_new, out[:, 0], out[:, 1], out[:, 2])
+def _clamp(out: np.ndarray, state: SimState, batch: Batch,
+           clamps: Optional[list]) -> None:
+    """Clamp each member's negative undershoot in `out` (M, F, Ms) to 0,
+    counting it against the member's scale; one too large is a
+    SolverError."""
+    low = out.min(axis=2)  # (3, S)
+    F_scale = np.maximum(state.F.max(axis=1, initial=0.0), 1.0)
+    Ms_scale = np.maximum(np.maximum(state.Ms.max(axis=1, initial=0.0),
+                                     batch.Ms_floor), 1.0)
+    for j, i in zip(*np.nonzero(low < 0.0)):
+        worst = -float(low[j, i])
+        scale = float((F_scale if j < 2 else Ms_scale)[i])
+        rel = worst / scale
+        if rel > CLAMP_FAIL_THRESHOLD:
+            member = f" (member {i})" if out.shape[1] > 1 else ""
+            raise SolverError(f"negative undershoot {worst:g} exceeds "
+                              f"{CLAMP_FAIL_THRESHOLD:g} of scale "
+                              f"{scale:g}{member}")
+        if clamps is not None and rel > CLAMP_COUNT_THRESHOLD:
+            clamps[i].count += 1
+            clamps[i].worst_rel = max(clamps[i].worst_rel, rel)
+        np.maximum(out[j, i], 0.0, out=out[j, i])
 
 
 @dataclass(frozen=True)
@@ -482,39 +547,54 @@ class Trajectory:
 
 
 def run(scenario: Scenario, state0: Optional[SimState] = None) -> Trajectory:
-    """Integrate to t_end with one dt, snapshotting every snapshot_dt in time.
+    """Integrate to t_end with one dt, snapshotting every snapshot_dt in time:
+    the batch of one.
 
     Deterministic: no randomness, fixed evaluation order; identical scenarios
     reproduce identical arrays bit for bit.
     """
-    sc = scenario
-    if state0 is None:
-        state0 = make_initial(sc.params, sc.initial, sc.grid,
-                              lambda_bar=sc.schedule.lambda_bar)
+    return run_batch([scenario], None if state0 is None else [state0])[0]
+
+
+def run_batch(scenarios, states0=None) -> list[Trajectory]:
+    """Integrate scenarios that share `batch_key` as one (S, n) state.
+
+    Each member's Trajectory is bit for bit the one `run` gives it alone:
+    every operation of `step` is elementwise per member row and the solve
+    works per column.  `states0` defaults to each member's `make_initial`;
+    the batch starts at the time of the first.
+    """
+    scenarios = list(scenarios)
+    sc = scenarios[0]
+    if any(batch_key(s) != batch_key(sc) for s in scenarios[1:]):
+        raise ValueError("batch members must share grid, D, boundary, dt, "
+                         "t_end, snapshot_dt and Gamma kind")
+    if states0 is None:
+        states0 = [make_initial(s.params, s.initial, s.grid,
+                                lambda_bar=s.schedule.lambda_bar)
+                   for s in scenarios]
     dt = sc.dt if sc.dt is not None else reaction_dt_bound()
     n_steps = int(np.ceil(sc.t_end / dt - 1e-12))
     dt = sc.t_end / n_steps  # land exactly on t_end
-    lu = factor_diffusion(implicit_diffusion_matrix(sc.grid, sc.params.D, dt,
-                                                    sc.boundary))
-    K_nodes = np.array(np.broadcast_to(sc.params.K_at(sc.grid.x),
-                                       sc.grid.x.shape))
-    clamps = ClampStats()
+    batch = Batch(scenarios, dt)
+    clamps = [ClampStats() for _ in scenarios]
 
-    state = state0.copy()
+    state = SimState(states0[0].t, *(np.array([getattr(s, f) for s in states0])
+                                     for f in ("E", "M", "F", "Ms")))
     times = [state.t]
-    snaps = [[state.E.copy(), state.M.copy(), state.F.copy(), state.Ms.copy()]]
+    snaps = [np.stack((state.E, state.M, state.F, state.Ms))]
     # the next snapshot is the first step k with k >= m * steps_per_snap
     # (to a 1e-9-step tolerance for roundoff in the ratio)
     steps_per_snap = sc.snapshot_dt / dt
     m = 1
     for k in range(1, n_steps + 1):
-        state = step(state, sc.params, sc.schedule, dt, sc.grid, lu=lu,
-                     boundary=sc.boundary, K_nodes=K_nodes, clamps=clamps)
+        state = step(state, batch, clamps)
         if k >= m * steps_per_snap - 1e-9 or k == n_steps:
             times.append(state.t)
-            snaps.append([state.E.copy(), state.M.copy(), state.F.copy(),
-                          state.Ms.copy()])
+            snaps.append(np.stack((state.E, state.M, state.F, state.Ms)))
             m = int(k / steps_per_snap + 1e-9) + 1
-    arr = np.array(snaps)  # (n_snap, 4, n)
-    return Trajectory(sc, np.array(times), arr[:, 0], arr[:, 1], arr[:, 2],
-                      arr[:, 3], clamps, dt, n_steps)
+    arr = np.array(snaps)  # (n_snap, 4, S, n)
+    times = np.array(times)
+    return [Trajectory(s, times, arr[:, 0, i], arr[:, 1, i], arr[:, 2, i],
+                       arr[:, 3, i], clamps[i], dt, n_steps)
+            for i, s in enumerate(scenarios)]

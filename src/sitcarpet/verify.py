@@ -168,11 +168,14 @@ class CertificateReport:
     name: str
     reports: list
     passed: bool
+    unbuilt: str = ""  # the failing condition, if the object was not built
 
     def __str__(self):
         lines = [f"certificate {self.name}: "
                  f"{'PASS' if self.passed else 'FAIL'}"]
         lines += ["  " + str(r) for r in self.reports]
+        if self.unbuilt:
+            lines.append(f"  [FAIL] not built: {self.unbuilt}")
         return "\n".join(lines)
 
 
@@ -214,6 +217,11 @@ class SubsolutionFields:
         return self.Ms_cap(x, t)
 
 
+class SubsolutionUnavailable(ValueError):
+    """No sub-solution exists for these parameters; the message names the
+    condition that fails."""
+
+
 def build_subsolution(params: ModelParams, c: float, lambda_bar: float,
                       R2: float) -> SubsolutionFields:
     """Assemble the moving sub-solution for a release bounded by the annulus.
@@ -225,14 +233,18 @@ def build_subsolution(params: ModelParams, c: float, lambda_bar: float,
     """
     eq = solve_equilibria(params)
     if eq.upper is None:
-        raise ValueError("no positive equilibrium for a sub-solution")
+        raise SubsolutionUnavailable("no positive equilibrium for a "
+                                     "sub-solution")
     F_star = eq.upper[2]
     eps_gamma = find_eps0(params, F_star)
     if eps_gamma is None:
-        raise ValueError("no admissible sterile tail amplitude (condition fails)")
+        raise SubsolutionUnavailable(
+            "no admissible sterile tail amplitude: G_eps(F*) <= 0 for every "
+            "eps down to 2^-199")
     F_prof = build_stationary_F(params, eps=eps_gamma)
     if F_prof is None:
-        raise ValueError("no stationary profile in this regime")
+        raise SubsolutionUnavailable("no stationary profile in this "
+                                     "regime")
     M_prof = build_stationary_M(params, F_prof)
 
     Rs = R2 + 1.0

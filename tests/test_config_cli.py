@@ -1,12 +1,14 @@
 import contextlib
 import csv
 import io
+import shutil
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import sitcarpet.cli as cli_mod
+import sitcarpet.solver as solver_mod
 from sitcarpet.cli import main, simulate_to_dir
 from sitcarpet.config import (
     ConfigError,
@@ -332,6 +334,114 @@ class TestCli:
         assert (row["outcome"], row["speed"]) == \
             (record.outcome, repr(record.speed))
 
+    @staticmethod
+    def _sweep_rows(tmp_path, path, axis, values, workers):
+        """Run a sweep; its exit code and sweep.csv as {value: (outcome,
+        speed)}."""
+        out = tmp_path / f"sweep-{workers}"
+        rc = main(["sweep", "--config", str(path), "--axis", axis,
+                   "--values", ",".join(values), "--workers", str(workers),
+                   "--out", str(out)])
+        (sweep_csv,) = out.glob("*/sweep.csv")
+        with open(sweep_csv, newline="") as fh:
+            rows = {r[axis]: (r["outcome"], r["speed"])
+                    for r in csv.DictReader(fh)}
+        return rc, rows
+
+    @staticmethod
+    def _alone(tmp_path, path, axis, value):
+        """(outcome, repr(speed)) of one row run by `simulate`."""
+        cfg = ScenarioConfig.from_text(path.read_text())
+        sec, key = axis.split(".")
+        getattr(cfg, sec)[key] = float(value)
+        record = simulate_to_dir(cfg, tmp_path / f"alone-{axis}-{value}")
+        return (record.outcome, repr(record.speed))
+
+    @staticmethod
+    def _record_batch_sizes(monkeypatch):
+        """The sizes of the batches a sweep runs in this process."""
+        sizes = []
+        run_batch = cli_mod.run_batch
+
+        def recording(scenarios):
+            sizes.append(len(scenarios))
+            return run_batch(scenarios)
+
+        monkeypatch.setattr(cli_mod, "run_batch", recording)
+        return sizes
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batched_rows_match_simulate(self, tmp_path, capsys,
+                                         monkeypatch, workers):
+        # one worker runs the three rows as one batch; two run a batch of
+        # two and a batch of one (in pool workers, so not recorded here)
+        sizes = self._record_batch_sizes(monkeypatch)
+        cfg = preset("carpet")
+        cfg.run["t_end"] = 30.0
+        path = tmp_path / "quick.cfg"
+        path.write_text(cfg.to_text())
+        values = ["0.2", "0.5", "1.0"]
+        rc, rows = self._sweep_rows(tmp_path, path, "model.gamma", values,
+                                    workers)
+        assert rc == 0
+        assert sizes == ([3] if workers == 1 else [])
+        for v in values:
+            assert rows[repr(float(v))] == \
+                self._alone(tmp_path, path, "model.gamma", v)
+
+    def test_long_sweeps_run_in_bounded_batches(self, tmp_path, capsys,
+                                                monkeypatch):
+        sizes = self._record_batch_sizes(monkeypatch)
+        monkeypatch.setattr(cli_mod, "SWEEP_BATCH_ROWS", 2)
+        cfg = preset("fig1")
+        cfg.run["t_end"] = 5.0
+        path = tmp_path / "quick.cfg"
+        path.write_text(cfg.to_text())
+        values = ["0.1", "0.2", "0.3", "0.4", "0.5"]
+        rc, rows = self._sweep_rows(tmp_path, path, "model.gamma", values, 1)
+        assert rc == 0 and len(rows) == 5
+        assert sizes == [2, 2, 1]
+
+    def test_rows_on_different_grids_still_run(self, tmp_path, capsys):
+        cfg = preset("fig1")
+        cfg.run["t_end"] = 20.0
+        path = tmp_path / "quick.cfg"
+        path.write_text(cfg.to_text())
+        values = ["401", "801"]
+        rc, rows = self._sweep_rows(tmp_path, path, "grid.n", values, 1)
+        assert rc == 0
+        for v in values:
+            assert rows[repr(float(v))] == \
+                self._alone(tmp_path, path, "grid.n", v)
+
+    def test_failing_member_fails_alone(self, tmp_path, capsys, monkeypatch):
+        # a NaN in the gamma = 0.5 row's initial state stops its batch; the
+        # rows rerun one by one, so only that row fails, and the others
+        # keep their verdicts bit for bit
+        make_initial = solver_mod.make_initial
+
+        def poisoned(params, *args, **kwargs):
+            state = make_initial(params, *args, **kwargs)
+            if params.gamma == 0.5:
+                state.F[10] = np.nan
+            return state
+
+        cfg = preset("fig1")
+        cfg.run["t_end"] = 20.0
+        path = tmp_path / "quick.cfg"
+        path.write_text(cfg.to_text())
+        values = ["0.2", "0.5", "1.0"]
+        expected = {v: self._alone(tmp_path, path, "model.gamma", v)
+                    for v in ("0.2", "1.0")}
+        monkeypatch.setattr(solver_mod, "make_initial", poisoned)
+        rc, rows = self._sweep_rows(tmp_path, path, "model.gamma", values, 1)
+        assert rc == 3
+        failed = [ln for ln in capsys.readouterr().out.splitlines()
+                  if "FAILED" in ln]
+        assert len(failed) == 1
+        assert "0.5" in failed[0] and "SolverError: non-finite" in failed[0]
+        assert rows == {repr(float(v)): expected[v] for v in expected}
+
     @pytest.mark.parametrize("axis", ["model.gama", "run.snapshot_every",
                                       "gamma"])
     def test_sweep_unknown_axis_exits_2(self, tmp_path, capsys, axis):
@@ -364,7 +474,8 @@ class TestCli:
 
     def test_sweep_pool_is_never_larger_than_the_rows(
             self, tmp_path, capsys, monkeypatch):
-        sizes = []
+        # and each worker gets a near-equal run of consecutive rows
+        sizes, shares = [], []
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -377,6 +488,7 @@ class TestCli:
                 return False
 
             def map(self, fn, payloads):
+                shares.append([p[2] for p in payloads])
                 return map(fn, payloads)
 
         monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
@@ -393,17 +505,37 @@ class TestCli:
         assert sweep("0.5,1.0", "1000") == 0
         assert sweep("0.5", "1000") == 0
         assert sizes == [2]  # one row runs with no pool at all
+        assert sweep("0.1,0.2,0.3,0.4,0.5", "2") == 0
+        assert sizes == [2, 2]
+        assert shares == [[[0.5], [1.0]], [[0.1, 0.2, 0.3], [0.4, 0.5]]]
         for workers in ("0", "-1"):
             assert sweep("0.5,1.0", workers) == 2
             assert "--workers must be >= 1" in capsys.readouterr().err
-        assert sizes == [2]
+        assert sizes == [2, 2]
+
+    @staticmethod
+    def _record_runs(monkeypatch, tmp_path):
+        """Replace what a sweep runs its rows with by a recorder, after
+        checking that a valid sweep reaches it; the list of runs started."""
+        started = []
+
+        def recorder(scenarios):
+            started.append(scenarios)
+            raise RuntimeError("recorded")
+
+        monkeypatch.setattr(cli_mod, "run_batch", recorder)
+        rc = main(["sweep", "--preset", "fig1", "--axis", "model.gamma",
+                   "--values", "0.5", "--out", str(tmp_path / "control")])
+        assert rc == 3 and len(started) == 1
+        started.clear()
+        shutil.rmtree(tmp_path / "control")
+        return started
 
     def test_sweep_row_config_error_exits_2_before_any_run(
             self, tmp_path, capsys, monkeypatch):
         # c = 0 is a config error for a moving release: every row is built
         # first, so the valid 0.05 row never runs and nothing is written
-        started = []
-        monkeypatch.setattr(cli_mod, "run", lambda *a, **k: started.append(a))
+        started = self._record_runs(monkeypatch, tmp_path)
         rc = main(["sweep", "--preset", "carpet", "--axis", "schedule.c",
                    "--values", "0,0.05", "--out", str(tmp_path)])
         assert rc == 2
@@ -417,8 +549,7 @@ class TestCli:
         # b = 1e16 puts an equilibrium beyond double precision: a config
         # error, as under simulate, found before any row runs; the valid
         # b = 10 row never runs
-        started = []
-        monkeypatch.setattr(cli_mod, "run", lambda *a, **k: started.append(a))
+        started = self._record_runs(monkeypatch, tmp_path)
         rc = main(["sweep", "--preset", "fig1", "--axis", "model.b",
                    "--values", "10,1e16", "--out", str(tmp_path)])
         assert rc == 2
@@ -501,6 +632,14 @@ class TestCli:
         assert rc == 2 and "--horizons" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("horizons", ["1e200,1e201", "1e150,1e155"])
+    def test_cost_total_past_a_double_exits_2(self, capsys, horizons):
+        # every total is computed before the table is printed
+        rc = main(["cost", "--preset", "carpet", f"--horizons={horizons}"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "naive-disc total overflows a double" in captured.err
+
     @pytest.mark.parametrize("command,flag", [
         ("analyze", "--level"), ("verify", "--level"), ("verify", "--out"),
         ("cost", "--level"), ("cost", "--out")])
@@ -532,6 +671,22 @@ class TestCli:
             assert rc == 2
             assert "scalar K" in captured.err
             assert "sterile-bounds" in captured.err
+
+    @pytest.mark.parametrize("name", ["fig2-left", "fig2-right"])
+    @pytest.mark.parametrize("which", ["subsolution", "all"])
+    def test_unbuildable_subsolution_is_a_failed_check(self, capsys, name,
+                                                       which):
+        # no sterile tail amplitude is admissible here: the sub-solution
+        # certificate fails, naming the condition, and the other checks
+        # asked for still run
+        rc = main(["verify", "--preset", name, "--which", which])
+        out = capsys.readouterr().out
+        assert rc == 4
+        assert ("certificate subsolution: FAIL\n  [FAIL] not built: no "
+                "admissible sterile tail amplitude: G_eps(F*) <= 0") in out
+        certificates = [ln.split(":")[0] for ln in out.splitlines()
+                        if ln.startswith("certificate ")]
+        assert len(certificates) == (1 if which == "subsolution" else 5)
 
 
 def _certificate_structure() -> list[str]:

@@ -17,15 +17,27 @@ from sitcarpet.solver import (
     Scenario,
     SimState,
     SolverError,
+    Batch,
     factor_diffusion,
     implicit_diffusion_matrix,
     make_initial,
     reaction_dt_bound,
     release_value,
     run,
+    run_batch,
     solve_banded,
     step,
 )
+
+
+def _one_step(state, params, dt, grid):
+    """`step` on the batch of one scenario: the (n,) fields of `state`
+    after one step of dt."""
+    scen = Scenario(params, grid, ReleaseSchedule(),
+                    InitialData(kind="step"), t_end=dt, dt=dt)
+    rows = (f[None] for f in (state.E, state.M, state.F, state.Ms))
+    out = step(SimState(state.t, *rows), Batch([scen], dt))
+    return SimState(out.t, out.E[0], out.M[0], out.F[0], out.Ms[0])
 
 
 def test_grid_validation():
@@ -129,7 +141,7 @@ class TestStep:
         grid = Grid.cartesian(-10, 10, 101)
         z = np.zeros(grid.n)
         st0 = SimState(0.0, z.copy(), z.copy(), z.copy(), z.copy())
-        out = step(st0, p05, ReleaseSchedule(), 0.02, grid)
+        out = _one_step(st0, p05, 0.02, grid)
         for f in (out.E, out.M, out.F, out.Ms):
             assert np.all(f == 0.0)
 
@@ -138,7 +150,7 @@ class TestStep:
         E, M, F = eq05.upper
         ones = np.ones(grid.n)
         st0 = SimState(0.0, E * ones, M * ones, F * ones, 0.0 * ones)
-        out = step(st0, p05, ReleaseSchedule(), 0.02, grid)
+        out = _one_step(st0, p05, 0.02, grid)
         assert np.max(np.abs(out.F - F)) < 1e-10 * F
         assert np.max(np.abs(out.E - E)) < 1e-10 * E
 
@@ -237,7 +249,97 @@ class TestFactoredSolve:
         st0 = SimState(0.0, E * ones, M * ones, F * ones, 0.0 * ones)
         getattr(st0, field)[50] = np.nan
         with pytest.raises(SolverError, match="non-finite"):
-            step(st0, p05, ReleaseSchedule(), 0.02, grid)
+            _one_step(st0, p05, 0.02, grid)
+
+
+class TestBatch:
+    """Members advanced as one (S, n) state match their own runs bitwise."""
+
+    @staticmethod
+    def _members(boundary):
+        grid = Grid.radial(12.0, 121)
+        initial = InitialData(kind="well_prepared", R0_0=3.0, R0_1=5.0)
+
+        def member(gamma, K, schedule, **rates):
+            return Scenario(table1_params(gamma, K=K, **rates), grid,
+                            schedule, initial, t_end=6.0, snapshot_dt=1.0,
+                            boundary=boundary)
+
+        shared = ReleaseSchedule(kind="annulus", lambda_bar=300.0, R1=2.0,
+                                 R2=5.0, c=0.1)
+        return [
+            member(0.5, 200.0, shared),
+            member(1.0, 200.0, shared),
+            member(0.5, _hetero_K,
+                   ReleaseSchedule(kind="annulus_tail", lambda_bar=500.0,
+                                   R1=2.0, R2=6.0, c=0.2, eta=0.5)),
+            member(0.3, 250.0, ReleaseSchedule(), mu_M=0.2, mu_F=0.12,
+                   mu_s=0.4, b=8.0, rho=0.6),
+        ]
+
+    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
+    def test_members_match_their_own_runs(self, boundary):
+        # members differ in gamma, lambda_bar, c, release kind, K (one
+        # callable) and rates; two share a schedule
+        members = self._members(boundary)
+        batch = run_batch(members)
+        for scen, got in zip(members, batch):
+            alone = run(scen)
+            assert got.scenario is scen
+            assert (got.dt, got.n_steps) == (alone.dt, alone.n_steps)
+            assert np.array_equal(got.times, alone.times)
+            for f in ("E", "M", "F", "Ms"):
+                assert np.array_equal(getattr(got, f), getattr(alone, f))
+            assert got.clamps == alone.clamps
+
+    def test_run_is_the_batch_of_one(self, monkeypatch):
+        seen = []
+
+        def recording(scenarios, states0=None):
+            seen.append(len(scenarios))
+            return run_batch(scenarios, states0)
+
+        monkeypatch.setattr(solver, "run_batch", recording)
+        scen = self._members("neumann")[0]
+        run(scen)
+        assert seen == [1]
+
+    @pytest.mark.parametrize("depth", [1e-10, 1e-6])
+    def test_clamps_are_per_member(self, monkeypatch, depth):
+        # an undershoot of about depth times member 1's F scale, planted in
+        # its F column each step: counted and clamped for member 1 alone
+        # under CLAMP_FAIL_THRESHOLD (1e-9), a SolverError naming it above
+        members = self._members("neumann")[:3]
+        solve = solver.solve_banded
+
+        def undershooting(lu, rhs):
+            out = solve(lu, rhs)
+            col = out[:, 3 + 1]  # field F (1 of M, F, Ms), member 1 of 3
+            col[7] = -depth * max(float(col.max()), 1.0)
+            return out
+
+        monkeypatch.setattr(solver, "solve_banded", undershooting)
+        if depth > solver.CLAMP_FAIL_THRESHOLD:
+            with pytest.raises(SolverError, match=r"\(member 1\)"):
+                run_batch(members)
+            return
+        trajs = run_batch(members)
+        assert [t.clamps.count for t in trajs] == [0, trajs[1].n_steps, 0]
+        assert trajs[1].clamps.worst_rel == pytest.approx(depth, rel=0.1)
+        assert np.all(trajs[1].F >= 0.0)
+
+    @pytest.mark.parametrize("change", [
+        {"t_end": 5.0}, {"dt": 0.2}, {"snapshot_dt": 2.0},
+        {"boundary": "dirichlet"}, {"grid": Grid.radial(12.0, 61)},
+        {"params": table1_params(0.5, D=2.0)},
+        {"params": table1_params(None)}])
+    def test_incompatible_members_are_refused(self, change):
+        import dataclasses
+        scen = self._members("neumann")[0]
+        other = dataclasses.replace(scen, **change)
+        assert solver.batch_key(other) != solver.batch_key(scen)
+        with pytest.raises(ValueError, match="batch members must share"):
+            run_batch([scen, other])
 
 
 def _ordered_pair(rng, x, K_nodes):
@@ -295,17 +397,16 @@ class TestMonotoneStep:
         # E' on a mesh of E in [0, K] and F in [0, F_cap] at the smallest K
         # of _hetero_K, where the egg loss rate a is largest; E does not
         # diffuse, so each node is one (E, F) pair
-        p = table1_params(0.5, K=_hetero_K)
         K = _hetero_K(np.linspace(0.0, 10.0, 1001))
         K_min = float(K.min())
+        p = table1_params(0.5, K=K_min)
         F_cap = p.rho * p.nu_E * float(K.max()) / p.mu_F
         E, F = np.meshgrid(np.linspace(0.0, K_min, 41),
                            np.linspace(0.0, F_cap, 41), indexing="ij")
         grid = Grid.cartesian(0.0, 1.0, E.size)
         z = np.zeros(E.size)
         state = SimState(0.0, E.ravel(), z, F.ravel(), z)
-        out = step(state, p, ReleaseSchedule(), 50.0, grid,
-                   K_nodes=np.full(E.size, K_min))
+        out = _one_step(state, p, 50.0, grid)
         E_new = out.E.reshape(E.shape)
         tol = 1e-12 * K_min
         assert np.all(np.diff(E_new, axis=0) >= -tol)  # in E
@@ -325,9 +426,8 @@ class TestMonotoneStep:
         F = np.full_like(E, F_cap)
         euler = E + dt * reaction_arrays(p05, E, z, F, z, 0.0, K)[0]
         assert np.any(np.diff(euler) < 0.0) and euler.max() > K
-        out = step(SimState(0.0, E, z, F, z), p05, ReleaseSchedule(), dt,
-                   Grid.cartesian(0.0, 1.0, E.size),
-                   K_nodes=np.full(E.size, K))
+        out = _one_step(SimState(0.0, E, z, F, z), p05, dt,
+                        Grid.cartesian(0.0, 1.0, E.size))
         tol = 1e-12 * K
         assert np.all(np.diff(out.E) >= -tol)
         assert out.E.min() >= 0.0 and out.E.max() <= K
