@@ -77,19 +77,20 @@ def _write_snapshots(path: Path, traj) -> None:
     The bytes are those of `np.savetxt(fmt="%.17g", delimiter=",")`: every
     value goes through the same `"%.17g" % float`.  The x column is baked
     into the row template once, t is formatted once per snapshot, and the
-    fields of one snapshot are filled by one `%` call.
+    fields of one snapshot are filled by one `%` call from one flat list,
+    reused across snapshots, whose slices take the rows as Python floats.
     """
     x = traj.grid.x
     template = "".join("%%s,%.17g,%%.17g,%%.17g,%%.17g,%%.17g\n" % v
                        for v in x)
-    cells = np.empty((x.size, 5), dtype=object)
+    cells = [None] * (5 * x.size)
     with open(path, "w") as fh:
         fh.write("t,x,E,M,F,Ms\n")
         for i, t in enumerate(traj.times):
-            cells[:, 0] = "%.17g" % t
-            cells[:, 1:] = np.column_stack(
-                [traj.E[i], traj.M[i], traj.F[i], traj.Ms[i]])
-            fh.write(template % tuple(cells.ravel()))
+            cells[0::5] = ["%.17g" % t] * x.size
+            for col, snaps in enumerate((traj.E, traj.M, traj.F, traj.Ms), 1):
+                cells[col::5] = snaps[i].tolist()
+            fh.write(template % tuple(cells))
 
 
 def cmd_analyze(args) -> int:

@@ -40,6 +40,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 _SCAN_NODES = 1 << 14
 # Gauss-Legendre cells of the potential gap H on [0, F_m]
 _GAP_CELLS = 1 << 15
+# Most cells per integrand call of `_gauss_cells`
+_GAUSS_CHUNK = 2048
 # Closest relative approach of the F profile to its limit F_m
 _APPROACH_TOL = 1e-10
 
@@ -75,12 +77,24 @@ class MonotoneProfile:
 
 
 def _gauss_cells(f: Callable, lo, hi) -> np.ndarray:
-    """Per-cell Gauss-Legendre integrals of vectorized f over [lo, hi]."""
-    lo, hi = np.asarray(lo), np.asarray(hi)
-    half = 0.5 * (hi - lo)[..., None]
-    pts = 0.5 * (lo + hi)[..., None] + half * _GL_NODES
-    vals = np.asarray(f(pts.reshape(-1)), dtype=float).reshape(pts.shape)
-    return np.sum(half * _GL_WEIGHTS * vals, axis=-1)
+    """Per-cell Gauss-Legendre integrals of vectorized f over [lo, hi].
+
+    lo and hi broadcast to the shape of the result.  f is called on at most
+    _GAUSS_CHUNK cells (five nodes each) at a time, so its temporaries stay
+    bounded whatever the number of cells; f must be elementwise, and then
+    every integral is bitwise the same as from one call on all the cells.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                 np.asarray(hi, dtype=float))
+    out = np.empty(lo.shape)
+    lo, hi, flat = lo.reshape(-1), hi.reshape(-1), out.reshape(-1)
+    for start in range(0, flat.size, _GAUSS_CHUNK):
+        cells = slice(start, start + _GAUSS_CHUNK)
+        half = 0.5 * (hi[cells] - lo[cells])[:, None]
+        pts = 0.5 * (lo[cells] + hi[cells])[:, None] + half * _GL_NODES
+        vals = np.asarray(f(pts.reshape(-1)), dtype=float).reshape(pts.shape)
+        flat[cells] = np.sum(half * _GL_WEIGHTS * vals, axis=-1)
+    return out
 
 
 def _cell_exp_integrals(psi: Callable, grid: np.ndarray, s: float):

@@ -20,7 +20,7 @@ by sqrt(D) internally; public evaluation is in physical coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -135,8 +135,10 @@ class SupersolutionBundle:
 
 # Rows per assemble_Fbar call when a caller walks a long time column: one
 # (FBAR_BLOCK, n_x) block at a time keeps peak memory flat in the number of
-# times, where the whole (n_t, n_x) table would grow with it.
-FBAR_BLOCK = 100
+# times, where the whole (n_t, n_x) table would grow with it.  A block's
+# assemble_Fbar temporaries are a few times its own size, so this also
+# sets the walk's peak.
+FBAR_BLOCK = 40
 
 
 def assemble_Fbar(bundle: SupersolutionBundle, x, t):
@@ -166,30 +168,21 @@ def assemble_Fbar(bundle: SupersolutionBundle, x, t):
     return out if out.ndim else float(out)
 
 
-def ebar_ode(bundle: SupersolutionBundle, x, t_end: float, dt: float,
-             E0=None) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise egg cap: dEbar/dt = b Fbar (1 - Ebar/K) - (mu_E + nu_E) Ebar.
+@dataclass(frozen=True)
+class EbarBlock:
+    """Consecutive rows of the egg-cap walk, from row `start` on: the times,
+    and Fbar and Ebar at those times, each shaped (len(times), n_x)."""
 
-    x may be an array of positions (integrated in parallel).  E0 defaults to
-    min(K, C0 Fbar(x,0), slaved E(Fbar(x,0))), the well-prepared choice.
-    Returns (times, Ebar) with Ebar shaped (len(times), len(x)).
+    start: int
+    times: np.ndarray
+    Fbar: np.ndarray
+    Ebar: np.ndarray
 
-    Classical RK4 with step dt and a short last step landing on t_end.  The
-    times are accumulated first (t += h, as the steps take them); the walk
-    then goes FBAR_BLOCK steps at a time, with one assemble_Fbar call for
-    the block's step-end times and one for its half-step times.  k2 and k3
-    share the half-step row, and k4's row is the next step's k1 row, so
-    each Fbar value is computed once, and only two blocks of Fbar are live
-    at any time, whatever the number of steps.
-    """
-    p = bundle.params
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    K = np.broadcast_to(p.K_at(x), x.shape)
-    F_now = assemble_Fbar(bundle, x, 0.0)
-    if E0 is None:
-        E0 = np.minimum(np.minimum(K, bundle.C0 * F_now), slaved_E(p, F_now))
-    E = np.array(np.broadcast_to(E0, x.shape), dtype=float)
 
+def walk_times(t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row times and step sizes of `ebar_ode`: steps of dt and a short last
+    step landing on t_end, the times accumulated as the steps take them
+    (t += h)."""
     n_steps = int(np.ceil(t_end / dt))
     times = np.empty(n_steps + 1)
     steps = np.empty(n_steps)
@@ -199,14 +192,44 @@ def ebar_ode(bundle: SupersolutionBundle, x, t_end: float, dt: float,
         steps[k] = h = min(dt, t_end - t)
         t += h
         times[k + 1] = t
+    return times, steps
+
+
+def ebar_ode(bundle: SupersolutionBundle, x, t_end: float, dt: float,
+             E0=None) -> Iterator[EbarBlock]:
+    """Pointwise egg cap: dEbar/dt = b Fbar (1 - Ebar/K) - (mu_E + nu_E) Ebar.
+
+    x may be an array of positions (integrated in parallel).  E0 defaults to
+    min(K, C0 Fbar(x,0), slaved E(Fbar(x,0))), the well-prepared choice.
+
+    Classical RK4 on the `walk_times` steps, yielded as it goes: first the
+    row at t = 0, then one EbarBlock per FBAR_BLOCK steps holding the
+    step-end rows.  Each block takes one assemble_Fbar call for its
+    step-end times and one for its half-step times; k2 and k3 share the
+    half-step row, and k4's row is the next step's k1 row, so each Fbar
+    value is computed once.  The yielded Fbar rows are bitwise those of
+    assemble_Fbar at the same times.  Only the current block is live, so
+    memory stays flat in the number of steps; a caller that needs the
+    whole table concatenates the blocks.
+    """
+    p = bundle.params
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    K = np.broadcast_to(p.K_at(x), x.shape)
+    F_now = assemble_Fbar(bundle, x, 0.0)
+    if E0 is None:
+        E0 = np.minimum(np.minimum(K, bundle.C0 * F_now), slaved_E(p, F_now))
+    E = np.array(np.broadcast_to(E0, x.shape), dtype=float)
+
+    times, steps = walk_times(t_end, dt)
+    n_steps = steps.size
     halves = times[:-1] + 0.5 * steps
 
-    out = np.empty((n_steps + 1, x.size))
-    out[0] = E
+    yield EbarBlock(0, times[:1], F_now[None], E[None])
     for start in range(0, n_steps, FBAR_BLOCK):
         stop = min(start + FBAR_BLOCK, n_steps)
         F_ends = assemble_Fbar(bundle, x, times[start + 1:stop + 1])
         F_halves = assemble_Fbar(bundle, x, halves[start:stop])
+        out = np.empty_like(F_ends)
         for j in range(stop - start):
             h = steps[start + j]
             F_mid, F_end = F_halves[j], F_ends[j]
@@ -215,9 +238,9 @@ def ebar_ode(bundle: SupersolutionBundle, x, t_end: float, dt: float,
             k3 = egg_rate(p, E + 0.5 * h * k2, F_mid, K)
             k4 = egg_rate(p, E + h * k3, F_end, K)
             E = E + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[start + j + 1] = E
+            out[j] = E
             F_now = F_end
-    return times, out
+        yield EbarBlock(start + 1, times[start + 1:stop + 1], F_ends, out)
 
 
 @dataclass(frozen=True)

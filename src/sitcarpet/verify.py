@@ -38,13 +38,13 @@ from .solver import (
     solve_banded,
 )
 from .supersolution import (
-    FBAR_BLOCK,
     SterileBoundProfile,
     SupersolutionBundle,
     assemble_Fbar,
     ebar_ode,
     make_sterile_lower_bound,
     sterile_upper_bound,
+    walk_times,
 )
 
 DT_FD = 1e-5
@@ -399,8 +399,10 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
     pointwise ODE solution; (3) Mbar <= C2 Fbar with Mbar solved from its
     parabolic equation sourced by Ebar; (4) the reaction-side inequality of
     the female equation with the sterile floor on the annulus and the
-    worst-case substitutions Mbar -> C2 Fbar, Ebar -> C1 Fbar.  One Ebar
-    integration serves (2), (3) and (4).
+    worst-case substitutions Mbar -> C2 Fbar, Ebar -> C1 Fbar.  One
+    streamed Ebar walk serves (2), (3) and (4): each block of rows is used
+    as it arrives and then dropped, and only the five Ebar rows that (4)
+    reads are kept, so memory stays bounded whatever the number of steps.
     """
     p = bundle.params
     reports = []
@@ -443,38 +445,47 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
         reports.append(ResidualReport(name, "sub", float(slack), None, 0.0,
                                       slack < 0.0, 1))
 
-    # (2) Ebar bound via the pointwise ODE (scaled by the local cap C1 Fbar)
+    # (2) Ebar <= C1 Fbar and (3) Mbar <= C2 Fbar read one streamed walk
+    # of the pointwise Ebar ODE, each block as it arrives.  Mbar is solved
+    # from the male equation with the Ebar source (implicit diffusion and
+    # decay, explicit source; unconditionally stable) and compared with
+    # its cap after every (n_steps // 20)-th step and the last, that is at
+    # the rows in `checks`; (4) reads the first row at or after each check
+    # time.  Both bounds are scaled by the local cap.
     dt = 0.02
-    times, Eb = ebar_ode(bundle, x, t_end, dt)
-    worst_E = -np.inf
-    for start in range(0, times.size, FBAR_BLOCK):
-        rows = slice(start, start + FBAR_BLOCK)
-        cap = bundle.C1 * Fbar(x, times[rows])
-        worst_E = max(worst_E, float(np.max((Eb[rows] - cap) / cap)))
-    reports.append(ResidualReport("Ebar <= C1 Fbar", "super", worst_E, None,
-                                  RESIDUAL_TOL, worst_E <= RESIDUAL_TOL,
-                                  Eb.size))
-
-    # (3) Mbar bound: solve the male equation with the Ebar source
-    # (implicit diffusion and decay, explicit source; unconditionally stable),
-    # compared with the cap after every (n_steps // 20)-th step and the last
+    times = walk_times(t_end, dt)[0]
+    n_steps = times.size - 1
+    checks = {k + 1 for k in range(n_steps)
+              if k % max(1, n_steps // 20) == 0 or k == n_steps - 1}
+    reads = [min(int(np.searchsorted(times, t)), n_steps) for t in t_grid]
+    kept = {}
     ab = implicit_diffusion_matrix(grid, p.D, dt, "neumann")
     ab[1, :] += dt * p.mu_M
     lu = factor_diffusion(ab)
-    n_steps = times.size - 1
-    checks = [k for k in range(n_steps)
-              if k % max(1, n_steps // 20) == 0 or k == n_steps - 1]
-    F_rows = Fbar(x, times[[0] + [k + 1 for k in checks]])
-    caps = dict(zip(checks, bundle.C2 * F_rows[1:]))
-    Mb = np.minimum(bundle.C0 * F_rows[0], slaved_M(p, slaved_E(p, F_rows[0])))
-    worst_M = -np.inf
-    checked_M = 0
-    for k in range(n_steps):
-        Mb = solve_banded(lu, Mb + dt * (1.0 - p.rho) * p.nu_E * Eb[k])
-        if k in caps:
-            cap = caps[k]
-            worst_M = max(worst_M, float(np.max((Mb - cap) / cap)))
-            checked_M += Mb.size
+    worst_E = worst_M = -np.inf
+    checked_E = checked_M = 0
+    for block in ebar_ode(bundle, x, t_end, dt):
+        cap = bundle.C1 * block.Fbar
+        worst_E = max(worst_E, float(np.max((block.Ebar - cap) / cap)))
+        checked_E += block.Ebar.size
+        for row, (F_row, E_row) in enumerate(zip(block.Fbar, block.Ebar),
+                                             block.start):
+            if row == 0:
+                Mb = np.minimum(bundle.C0 * F_row,
+                                slaved_M(p, slaved_E(p, F_row)))
+            else:
+                Mb = solve_banded(
+                    lu, Mb + dt * (1.0 - p.rho) * p.nu_E * E_prev)
+            if row in checks:
+                cap = bundle.C2 * F_row
+                worst_M = max(worst_M, float(np.max((Mb - cap) / cap)))
+                checked_M += Mb.size
+            if row in reads:
+                kept[row] = E_row.copy()
+            E_prev = E_row
+    reports.append(ResidualReport("Ebar <= C1 Fbar", "super", worst_E, None,
+                                  RESIDUAL_TOL, worst_E <= RESIDUAL_TOL,
+                                  checked_E))
     reports.append(ResidualReport("Mbar <= C2 Fbar", "super", worst_M, None,
                                   RESIDUAL_TOL, worst_M <= RESIDUAL_TOL,
                                   checked_M))
@@ -486,11 +497,10 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
     worst_R = -np.inf
     loc_R = None
     checked_R = 0
-    for t in t_grid:
+    for t, row in zip(t_grid, reads):
         Fb = Fbar(x, t)
-        Eb_t = Eb[min(int(np.searchsorted(times, t)), len(times) - 1)]
-        fF = reaction_arrays(p, Eb_t, bundle.C2 * Fb, Fb, floor.floor(x, t),
-                             0.0, p.K_scalar)[2]
+        fF = reaction_arrays(p, kept[row], bundle.C2 * Fb, Fb,
+                             floor.floor(x, t), 0.0, p.K_scalar)[2]
         resid = fF + g_fn(x, t) * Fb  # must be <= 0, relative to the cap
         mask = _clear_of(x, bundle.interfaces(t), EXCLUDE_CELLS)
         v = resid[mask] / (p.mu_F * Fb[mask])

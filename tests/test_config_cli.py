@@ -688,6 +688,21 @@ class TestCli:
                         if ln.startswith("certificate ")]
         assert len(certificates) == (1 if which == "subsolution" else 5)
 
+    @pytest.mark.parametrize("name, worst, nodes",
+                             [("fig2-left", "1.445e+00", 5915),
+                              ("fig2-right", "9.181e+00", 5917)])
+    def test_supersolution_fails_only_the_female_cap(self, capsys, name,
+                                                     worst, nodes):
+        # the bundle search meets every check here but the female reaction
+        # cap, which fails by the pinned amount
+        rc = main(["verify", "--preset", name, "--which", "supersolution"])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 4
+        assert lines[1] == "certificate supersolution: FAIL"
+        failed = [ln for ln in lines[2:] if not ln.startswith("  [PASS] ")]
+        assert failed == [f"  [FAIL] female reaction cap: worst violation "
+                          f"{worst} (tol 1.0e-06, {nodes} nodes)"]
+
 
 def _certificate_structure() -> list[str]:
     """Certificate and report lines of `verify --preset carpet --which all`,

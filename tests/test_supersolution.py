@@ -11,6 +11,7 @@ from sitcarpet.supersolution import (
     make_sterile_lower_bound_tail,
     psi_profile,
     sterile_upper_bound,
+    walk_times,
 )
 
 
@@ -122,6 +123,18 @@ def test_Fbar_time_column_is_bitwise_rowwise(bundle):
     assert {0, 1, 2, 3} <= set(regions.ravel().tolist())
 
 
+def _collect(walk):
+    """Concatenate a walk's blocks into (times, Ebar), checking that they
+    are consecutive rows, the first one the row at t = 0."""
+    blocks = list(walk)
+    assert blocks[0].times.tolist() == [0.0]
+    assert [b.start for b in blocks] == np.cumsum(
+        [0] + [b.times.size for b in blocks[:-1]]).tolist()
+    assert all(b.times.size <= FBAR_BLOCK for b in blocks)
+    return (np.concatenate([b.times for b in blocks]),
+            np.concatenate([b.Ebar for b in blocks]))
+
+
 def _ebar_reference(bundle, x, t_end, dt):
     """RK4 as written before the block walk: four scalar-t Fbar per step."""
     p = bundle.params
@@ -151,12 +164,25 @@ def test_ebar_block_walk_is_bitwise_rk4(bundle):
     # a multiple of 0.1)
     x = np.linspace(0.0, bundle.r2 + 20.0, 41)
     t_end, dt = 25.03, 0.1
-    times, Eb = ebar_ode(bundle, x, t_end, dt)
+    times, Eb = _collect(ebar_ode(bundle, x, t_end, dt))
     ref_times, ref_Eb = _ebar_reference(bundle, x, t_end, dt)
     assert times.size - 1 > 2 * FBAR_BLOCK
     assert times[-1] - times[-2] < dt
     assert times.tobytes() == ref_times.tobytes()
     assert Eb.tobytes() == ref_Eb.tobytes()
+    assert times.tobytes() == walk_times(t_end, dt)[0].tobytes()
+
+
+def test_ebar_walk_yields_the_Fbar_rows_of_its_times(bundle):
+    # each block's Fbar rows are those of assemble_Fbar at the block's
+    # times, to the bit, and match its Ebar rows in shape
+    x = np.linspace(-5.0, bundle.r2 + 20.0, 57)
+    blocks = list(ebar_ode(bundle, x, 9.01, 0.1))
+    assert len(blocks) == 1 + int(np.ceil(91 / FBAR_BLOCK))
+    for b in blocks:
+        assert b.Fbar.shape == b.Ebar.shape == (b.times.size, x.size)
+        rows = np.stack([assemble_Fbar(bundle, x, t) for t in b.times])
+        assert b.Fbar.tobytes() == rows.tobytes()
 
 
 def test_Fbar_core_decays(bundle):
@@ -169,14 +195,15 @@ def test_Fbar_core_decays(bundle):
 def test_ebar_far_field_equilibrium(bundle, p05, eq05):
     # a point that stays in the far region holds the egg equilibrium
     x = np.array([bundle.r2 + bundle.c * 10.0 + 30.0])
-    times, Eb = ebar_ode(bundle, x, 10.0, 0.01, E0=np.array([eq05.upper[0]]))
+    times, Eb = _collect(ebar_ode(bundle, x, 10.0, 0.01,
+                                  E0=np.array([eq05.upper[0]])))
     assert np.allclose(Eb, eq05.upper[0], rtol=1e-9)
 
 
 def test_ebar_tracks_slaved_level_in_core(bundle, p05):
     from sitcarpet.model import slaved_E
     x = np.array([0.0])
-    times, Eb = ebar_ode(bundle, x, 80.0, 0.01)
+    times, Eb = _collect(ebar_ode(bundle, x, 80.0, 0.01))
     F_core = assemble_Fbar(bundle, 0.0, times[-1])
     target = slaved_E(p05, F_core)
     assert Eb[-1, 0] == pytest.approx(target, rel=0.05)

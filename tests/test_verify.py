@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from sitcarpet.supersolution import (
     lambda_roots,
     make_sterile_lower_bound,
     make_sterile_lower_bound_tail,
+    walk_times,
 )
 from sitcarpet.verify import (
+    build_subsolution,
     jump_check,
     verify_inequality,
     verify_sterile_cap,
@@ -155,3 +158,58 @@ def test_supersolution_evaluates_Fbar_in_time_blocks(monkeypatch):
     rep = verify_supersolution(bundle)
     assert rep.passed, str(rep)
     assert len(calls) < 100
+
+
+@pytest.fixture(scope="module")
+def carpet_bundle():
+    params = preset("carpet").scenario().params
+    return find_supersolution_bundle(params, c=CARPET_C)
+
+
+def test_supersolution_evaluates_each_Fbar_row_about_once(monkeypatch,
+                                                          carpet_bundle):
+    # the walk's step-end rows serve the C1 and Mbar checks, so the
+    # certificate evaluates Fbar at about two rows per step (step ends and
+    # half steps) plus the residual, kink and female-cap times: 2041 rows
+    # on the carpet
+    import sitcarpet.supersolution as super_mod
+    import sitcarpet.verify as verify_mod
+    rows = []
+
+    def counted(*args, **kwargs):
+        rows.append(np.size(args[2]))
+        return assemble_Fbar(*args, **kwargs)
+
+    monkeypatch.setattr(super_mod, "assemble_Fbar", counted)
+    monkeypatch.setattr(verify_mod, "assemble_Fbar", counted)
+    rep = verify_supersolution(carpet_bundle)
+    assert rep.passed, str(rep)
+    n_steps = walk_times(20.0, 0.02)[0].size - 1
+    assert sum(rows) <= 2 * n_steps + 60
+
+
+def _traced_peak(fn) -> int:
+    """Peak traced allocation of a call, in bytes, after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_subsolution_memory_is_bounded(carpet_bundle):
+    # the profile quadrature evaluates its integrand a bounded number of
+    # cells at a time; one call on every cell peaks at ~16 MB
+    b = carpet_bundle
+    peak = _traced_peak(
+        lambda: build_subsolution(b.params, b.c, b.lambda_bar, b.R2))
+    assert peak <= 6e6
+
+
+def test_verify_supersolution_memory_is_bounded(carpet_bundle):
+    # the Ebar walk is used block by block; holding the whole Ebar table
+    # peaks at ~18 MB
+    peak = _traced_peak(lambda: verify_supersolution(carpet_bundle))
+    assert peak <= 6e6
