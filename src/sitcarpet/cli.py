@@ -96,9 +96,8 @@ def _write_snapshots(path: Path, traj) -> None:
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     scenario = cfg.scenario()
-    params = scenario.params.at_max_K(scenario.grid.x)
-    report = eq_mod.thresholds(params)
-    eqs = eq_mod.solve_equilibria(params)
+    report = eq_mod.thresholds(scenario.at_max_K)
+    eqs = scenario.equilibria
 
     def fmt(v):
         return "n/a" if v is None else f"{v:.6g}"
@@ -146,13 +145,11 @@ class RunRecord:
 
 def _check_level(level: float | None, scenario: Scenario) -> None:
     """Raise ConfigError unless level is None or in [0, F*), F* the upper
-    equilibrium at the largest K: any other level is never crossed, and
-    the run would end Indeterminate with no speed.  0 tracks the support."""
+    equilibrium at the largest K (SolverError if none): any other level is
+    never crossed (the run would end Indeterminate); 0 tracks the support."""
     if level is None:
         return
-    upper = eq_mod.solve_equilibria(
-        scenario.params.at_max_K(scenario.grid.x)).upper
-    F_star = float("nan") if upper is None else upper[2]
+    F_star = scenario.upper[2]
     if not 0.0 <= level < F_star:
         raise ConfigError(f"--level {level!r} must be finite and in [0, F*), "
                           f"F* = {F_star:.6g}")
@@ -304,14 +301,14 @@ def cmd_sweep(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"sweep --workers must be >= 1, got {args.workers}")
     cfg_text = cfg.to_text()
-    # every row's config, equilibria (as make_initial solves them) and
-    # level are checked before any row runs, so a bad value is a config
-    # error with nothing run and nothing written
+    # every row's config, equilibria and level are checked before any row
+    # runs, so a bad value is a config error with nothing run or written; a
+    # row with no positive equilibrium runs, to fail alone as in `simulate`
     for v in values:
         try:
             scenario = _row_config(cfg_text, args.axis, v).scenario()
-            eq_mod.solve_equilibria(scenario.params.at_max_K(scenario.grid.x))
-            _check_level(args.level, scenario)
+            if scenario.equilibria.upper is not None:
+                _check_level(args.level, scenario)
         except (ConfigError, eq_mod.ParameterRangeError) as e:
             raise ConfigError(f"{args.axis} = {v!r}: {e}") from None
     # each worker takes a near-equal run of consecutive rows; a fork-started

@@ -19,7 +19,8 @@ supersolution.find_supersolution_bundle).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -163,16 +164,8 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     gamma = _require(m, "model", "gamma", None)
     if gamma_kind == "bistable" and gamma is None:
         raise ConfigError("model.gamma required in the bistable case")
-    K = _require(m, "model", "K", TABLE1["K"])
-    K_osc = float(_require(m, "model", "K_oscillation", 0.0))
-    K_period = float(_require(m, "model", "K_period", 10.0))
-    if K_osc > 0.0:
-        K_base, K_amp = float(K), K_osc
-
-        def K_field(x, base=K_base, amp=K_amp, per=K_period):
-            return base + amp * np.sin(2.0 * np.pi * np.abs(x) / per)
-        K = K_field
-
+    K_osc = _require(m, "model", "K_oscillation", 0.0)
+    K_period = _require(m, "model", "K_period", 10.0)
     try:
         params = ModelParams(
             b=float(_require(m, "model", "b", TABLE1["b"])),
@@ -182,14 +175,27 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             mu_F=float(_require(m, "model", "mu_F", TABLE1["mu_F"])),
             mu_s=float(_require(m, "model", "mu_s", DEFAULT_MU_S)),
             rho=float(_require(m, "model", "rho", TABLE1["rho"])),
-            K=K,
+            K=_require(m, "model", "K", TABLE1["K"]),
             D=float(_require(m, "model", "D", TABLE1["D"])),
             gamma_s=float(_require(m, "model", "gamma_s", DEFAULT_GAMMA_S)),
             gamma_kind=(Monostable() if gamma_kind == "monostable"
                         else Bistable(float(gamma))),
         )
+        # so K(x) = K + K_oscillation sin(2 pi |x| / K_period) is finite
+        # and at least K - K_oscillation > 0 everywhere
+        K_osc, K_period = float(K_osc), float(K_period)
+        if not 0.0 <= K_osc < params.K:
+            raise ValueError(f"K_oscillation must be finite and in [0, K), "
+                             f"got {K_osc!r} with K = {params.K!r}")
+        if not 0.0 < K_period < math.inf:
+            raise ValueError(f"K_period must be finite and > 0, got "
+                             f"{K_period!r}")
     except ValueError as e:
         raise ConfigError(f"model: {e}") from e
+    if K_osc > 0.0:
+        def K_field(x, base=float(params.K), amp=K_osc, per=K_period):
+            return base + amp * np.sin(2.0 * np.pi * np.abs(x) / per)
+        params = replace(params, K=K_field)
 
     # the run settings are checked before the grid is built, so a run too
     # long to step allocates nothing

@@ -121,16 +121,6 @@ class ModelParams:
             return K
         return np.asarray(self.K, dtype=float)
 
-    def at_max_K(self, x) -> "ModelParams":
-        """These params with a callable K replaced by its maximum over nodes x.
-
-        The reference parameter set for heterogeneous K: equilibria,
-        thresholds and classification use it.
-        """
-        if callable(self.K):
-            return replace(self, K=float(np.max(self.K_at(x))))
-        return self
-
     @property
     def K_scalar(self) -> float:
         if callable(self.K):

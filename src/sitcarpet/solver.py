@@ -71,20 +71,22 @@ The radial Laplacian is u'' + u'/r with the r = 0 node closed by symmetry
 optional Dirichlet clamp at the outer edge for invasion runs.
 
 A heterogeneous K(x) enters the egg equation nodewise.  Equilibria,
-thresholds and classification reduce it to its maximum over the grid nodes
-(`ModelParams.at_max_K`).
+thresholds and classification reduce it to its maximum over the grid nodes:
+every caller reads `Scenario.at_max_K` and its `equilibria`, which the
+scenario solves once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .equilibria import solve_equilibria
+from .equilibria import EquilibriumSet, solve_equilibria
 from .model import (ModelParams, RateRows, reaction_arrays, slaved_E,
                     slaved_M)
 
@@ -260,16 +262,12 @@ class InitialData:
                 raise ValueError("need 0 < R0_0 < R0_1")
 
 
-def make_initial(params: ModelParams, data: InitialData, grid: Grid,
-                 lambda_bar: float = 0.0) -> SimState:
-    """Construct fields satisfying the well-prepared bounds nodewise."""
-    eq = solve_equilibria(params.at_max_K(grid.x))
-    if eq.upper is None:
-        raise SolverError("no positive equilibrium for this parameter set")
-    E_star, M_star, F_star = eq.upper
-    x = grid.x
-    r = grid.radius
-    K = np.broadcast_to(params.K_at(x), x.shape)
+def make_initial(scenario: Scenario) -> SimState:
+    """The initial fields of `scenario`, within the well-prepared bounds."""
+    params, data, K = scenario.params, scenario.initial, scenario.K_nodes
+    lambda_bar = scenario.schedule.lambda_bar
+    E_star, M_star, F_star = scenario.upper
+    x, r = scenario.grid.x, scenario.grid.radius
 
     if data.kind == "step":
         mask = (x < data.x_step) if data.step_side == "left" else (x > data.x_step)
@@ -405,8 +403,7 @@ class Batch:
         self.lu = factor_diffusion(implicit_diffusion_matrix(
             sc.grid, sc.params.D, dt, sc.boundary))
         self.rates = RateRows.of(params, x.size)
-        self.K = np.array([np.broadcast_to(p.K_at(x), x.shape)
-                           for p in params])
+        self.K = np.array([s.K_nodes for s in scenarios])
         # -h(mu_u) = expm1(-dt mu_u) / mu_u for u = M, F, Ms, as (3, S, n)
         neg_h = [[math.expm1(-dt * mu) / mu
                   for mu in (p.mu_M, p.mu_F, p.mu_s)] for p in params]
@@ -498,6 +495,9 @@ def _clamp(out: np.ndarray, state: SimState, batch: Batch,
 
 @dataclass(frozen=True)
 class Scenario:
+    """One run's inputs.  What the params give on the grid is computed once,
+    on first use, and kept off the fields equality and `batch_key` read."""
+
     params: ModelParams
     grid: Grid
     schedule: ReleaseSchedule
@@ -510,6 +510,29 @@ class Scenario:
     def __post_init__(self):
         check_run_settings(self.t_end, self.dt, self.snapshot_dt,
                            self.boundary)
+
+    @cached_property
+    def K_nodes(self) -> np.ndarray:
+        """K on the grid nodes, (n,); ValueError unless finite and > 0."""
+        return np.broadcast_to(self.params.K_at(self.grid.x), (self.grid.n,))
+
+    @cached_property
+    def at_max_K(self) -> ModelParams:
+        """The params, with a callable K replaced by its max over the nodes."""
+        if callable(self.params.K):
+            return replace(self.params, K=float(np.max(self.K_nodes)))
+        return self.params
+
+    @cached_property
+    def equilibria(self) -> EquilibriumSet:
+        return solve_equilibria(self.at_max_K)
+
+    @property
+    def upper(self) -> tuple[float, float, float]:
+        """(E*, M*, F*) of `equilibria`; SolverError if there is none."""
+        if self.equilibria.upper is None:
+            raise SolverError("no positive equilibrium for this parameter set")
+        return self.equilibria.upper
 
 
 def check_run_settings(t_end: float, dt: Optional[float], snapshot_dt: float,
@@ -570,9 +593,7 @@ def run_batch(scenarios, states0=None) -> list[Trajectory]:
         raise ValueError("batch members must share grid, D, boundary, dt, "
                          "t_end, snapshot_dt and Gamma kind")
     if states0 is None:
-        states0 = [make_initial(s.params, s.initial, s.grid,
-                                lambda_bar=s.schedule.lambda_bar)
-                   for s in scenarios]
+        states0 = [make_initial(s) for s in scenarios]
     dt = sc.dt if sc.dt is not None else reaction_dt_bound()
     n_steps = int(np.ceil(sc.t_end / dt - 1e-12))
     dt = sc.t_end / n_steps  # land exactly on t_end

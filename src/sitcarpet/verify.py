@@ -192,6 +192,7 @@ class SubsolutionFields:
     """Translating sub-solution (E, M, F nondecreasing; Ms an upper cap)."""
 
     params: ModelParams
+    upper: tuple[float, float, float]  # (E*, M*, F*) of params
     c: float
     R_shift: float
     eps_gamma: float
@@ -235,8 +236,7 @@ def build_subsolution(params: ModelParams, c: float, lambda_bar: float,
     if eq.upper is None:
         raise SubsolutionUnavailable("no positive equilibrium for a "
                                      "sub-solution")
-    F_star = eq.upper[2]
-    eps_gamma = find_eps0(params, F_star)
+    eps_gamma = find_eps0(params, eq.upper[2])
     if eps_gamma is None:
         raise SubsolutionUnavailable(
             "no admissible sterile tail amplitude: G_eps(F*) <= 0 for every "
@@ -250,8 +250,8 @@ def build_subsolution(params: ModelParams, c: float, lambda_bar: float,
     Rs = R2 + 1.0
     cap = sterile_upper_bound(params, lambda_bar, c, Rs)
     R_shift = Rs + np.log(max(cap.height / eps_gamma, 1.0)) / cap.rate
-    return SubsolutionFields(params, c, R_shift, eps_gamma, F_prof, M_prof,
-                             cap)
+    return SubsolutionFields(params, eq.upper, c, R_shift, eps_gamma, F_prof,
+                             M_prof, cap)
 
 
 def verify_subsolution(sub: SubsolutionFields,
@@ -268,8 +268,7 @@ def verify_subsolution(sub: SubsolutionFields,
     slope jump.
     """
     p = sub.params
-    eq = solve_equilibria(p)
-    E_star, M_star, F_star = eq.upper
+    E_star, M_star, F_star = sub.upper
     reports = []
 
     def interfaces(t):

@@ -17,7 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .equilibria import solve_equilibria
+# Unused since a Scenario solves its own equilibria; kept because
+# perfbench/tests/test_tracing.py reads this binding.
+from .equilibria import solve_equilibria  # noqa: F401
 from .solver import Grid, ReleaseSchedule, Scenario, Trajectory
 
 DEFAULT_TOL_IN = 1e-3
@@ -80,22 +82,9 @@ def front_position(f: np.ndarray, grid: Grid, level: float):
     return float(positions.max()), positions.size > 1
 
 
-def _reference_equilibrium(scenario: Scenario) -> tuple[float, float, float]:
-    """Upper equilibrium (E*, M*, F*), heterogeneous K reduced to its nodal max."""
-    eq = solve_equilibria(scenario.params.at_max_K(scenario.grid.x))
-    if eq.upper is None:
-        raise ValueError("no positive equilibrium for the scenario's parameters")
-    return eq.upper
-
-
-def _level_or_default(level: Optional[float], scenario: Scenario,
-                      F_star: Optional[float] = None) -> float:
-    """`level` itself, or the default F*/2 of the reference equilibrium."""
-    if level is not None:
-        return level
-    if F_star is None:
-        F_star = _reference_equilibrium(scenario)[2]
-    return 0.5 * F_star
+def _level_or_default(level: Optional[float], scenario: Scenario) -> float:
+    """`level`, or the default F*/2 of the scenario's upper equilibrium."""
+    return 0.5 * scenario.upper[2] if level is None else level
 
 
 def front_trace(traj: Trajectory, level: Optional[float] = None) -> FrontTrace:
@@ -169,8 +158,8 @@ def classify(traj: Trajectory,
     (None when too few snapshots cross the level).
     """
     sc = traj.scenario
-    eq = _reference_equilibrium(sc)
-    level = _level_or_default(level, sc, eq[2])
+    eq = sc.upper
+    level = _level_or_default(level, sc)
     c = sc.schedule.speed
     positivity = callable(sc.params.K)
     diag: dict = {}

@@ -349,12 +349,13 @@ class TestCli:
         return rc, rows
 
     @staticmethod
-    def _alone(tmp_path, path, axis, value):
+    def _alone(tmp_path, path, axis, value, level=None):
         """(outcome, repr(speed)) of one row run by `simulate`."""
         cfg = ScenarioConfig.from_text(path.read_text())
         sec, key = axis.split(".")
         getattr(cfg, sec)[key] = float(value)
-        record = simulate_to_dir(cfg, tmp_path / f"alone-{axis}-{value}")
+        record = simulate_to_dir(
+            cfg, tmp_path / f"alone-{axis}-{value}-{level}", level=level)
         return (record.outcome, repr(record.speed))
 
     @staticmethod
@@ -420,9 +421,9 @@ class TestCli:
         # keep their verdicts bit for bit
         make_initial = solver_mod.make_initial
 
-        def poisoned(params, *args, **kwargs):
-            state = make_initial(params, *args, **kwargs)
-            if params.gamma == 0.5:
+        def poisoned(scenario):
+            state = make_initial(scenario)
+            if scenario.params.gamma == 0.5:
                 state.F[10] = np.nan
             return state
 
@@ -557,6 +558,82 @@ class TestCli:
         assert "config error" in err and "model.b = 1e+16" in err
         assert started == []
         assert list(tmp_path.iterdir()) == []
+
+    # K(x) = K + K_oscillation sin(2 pi |x| / K_period) with K = 200
+    BAD_K_FIELDS = [({"K_oscillation": 250.0}, "K_oscillation"),
+                    ({"K_oscillation": 200.0}, "K_oscillation"),
+                    ({"K_oscillation": -1.0}, "K_oscillation"),
+                    ({"K_oscillation": float("nan")}, "K_oscillation"),
+                    ({"K_period": 0.0}, "K_period"),
+                    ({"K_period": float("inf")}, "K_period")]
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("model,key", BAD_K_FIELDS)
+    def test_non_positive_K_field_exits_2(self, tmp_path, capsys, command,
+                                          model, key):
+        # a K(x) that can reach 0 or below, or is not finite, is refused
+        # when the config is read, before anything runs or is written
+        cfg = preset("carpet-hetero")
+        cfg.model.update(model)
+        path = tmp_path / "hetero.cfg"
+        path.write_text(cfg.to_text())
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert f"config error: model: {key} must be finite and" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_non_positive_K_field_exits_2_before_any_run(
+            self, tmp_path, capsys, monkeypatch):
+        started = self._record_runs(monkeypatch, tmp_path)
+        rc = main(["sweep", "--preset", "carpet-hetero",
+                   "--axis", "model.K_oscillation", "--values", "50,250",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "model.K_oscillation = 250.0" in err and "[0, K)" in err
+        assert started == []
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("level", [[], ["--level", "1"]])
+    def test_no_positive_equilibrium_exits_3(self, tmp_path, capsys, level):
+        # gamma = 1e-4 leaves only extinction: the same solver error with
+        # or without a --level to check
+        cfg = preset("fig1")
+        cfg.model["gamma"] = 1e-4
+        path = tmp_path / "extinct.cfg"
+        path.write_text(cfg.to_text())
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(path), "--out", str(out)]
+                  + level)
+        assert rc == 3
+        assert capsys.readouterr().err == ("solver error: no positive "
+                                           "equilibrium for this parameter "
+                                           "set\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("level", [None, 1.0])
+    def test_sweep_row_without_equilibrium_fails_alone(self, tmp_path,
+                                                       capsys, level):
+        cfg = preset("fig1")
+        cfg.run["t_end"] = 20.0
+        path = tmp_path / "quick.cfg"
+        path.write_text(cfg.to_text())
+        expected = self._alone(tmp_path, path, "model.gamma", "0.5", level)
+        argv = ["sweep", "--config", str(path), "--axis", "model.gamma",
+                "--values", "1e-4,0.5", "--out", str(tmp_path / "out")]
+        rc = main(argv + ([] if level is None else [f"--level={level}"]))
+        assert rc == 3
+        failed = [ln for ln in capsys.readouterr().out.splitlines()
+                  if "FAILED" in ln]
+        assert len(failed) == 1 and "0.0001" in failed[0]
+        assert "SolverError: no positive equilibrium" in failed[0]
+        (sweep_csv,) = (tmp_path / "out").glob("*/sweep.csv")
+        with open(sweep_csv, newline="") as fh:
+            rows = {r["model.gamma"]: (r["outcome"], r["speed"])
+                    for r in csv.DictReader(fh)}
+        assert rows == {"0.5": expected}
 
     def test_lambda_sweep_flips_outcome(self, tmp_path, capsys):
         # small releases leave re-invasion, the searched amplitude blocks

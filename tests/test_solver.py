@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from sitcarpet import solver
-from sitcarpet.config import table1_params
+from sitcarpet.config import preset, table1_params
 from sitcarpet.model import reaction_arrays
 from sitcarpet.solver import (
     Grid,
@@ -98,11 +98,50 @@ class TestReleaseValue:
                             c=-0.1)
 
 
+def _initial(params, data, grid, lambda_bar=0.0):
+    """`make_initial` of the scenario with these params, initial data and
+    grid, and a release of amplitude lambda_bar."""
+    return make_initial(Scenario(params, grid,
+                                 ReleaseSchedule(lambda_bar=lambda_bar),
+                                 data, t_end=1.0))
+
+
+class TestScenarioDerived:
+    def test_hetero_K_is_sampled_once_and_reduced_to_its_max(self):
+        scen = preset("carpet-hetero").scenario()
+        x = scen.grid.x
+        assert np.array_equal(scen.K_nodes, scen.params.K_at(x))
+        assert scen.at_max_K.K == float(np.max(scen.K_nodes))
+        assert scen.at_max_K.gamma == scen.params.gamma
+        assert scen.upper == scen.equilibria.upper
+        # computed once and kept, outside the fields: equality and the
+        # batch key see none of it
+        assert scen.equilibria is scen.equilibria
+        fresh = preset("carpet-hetero").scenario()
+        assert solver.batch_key(fresh) == solver.batch_key(scen)
+        assert "equilibria" not in vars(fresh)
+
+    def test_scalar_K_keeps_its_params(self, p05, eq05):
+        scen = Scenario(p05, Grid.cartesian(-5, 5, 11), ReleaseSchedule(),
+                        InitialData(kind="step"), t_end=1.0)
+        assert scen.at_max_K is p05
+        assert np.all(scen.K_nodes == p05.K) and scen.K_nodes.shape == (11,)
+        assert scen.upper == eq05.upper
+
+    def test_no_upper_equilibrium_is_a_solver_error(self):
+        scen = Scenario(table1_params(1e-4), Grid.cartesian(-5, 5, 11),
+                        ReleaseSchedule(), InitialData(kind="step"),
+                        t_end=1.0)
+        assert scen.equilibria.upper is None
+        with pytest.raises(SolverError, match="no positive equilibrium"):
+            scen.upper
+
+
 class TestMakeInitial:
     def test_well_prepared_bounds(self, p05, eq05):
         grid = Grid.radial(40.0, 401)
         data = InitialData(kind="well_prepared", R0_0=10, R0_1=15, u0=0.1)
-        st0 = make_initial(p05, data, grid, lambda_bar=100.0)
+        st0 = _initial(p05, data, grid, lambda_bar=100.0)
         E_s, M_s, F_s = eq05.upper
         r = grid.radius
         inside = r <= 10
@@ -119,21 +158,21 @@ class TestMakeInitial:
 
     def test_u0_zero_clears_center(self, p05):
         grid = Grid.radial(30.0, 301)
-        st0 = make_initial(p05, InitialData(kind="well_prepared", R0_0=5,
-                                            R0_1=8, u0=0.0), grid)
+        st0 = _initial(p05, InitialData(kind="well_prepared", R0_0=5,
+                                        R0_1=8, u0=0.0), grid)
         assert np.all(st0.F[grid.radius <= 5] == 0.0)
 
     def test_step_kind(self, p05, eq05):
         grid = Grid.cartesian(-20, 20, 201)
-        st0 = make_initial(p05, InitialData(kind="step", x_step=-5.0), grid)
+        st0 = _initial(p05, InitialData(kind="step", x_step=-5.0), grid)
         assert np.all(st0.F[grid.x < -5] == eq05.upper[2])
         assert np.all(st0.F[grid.x >= -5] == 0.0)
 
     def test_needs_positive_equilibrium(self):
         grid = Grid.radial(30.0, 301)
         with pytest.raises(SolverError):
-            make_initial(table1_params(1e-4),
-                         InitialData(kind="well_prepared"), grid)
+            _initial(table1_params(1e-4), InitialData(kind="well_prepared"),
+                     grid)
 
 
 class TestStep:
