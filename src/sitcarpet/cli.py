@@ -30,7 +30,8 @@ from .config import (ConfigError, PRESET_NAMES, ScenarioConfig, check_key,
                      preset)
 from .solver import (ReleaseSchedule, Scenario, SolverError, batch_key,
                      run, run_batch)
-from .supersolution import (find_supersolution_bundle,
+from .supersolution import (SupersolutionUnavailable,
+                            find_supersolution_bundle,
                             make_sterile_lower_bound,
                             make_sterile_lower_bound_tail)
 from .verify import (
@@ -218,21 +219,32 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"verify --which {which} needs a scalar K; this "
                           f"config has a heterogeneous K(x) (--which "
                           f"sterile-bounds works)")
+    if which != "sterile-bounds":
+        # with no positive equilibrium there is nothing to certify:
+        # SolverError (exit 3) before any check runs, as in `simulate`
+        scenario.upper
     if which in ("subsolution", "all"):
         try:
             sub = build_subsolution(params, c=c, lambda_bar=lam,
-                                    R2=max(sched.R2, 1.0))
+                                    R2=max(sched.R2, 1.0),
+                                    equilibria=scenario.equilibria)
         except SubsolutionUnavailable as e:  # a failed check, not a crash
             reports.append(CertificateReport("subsolution", [], False,
                                              unbuilt=str(e)))
         else:
             reports.append(verify_subsolution(sub))
     if which in ("supersolution", "all"):
-        bundle = find_supersolution_bundle(params, c=c)
-        print(f"bundle constants: mu={bundle.mu:g} eps={bundle.eps:g} "
-              f"u0={bundle.u0:g} C1={bundle.C1:g} C2={bundle.C2:g} "
-              f"L={bundle.L:g} lambda_bar={bundle.lambda_bar:g}")
-        reports.append(verify_supersolution(bundle))
+        try:
+            bundle = find_supersolution_bundle(
+                params, c=c, equilibria=scenario.equilibria)
+        except SupersolutionUnavailable as e:  # a failed check, not a crash
+            reports.append(CertificateReport("supersolution", [], False,
+                                             unbuilt=str(e)))
+        else:
+            print(f"bundle constants: mu={bundle.mu:g} eps={bundle.eps:g} "
+                  f"u0={bundle.u0:g} C1={bundle.C1:g} C2={bundle.C2:g} "
+                  f"L={bundle.L:g} lambda_bar={bundle.lambda_bar:g}")
+            reports.append(verify_supersolution(bundle))
     if which in ("sterile-bounds", "all"):
         R1, R2, eta = _release_geometry(sched)
         r1 = R1 + 2.0

@@ -24,7 +24,7 @@ The slaved relations E(F) and M(E) (egg and male equations at rest) live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -131,10 +131,6 @@ class ModelParams:
     def gamma(self) -> float | None:
         """Allee coefficient, or None in the monostable case."""
         return self.gamma_kind.gamma if isinstance(self.gamma_kind, Bistable) else None
-
-    def with_gamma(self, gamma: float | None) -> "ModelParams":
-        kind: GammaKind = Monostable() if gamma is None else Bistable(gamma)
-        return replace(self, gamma_kind=kind)
 
 
 class RateRows(NamedTuple):

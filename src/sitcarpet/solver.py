@@ -27,15 +27,22 @@ into itself.  Proof, in two parts.
    E' is a convex combination of E and b F / a <= K(x), so 0 <= E' <= K(x);
    u* is one of u and src_u / mu_u >= 0, so u* >= 0; and as g <= 1 and
    E <= K_max, src_F / mu_F <= F_cap, so F* <= F_cap.
-2. The implicit solve is monotone for every dt.  I - dt D L has a positive
-   diagonal, nonpositive off-diagonals and rows that sum to 1 with a
-   strictly dominant diagonal.  On the radial grid the neighbour weights
+2. The implicit solve is monotone for every dt.  A = I - dt D L has a
+   positive diagonal, nonpositive off-diagonals and rows that sum to 1 with
+   a strictly dominant diagonal.  On the radial grid the neighbour weights
    are lam + adv and lam - adv with lam = D dt / dx^2 and
-   adv = D dt / (2 r dx), and lam >= adv at every node with r >= dx, that
-   is every node but the centre, whose row is symmetric.  So the matrix is
-   an M-matrix: its inverse is entrywise nonnegative with unit row sums, and
+   adv = D dt / (2 r dx), and lam > adv at every node with r >= dx, that
+   is every node but the centre, whose row is symmetric.  So A is an
+   M-matrix: its inverse is entrywise nonnegative with unit row sums, and
    the solve keeps order, nonnegativity and upper bounds by a constant (the
-   Dirichlet row keeps the edge value).
+   Dirichlet row keeps the edge value).  A is also symmetrizable: each
+   off-diagonal pair A[i, i+1], A[i+1, i] has a positive product, so with
+   w_0 = 1 and w_{i+1} = w_i A[i, i+1] / A[i+1, i] (the finite-volume
+   weights: r on the radial grid, 1 on the Cartesian one, each boundary
+   row with its own factor) W A is symmetric, and with its strictly
+   dominant positive diagonal it is positive definite.  Its LDL^T
+   factorization needs no pivoting, and solving W A x = W b gives the same
+   A^{-1} b in exact arithmetic; only the rounding differs.
 
 So dt is an accuracy choice, not a stability bound: the automatic step is
 DT (`reaction_dt_bound`), free of every rate, and the first-order error in
@@ -44,11 +51,12 @@ DT / 4.  Roundoff can still leave a tiny negative value; it is clamped and
 counted, and a relative undershoot above CLAMP_FAIL_THRESHOLD raises
 `SolverError`.
 
-A run keeps one dt, t_end / n_steps, so the three diffusing fields share one
-matrix for the whole run.  It is LU-factored once (LAPACK dgttrf, partial
-pivoting) and each step solves all right-hand sides together, stacked as the
-columns of one array, with a single dgttrs call: the same elimination, in
-the same order, as the per-field gtsv solves of `scipy.linalg.solve_banded`.
+A run keeps one dt, t_end / n_steps, so the diffusing fields share one
+matrix for the whole run.  A Dirichlet last row, an identity row, is
+eliminated (x_{n-1} = b_{n-1}, moved to the right-hand side of row n - 2);
+the rest is weighted to W A and factored once (LAPACK dpttrf).  Each step
+scales all right-hand sides by W, stacked as the columns of one array, and
+solves them with a single dpttrs call, column by column.
 A non-finite right-hand side (a NaN or inf that reached the state) raises
 `SolverError` instead of being solved.  Snapshots are taken at the initial
 state, at the first step at or after each multiple of
@@ -58,13 +66,16 @@ Batches.  `run_batch` advances S scenarios that share the grid, D,
 boundary, dt, t_end, snapshot_dt and Gamma kind (`batch_key`) as one
 (S, n) state, one row per member; `run` is the batch of one.  Their rates
 differ per member and K may too: `Batch` builds them once per run as
-(S, n) rows, with each h(mu_u) factor, the LU factors and the release
-schedules.  A step makes one `reaction_arrays` call on the whole
-state, and the 3S right-hand sides (M, F, Ms of each member) go to one
-dgttrs call.  Every operation of the step is elementwise within a member's
-row and the solve works column by column, so the proof above holds per
-member, and each member's arrays are bit for bit those of its own run.
-Clamp counts, scales and the `SolverError` threshold are per member too.
+(S, n) rows, with each h(mu_u) factor, the diffusion factor and the release
+schedules.  A step makes one `reaction_arrays` call on the whole state, and
+the 3S right-hand sides (M, F, Ms of each member) go to one dpttrs call.
+When no member releases (kind none or lambda_bar 0) and every member's
+initial Ms is +0.0, Ms stays +0.0 bit for bit (its source and its decay are
+both 0), so the step passes it through and solves 2S columns (M, F).  Every
+operation of the step is elementwise within a member's row and the solve
+works column by column, so the proof above holds per member, and each
+member's arrays are bit for bit those of its own run.  Clamp counts, scales
+and the `SolverError` threshold are per member too.
 
 The radial Laplacian is u'' + u'/r with the r = 0 node closed by symmetry
 (limit 2 u''(0)); boundaries are homogeneous Neumann by default with an
@@ -84,7 +95,7 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .equilibria import EquilibriumSet, solve_equilibria
 from .model import (ModelParams, RateRows, reaction_arrays, slaved_E,
@@ -344,37 +355,63 @@ def implicit_diffusion_matrix(grid: Grid, D: float, dt: float,
     return ab
 
 
-class DiffusionLU(NamedTuple):
-    """LU factors of a tridiagonal matrix, as LAPACK dgttrf returns them."""
+class DiffusionFactor(NamedTuple):
+    """A tridiagonal matrix A, symmetrized and factored: W A = L D L^T.
 
-    dl: np.ndarray
+    d and e are LAPACK dpttrf's factors of W A, w the row weights W, and
+    edge the A[n-2, n-1] of an eliminated Dirichlet last row (0 if none)."""
+
     d: np.ndarray
-    du: np.ndarray
-    du2: np.ndarray
-    ipiv: np.ndarray
+    e: np.ndarray
+    w: np.ndarray
+    edge: float
 
 
-def factor_diffusion(ab: np.ndarray) -> DiffusionLU:
-    """Factor the (1,1)-banded matrix `ab` once for any number of solves."""
+def factor_diffusion(ab: np.ndarray) -> DiffusionFactor:
+    """Factor the (1,1)-banded matrix `ab` once for any number of solves.
+
+    A last row without a subdiagonal must be an identity (Dirichlet) row: it
+    is eliminated, x_{n-1} = b_{n-1}.  The other rows are weighted, w_0 = 1
+    and w_{i+1} = w_i A[i, i+1] / A[i+1, i], so that W A is symmetric; an
+    off-diagonal pair whose product is not > 0 is a SolverError.
+    """
     if not np.all(np.isfinite(ab)):
         raise SolverError("non-finite entry in the diffusion matrix")
-    dl, d, du, du2, ipiv, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+    n = ab.shape[1]
+    up, lo = ab[0, 1:], ab[2, :-1]  # A[i, i+1] and A[i+1, i]
+    pairs, edge = n - 1, 0.0
+    if lo[-1] == 0.0 and ab[1, -1] == 1.0:
+        pairs, edge = n - 2, float(up[-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = up[:pairs] / lo[:pairs]
+    if not np.all(ratio > 0.0):
+        raise SolverError("diffusion matrix is not symmetrizable: an "
+                          "off-diagonal pair has a product that is not > 0")
+    w = np.ones(n)
+    np.cumprod(ratio, out=w[1:pairs + 1])
+    e = np.zeros(n - 1)
+    e[:pairs] = w[:pairs] * up[:pairs]
+    d, e, info = dpttrf(w * ab[1], e)
     if info != 0:
-        raise SolverError(f"singular diffusion matrix (zero pivot {info})")
-    return DiffusionLU(dl, d, du, du2, ipiv)
+        raise SolverError(f"diffusion matrix is not positive definite "
+                          f"(pivot {info})")
+    return DiffusionFactor(d, e, w, edge)
 
 
-def solve_banded(lu: DiffusionLU, rhs: np.ndarray) -> np.ndarray:
-    """Solve with the factors of `factor_diffusion`, overwriting `rhs`.
+def solve_banded(factor: DiffusionFactor, rhs: np.ndarray) -> np.ndarray:
+    """Solve with the factor of `factor_diffusion`, overwriting `rhs`.
 
     `rhs` is one right-hand side (n,) or several as the columns of a
     Fortran-ordered (n, k) array.
     """
     if not np.all(np.isfinite(rhs)):
         raise SolverError("non-finite state reached the diffusion solve")
-    x, info = dgttrs(*lu, rhs, overwrite_b=1)
+    if factor.edge:
+        rhs[-2] -= factor.edge * rhs[-1]
+    np.multiply(rhs.T, factor.w, out=rhs.T)  # W b, a row per node
+    x, info = dpttrs(factor.d, factor.e, rhs, overwrite_b=1)
     if info != 0:
-        raise SolverError(f"dgttrs rejected argument {-info}")
+        raise SolverError(f"dpttrs rejected argument {-info}")
     return x
 
 
@@ -391,16 +428,21 @@ class ClampStats:
 
 class Batch:
     """What stays fixed while S members advance as one (S, n) state, built
-    once per run: the LU factors of the shared diffusion matrix, and as
-    (S, n) rows the rates, the h factors and K sampled on the nodes; and the
-    release schedules, each with the member rows that share it."""
+    once per run: the factor of the shared diffusion matrix, and as (S, n)
+    rows the rates, the h factors and K sampled on the nodes; the release
+    schedules, each with the member rows that share it; and `fields`, the
+    number of diffusing fields a step updates and solves.
 
-    def __init__(self, scenarios, dt: float):
+    `fields` is 2 (M, F) when no member releases and the initial Ms rows
+    `Ms0` are +0.0 everywhere: Ms then stays +0.0 bit for bit (its source
+    is 0), and `step` passes it through.  Otherwise it is 3 (M, F, Ms)."""
+
+    def __init__(self, scenarios, dt: float, Ms0: np.ndarray):
         sc = scenarios[0]
         params = [s.params for s in scenarios]
         x = sc.grid.x
         self.grid, self.dt, self.boundary = sc.grid, dt, sc.boundary
-        self.lu = factor_diffusion(implicit_diffusion_matrix(
+        self.factor = factor_diffusion(implicit_diffusion_matrix(
             sc.grid, sc.params.D, dt, sc.boundary))
         self.rates = RateRows.of(params, x.size)
         self.K = np.array([s.K_nodes for s in scenarios])
@@ -416,6 +458,11 @@ class Batch:
             rows.setdefault(s.schedule, []).append(i)
         self.releases = [(schedule, slice(None) if len(r) == len(scenarios)
                           else r) for schedule, r in rows.items()]
+        releasing = any(s.kind != "none" and s.lambda_bar != 0.0
+                        for s in rows)
+        # +0.0 is the one float whose bits are all 0
+        Ms0 = np.ascontiguousarray(Ms0, dtype=float)
+        self.fields = 3 if releasing or Ms0.view(np.int64).any() else 2
 
 
 def batch_key(scenario: "Scenario") -> tuple:
@@ -442,7 +489,8 @@ def step(state: SimState, batch: Batch,
     """One step of every member: exact reaction steps, then one solve.
 
     `state` holds (S, n) fields, one row per member of `batch`; `clamps`,
-    if given, one ClampStats per member.
+    if given, one ClampStats per member.  With `batch.fields` 2, Ms is
+    passed through.
     """
     E, M, F, Ms = state.E, state.M, state.F, state.Ms
     rates, K = batch.rates, batch.K
@@ -451,22 +499,24 @@ def step(state: SimState, batch: Batch,
     # exact steps u + h(r) f with h(r) = -expm1(-r dt) / r and r the loss
     # rate of u: a at each node for E, mu_u for M, F and Ms.  E is clipped
     # to [0, K] against roundoff (np.clip would cost twice as much).
-    new = np.empty((4,) + E.shape)  # E, then M, F, Ms: the solve's columns
+    k = batch.fields
+    new = np.empty((1 + k,) + E.shape)  # E, then the solve's M, F(, Ms)
     a = rates.b * F / K + rates.egg_loss
     np.maximum(E - np.expm1(-batch.dt * a) / a * fE, 0.0, out=new[0])
     np.minimum(new[0], K, out=new[0])
-    for j, (u, f) in enumerate(((M, fM), (F, fF), (Ms, fs))):
+    for j, (u, f) in enumerate(((M, fM), (F, fF), (Ms, fs))[:k]):
         np.subtract(u, batch.neg_h[j] * f, out=new[1 + j])
         if batch.boundary == "dirichlet":
             new[1 + j, :, -1] = u[:, -1]
     # row (field, member) of new[1:] is column field * S + member of one
-    # Fortran-ordered (n, 3S) right-hand side
+    # Fortran-ordered (n, kS) right-hand side
     n = E.shape[-1]
-    out = solve_banded(batch.lu, new[1:].reshape(-1, n).T).T.reshape(
+    out = solve_banded(batch.factor, new[1:].reshape(-1, n).T).T.reshape(
         new[1:].shape)
     if out.min() < 0.0:
         _clamp(out, state, batch, clamps)
-    return SimState(state.t + batch.dt, new[0], out[0], out[1], out[2])
+    return SimState(state.t + batch.dt, new[0], out[0], out[1],
+                    out[2] if k == 3 else Ms)
 
 
 def _clamp(out: np.ndarray, state: SimState, batch: Batch,
@@ -597,11 +647,10 @@ def run_batch(scenarios, states0=None) -> list[Trajectory]:
     dt = sc.dt if sc.dt is not None else reaction_dt_bound()
     n_steps = int(np.ceil(sc.t_end / dt - 1e-12))
     dt = sc.t_end / n_steps  # land exactly on t_end
-    batch = Batch(scenarios, dt)
     clamps = [ClampStats() for _ in scenarios]
-
     state = SimState(states0[0].t, *(np.array([getattr(s, f) for s in states0])
                                      for f in ("E", "M", "F", "Ms")))
+    batch = Batch(scenarios, dt, state.Ms)
     times = [state.t]
     snaps = [np.stack((state.E, state.M, state.F, state.Ms))]
     # the next snapshot is the first step k with k >= m * steps_per_snap

@@ -24,7 +24,8 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .equilibria import bisect, scale_until, solve_equilibria
+from .equilibria import (EquilibriumSet, bisect, scale_until,
+                         solve_equilibria)
 from .model import Bistable, ModelParams, egg_rate, slaved_E
 
 
@@ -437,9 +438,16 @@ def make_sterile_lower_bound_tail(params: ModelParams, lambda_bar: float,
                                eta=eta_t, eps_tail=eps_tail)
 
 
+class SupersolutionUnavailable(ValueError):
+    """The bundle search does not cover these parameters; the message says
+    why."""
+
+
 def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,
                               R1: float = 4.0, eps: Optional[float] = None,
-                              safety: float = 2.0) -> SupersolutionBundle:
+                              safety: float = 2.0,
+                              equilibria: Optional[EquilibriumSet] = None
+                              ) -> SupersolutionBundle:
     """Derive a full constant set from the construction's sufficient conditions.
 
     Search order: C0 = max(E*, M*)/F*; shrink mu (then eps, unless given)
@@ -447,14 +455,17 @@ def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,
     explicit bounds, u0 from the bistable smallness condition, the bridge
     width L from the psi root, the outer release radius R2 = r2 + (r1 - R1),
     and finally lambda_bar so the annulus suppression inequality holds with
-    the given safety factor.
+    the given safety factor.  `equilibria` are the params' own, if already
+    solved.
     """
     p = params
     if not isinstance(p.gamma_kind, Bistable):
-        raise ValueError("the bundle search covers the bistable case")
-    eq = solve_equilibria(p)
+        raise SupersolutionUnavailable("the bundle search covers the "
+                                       "bistable case")
+    eq = equilibria if equilibria is not None else solve_equilibria(p)
     if eq.upper is None:
-        raise ValueError("no positive equilibrium: nothing to block")
+        raise SupersolutionUnavailable("no positive equilibrium: nothing "
+                                       "to block")
     E_star, M_star, F_star = eq.upper
     C0 = max(E_star / F_star, M_star / F_star)
     sd = np.sqrt(p.D)

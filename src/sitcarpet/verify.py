@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .equilibria import solve_equilibria
+from .equilibria import EquilibriumSet, solve_equilibria
 from .model import ModelParams, reaction_arrays, slaved_E, slaved_M
 from .profiles import (
     MonotoneProfile,
@@ -224,15 +224,16 @@ class SubsolutionUnavailable(ValueError):
 
 
 def build_subsolution(params: ModelParams, c: float, lambda_bar: float,
-                      R2: float) -> SubsolutionFields:
+                      R2: float, equilibria: Optional[EquilibriumSet] = None
+                      ) -> SubsolutionFields:
     """Assemble the moving sub-solution for a release bounded by the annulus.
 
     The sterile field is capped by the translating plateau/skirt bound with
     Rs = R2 + 1, beyond the release annulus and the initial sterile dose;
     the shift R is chosen so the cap lies below the eps-tail the female
-    profile tolerates.
+    profile tolerates.  `equilibria` are the params' own, if already solved.
     """
-    eq = solve_equilibria(params)
+    eq = equilibria if equilibria is not None else solve_equilibria(params)
     if eq.upper is None:
         raise SubsolutionUnavailable("no positive equilibrium for a "
                                      "sub-solution")

@@ -780,6 +780,50 @@ class TestCli:
         assert failed == [f"  [FAIL] female reaction cap: worst violation "
                           f"{worst} (tol 1.0e-06, {nodes} nodes)"]
 
+    @pytest.mark.parametrize("which", ["supersolution", "all"])
+    def test_monostable_supersolution_is_a_failed_check(self, tmp_path,
+                                                        capsys, which):
+        # the bundle search covers the bistable case only: on a monostable
+        # carpet the super-solution certificate fails, saying why, and the
+        # other checks asked for still run
+        cfg = preset("carpet")
+        cfg.model["gamma_kind"] = "monostable"
+        cfg.model.pop("gamma")
+        path = tmp_path / "monostable.cfg"
+        path.write_text(cfg.to_text())
+        rc = main(["verify", "--config", str(path), "--which", which])
+        out = capsys.readouterr().out
+        assert rc == 4
+        assert ("certificate supersolution: FAIL\n  [FAIL] not built: the "
+                "bundle search covers the bistable case") in out
+        certificates = [ln for ln in out.splitlines()
+                        if ln.startswith("certificate ")]
+        assert len(certificates) == (1 if which == "supersolution" else 5)
+        assert [c for c in certificates if c.endswith("FAIL")] == [
+            "certificate supersolution: FAIL"]
+
+    @pytest.mark.parametrize("which", ["subsolution", "supersolution", "all",
+                                       "sterile-bounds"])
+    def test_verify_without_equilibrium_exits_3(self, tmp_path, capsys,
+                                                which):
+        # gamma = 1e-4 leaves only extinction, so there is nothing to
+        # certify: the solver error of `simulate`, before any check runs;
+        # the sterile bounds do not need an equilibrium
+        cfg = preset("fig1")
+        cfg.model["gamma"] = 1e-4
+        path = tmp_path / "extinct.cfg"
+        path.write_text(cfg.to_text())
+        rc = main(["verify", "--config", str(path), "--which", which])
+        captured = capsys.readouterr()
+        if which == "sterile-bounds":
+            assert rc == 0
+            assert "PASS" in captured.out and "FAIL" not in captured.out
+            return
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == ("solver error: no positive equilibrium for "
+                                "this parameter set\n")
+
 
 def _certificate_structure() -> list[str]:
     """Certificate and report lines of `verify --preset carpet --which all`,

@@ -36,7 +36,8 @@ def _one_step(state, params, dt, grid):
     scen = Scenario(params, grid, ReleaseSchedule(),
                     InitialData(kind="step"), t_end=dt, dt=dt)
     rows = (f[None] for f in (state.E, state.M, state.F, state.Ms))
-    out = step(SimState(state.t, *rows), Batch([scen], dt))
+    rows = SimState(state.t, *rows)
+    out = step(rows, Batch([scen], dt, rows.Ms))
     return SimState(out.t, out.E[0], out.M[0], out.F[0], out.Ms[0])
 
 
@@ -215,28 +216,99 @@ class TestStep:
         assert grown == pytest.approx(2 * p.D * 20.0, rel=0.01)
 
 
+def _ldlt_solve(ab, b):
+    """Reference for A x = b, A in (1,1)-banded form: one LAPACK dptsv call
+    on W A and W b, with W the row weights w_0 = 1, w_{i+1} = w_i A[i, i+1]
+    / A[i+1, i] that make W A symmetric, and a Dirichlet (identity) last
+    row eliminated first."""
+    n = ab.shape[1]
+    up, lo = ab[0, 1:].copy(), ab[2, :-1]
+    b = b.copy()
+    pairs = n - 1
+    if lo[-1] == 0.0:  # x_{n-1} = b_{n-1}, moved to row n - 2
+        pairs = n - 2
+        b[-2] -= up[-1] * b[-1]
+        up[-1] = 0.0
+    w = np.ones(n)
+    for i in range(pairs):
+        w[i + 1] = w[i] * (up[i] / lo[i])
+    d, e, x, info = scipy.linalg.lapack.dptsv(w * ab[1], w[:-1] * up,
+                                              (w * b)[:, None])
+    assert info == 0
+    return x[:, 0]
+
+
+_SOLVE_GRIDS = pytest.mark.parametrize(
+    "grid", [Grid.radial(20.0, 201), Grid.cartesian(-10.0, 10.0, 201)],
+    ids=["radial", "cartesian"])
+
+
 class TestFactoredSolve:
-    @pytest.mark.parametrize("grid", [Grid.radial(20.0, 201),
-                                      Grid.cartesian(-10.0, 10.0, 201)],
-                             ids=["radial", "cartesian"])
+    @_SOLVE_GRIDS
     @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
     def test_bit_identical_to_solve_banded(self, rng, grid, boundary):
+        # the batched solve is, column by column, one LDL^T solve
         ab = implicit_diffusion_matrix(grid, 0.8, 0.035, boundary)
         rhs = np.asfortranarray(rng.uniform(0.0, 100.0, (grid.n, 3)))
         out = solve_banded(factor_diffusion(ab), rhs.copy(order="F"))
         for j in range(3):
-            expect = scipy.linalg.solve_banded((1, 1), ab, rhs[:, j])
-            assert np.array_equal(out[:, j], expect)
+            assert np.array_equal(out[:, j], _ldlt_solve(ab, rhs[:, j]))
 
-    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
-    def test_run_matches_per_field_solves(self, rng, p05, boundary):
-        # reference: the scheme with one solve_banded call per field
+    @_SOLVE_GRIDS
+    @pytest.mark.parametrize("matrix", ["neumann", "dirichlet", "mbar"])
+    def test_symmetrized_solve_matches_gtsv(self, rng, grid, matrix):
+        # W A is symmetric to rounding, and the solve agrees with the
+        # pivoted gtsv solve to rounding; "mbar" is the male matrix of the
+        # super-solution walk, the Neumann matrix plus dt mu_M on the
+        # diagonal
+        dt = 0.035
+        ab = implicit_diffusion_matrix(grid, 0.8, dt, "neumann"
+                                       if matrix == "mbar" else matrix)
+        if matrix == "mbar":
+            ab[1, :] += dt * 0.1
+        factor = factor_diffusion(ab)
+        pairs = grid.n - (2 if matrix == "dirichlet" else 1)
+        upper = factor.w[:pairs] * ab[0, 1:pairs + 1]
+        lower = factor.w[1:pairs + 1] * ab[2, :pairs]
+        assert np.all(factor.w > 0.0)
+        assert np.max(np.abs(upper - lower) / np.abs(upper)) < 1e-14
+        rhs = np.asfortranarray(rng.uniform(0.0, 100.0, (grid.n, 4)))
+        out = solve_banded(factor, rhs.copy(order="F"))
+        expect = np.column_stack([scipy.linalg.solve_banded((1, 1), ab, c)
+                                  for c in rhs.T])
+        assert np.max(np.abs(out - expect)) <= 1e-13 * np.max(np.abs(expect))
+        one = solve_banded(factor, rhs[:, 0].copy())
+        assert one.shape == (grid.n,)
+        assert np.array_equal(one, out[:, 0])
+
+    @pytest.mark.parametrize("entry", [(0, 5), (2, 5), (0, -1)])
+    def test_unsymmetrizable_matrix_is_a_solver_error(self, entry):
+        # an off-diagonal pair with a zero or a positive entry has no
+        # positive weight that makes it symmetric
+        ab = implicit_diffusion_matrix(Grid.cartesian(0.0, 1.0, 11), 1.0,
+                                       0.01, "neumann")
+        for value in (0.0, 0.5):
+            bad = ab.copy()
+            bad[entry] = value
+            with pytest.raises(SolverError, match="not symmetrizable"):
+                factor_diffusion(bad)
+
+    @pytest.mark.parametrize("boundary,release", [
+        ("neumann", True), ("dirichlet", True), ("dirichlet", False)],
+        ids=["neumann", "dirichlet", "dirichlet-no-release"])
+    def test_run_matches_per_field_solves(self, rng, p05, boundary, release):
+        # reference: the scheme with one LDL^T solve per field; without a
+        # release and with Ms0 = +0.0, the run skips the Ms solve, and its
+        # Ms must still be the reference's +0.0 bit for bit
         grid = Grid.radial(12.0, 121)
         sched = ReleaseSchedule(kind="annulus", lambda_bar=300.0, R1=2.0,
                                 R2=5.0, c=0.1)
+        if not release:
+            sched = ReleaseSchedule()
         xs = np.linspace(0.0, 12.0, 4)
         mk = lambda hi: np.interp(grid.x, xs, rng.uniform(0, hi, 4))
-        state = SimState(0.0, mk(p05.K_scalar), mk(60), mk(80), mk(100))
+        state = SimState(0.0, mk(p05.K_scalar), mk(60), mk(80),
+                         mk(100) if release else np.zeros(grid.n))
         dt, n_steps = 0.02, 25
         scen = Scenario(p05, grid, sched, InitialData(kind="step"),
                         t_end=dt * n_steps, dt=dt, snapshot_dt=n_steps * dt,
@@ -255,8 +327,7 @@ class TestFactoredSolve:
                 rhs = u - math.expm1(-dt * mu) / mu * f
                 if boundary == "dirichlet":
                     rhs[-1] = u[-1]
-                out = scipy.linalg.solve_banded((1, 1), ab, rhs)
-                fields.append(np.maximum(out, 0.0))
+                fields.append(np.maximum(_ldlt_solve(ab, rhs), 0.0))
             a = p05.b * F / K + (p05.mu_E + p05.nu_E)
             E = np.clip(E - np.expm1(-dt * a) / a * fE, 0.0, K)
             M, F, Ms = fields
@@ -264,6 +335,8 @@ class TestFactoredSolve:
         for got, expect in zip((traj.E, traj.M, traj.F, traj.Ms),
                                (E, M, F, Ms)):
             assert np.array_equal(got[-1], expect)
+        if not release:
+            assert not np.any(Ms) and not np.any(np.signbit(traj.Ms))
 
     def test_run_factors_once(self, monkeypatch, p05):
         calls = []
@@ -330,6 +403,43 @@ class TestBatch:
             for f in ("E", "M", "F", "Ms"):
                 assert np.array_equal(getattr(got, f), getattr(alone, f))
             assert got.clamps == alone.clamps
+
+    @pytest.mark.parametrize("case,fields", [
+        ("no-release", 2), ("one-release", 3), ("Ms0-positive", 3),
+        ("Ms0-negative-zero", 3)])
+    def test_sterile_columns_only_when_Ms_can_move(self, monkeypatch, case,
+                                                   fields):
+        # with no release (kind none or lambda_bar 0) and Ms0 = +0.0 in
+        # every member, Ms stays +0.0 and a step solves 2 columns per
+        # member; a release in one member, or one initial Ms that is not
+        # +0.0 (-0.0 included), makes it 3
+        shapes = []
+        solve = solver.solve_banded
+
+        def recording(factor, rhs):
+            shapes.append(rhs.shape)
+            return solve(factor, rhs)
+
+        monkeypatch.setattr(solver, "solve_banded", recording)
+        grid = Grid.radial(12.0, 121)
+        initial = InitialData(kind="well_prepared", R0_0=3.0, R0_1=5.0)
+        annulus = dict(kind="annulus", R1=2.0, R2=5.0, c=0.1)
+        schedules = [ReleaseSchedule(),
+                     ReleaseSchedule(lambda_bar=0.0, **annulus),
+                     ReleaseSchedule(lambda_bar=300.0 * (case == "one-release"),
+                                     **annulus)]
+        members = [Scenario(table1_params(gamma), grid, sched, initial,
+                            t_end=1.0, snapshot_dt=1.0)
+                   for gamma, sched in zip((0.3, 0.5, 1.0), schedules)]
+        states0 = [make_initial(s) for s in members]
+        if case == "Ms0-positive":
+            states0[1].Ms[60] = 1e-3
+        elif case == "Ms0-negative-zero":
+            states0[1].Ms[60] = -0.0
+        trajs = run_batch(members, states0)
+        assert shapes == [(grid.n, fields * 3)] * trajs[0].n_steps
+        if fields == 2:
+            assert all(np.all(t.Ms == 0.0) for t in trajs)
 
     def test_run_is_the_batch_of_one(self, monkeypatch):
         seen = []
