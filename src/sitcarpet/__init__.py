@@ -12,13 +12,10 @@ from .model import (
     GammaKind,
     ModelParams,
     Monostable,
-    ReactionRates,
     StatePoint,
-    cone_leq,
     gamma_fn,
     jacobian_ode,
     mating_factor,
-    reaction,
 )
 from .equilibria import (
     EquilibriumSet,
@@ -38,13 +35,10 @@ __all__ = [
     "GammaKind",
     "ModelParams",
     "Monostable",
-    "ReactionRates",
     "StatePoint",
-    "cone_leq",
     "gamma_fn",
     "jacobian_ode",
     "mating_factor",
-    "reaction",
     "EquilibriumSet",
     "ThresholdReport",
     "offspring_number",

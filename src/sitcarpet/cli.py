@@ -50,9 +50,10 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 # The most sweep rows one batch advances together.  The step's cost per
-# member levels off after a few members (on fig1, about 115, 80, 70 and
-# 65 us at 1, 2, 4 and 8), while a batch holds every member's snapshots
-# until it ends, so a long sweep runs in batches of this size.
+# member levels off after a few members (on fig1, untraced on a 2-vCPU
+# Xeon, about 46, 36, 29 and 27 us at 1, 2, 4 and 8), while a batch holds
+# every member's snapshots until it ends, so a long sweep runs in batches
+# of this size.
 SWEEP_BATCH_ROWS = 8
 
 

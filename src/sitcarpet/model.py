@@ -1,4 +1,4 @@
-"""Model parameters, reaction kinetics, cone order, and local Jacobian.
+"""Model parameters, reaction kinetics and local Jacobian.
 
 The population model has four compartments on the plane (or the line):
 aquatic phase E (no diffusion), fertile males M, fertilized females F, and
@@ -61,13 +61,6 @@ class StatePoint(NamedTuple):
     Ms: float
 
 
-class ReactionRates(NamedTuple):
-    fE: float
-    fM: float
-    fF: float
-    fs: float
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """All biological and diffusion constants, plus the Gamma choice.
@@ -92,6 +85,10 @@ class ModelParams:
     egg_loss: float = field(init=False, repr=False, compare=False)
     male_recruitment: float = field(init=False, repr=False, compare=False)
     female_recruitment: float = field(init=False, repr=False, compare=False)
+    # (2,) arrays: (male, female) recruitment and (mu_M, mu_F), the rates
+    # of the M, F block of `reaction_arrays`
+    recruitment: np.ndarray = field(init=False, repr=False, compare=False)
+    mortality: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("b", "nu_E", "mu_E", "mu_M", "mu_F", "mu_s", "D"):
@@ -111,6 +108,9 @@ class ModelParams:
                         ("male_recruitment", (1.0 - self.rho) * self.nu_E),
                         ("female_recruitment", self.rho * self.nu_E)):
             object.__setattr__(self, name, v)
+        object.__setattr__(self, "recruitment", np.array(
+            [self.male_recruitment, self.female_recruitment]))
+        object.__setattr__(self, "mortality", np.array([self.mu_M, self.mu_F]))
 
     def K_at(self, x) -> np.ndarray:
         """Carrying capacity at position(s) x (scalar K broadcasts)."""
@@ -137,16 +137,15 @@ class RateRows(NamedTuple):
     """The rates of S parameter sets as (S, n) rows, one per set, for
     kinetics on (S, n) states: `reaction_arrays` reads them as it reads one
     ModelParams, so each row gets the same floating-point operations as
-    alone.  `gamma` is None when every set is monostable."""
+    alone.  `recruitment` and `mortality` stack the M and F rows as
+    (2, S, n).  `gamma` is None when every set is monostable."""
 
     b: np.ndarray
     gamma_s: np.ndarray
-    mu_M: np.ndarray
-    mu_F: np.ndarray
     mu_s: np.ndarray
     egg_loss: np.ndarray
-    male_recruitment: np.ndarray
-    female_recruitment: np.ndarray
+    recruitment: np.ndarray
+    mortality: np.ndarray
     gamma: np.ndarray | None
 
     @classmethod
@@ -155,8 +154,9 @@ class RateRows(NamedTuple):
         bistable.  Full rows, not (S, 1) columns: numpy is faster on equal
         shapes than broadcasting a column."""
         def rows(name):
-            return np.repeat(np.array([[getattr(p, name)]
-                                       for p in params_list]), n, axis=1)
+            # (S,) values to (S, n) rows, (S, 2) values to (2, S, n)
+            v = np.array([getattr(p, name) for p in params_list])
+            return np.repeat(np.moveaxis(v, 0, -1)[..., None], n, axis=-1)
 
         return cls(*map(rows, cls._fields[:-1]),
                    gamma=None if params_list[0].gamma is None
@@ -185,9 +185,27 @@ def gamma_fn_prime(kind: GammaKind, m):
     return out if out.ndim else float(out)
 
 
-def mating_factor(params: ModelParams | RateRows, M, Ms):
-    """M/(M + gamma_s Ms) * Gamma(M + gamma_s Ms), 0 at M = Ms = 0."""
+def mating_factor(params: ModelParams | RateRows, M, Ms=None):
+    """M/(M + gamma_s Ms) * Gamma(M + gamma_s Ms), 0 at M = Ms = 0.
+
+    Ms None means there are no sterile males: Ms = +0.0, so P = M +
+    gamma_s Ms is M wherever M > 0 and is not > 0 elsewhere, and the
+    factor is computed from M alone with the same bits.  Bistable, M/P is
+    exactly 1.0 where M > 0, and where M <= 0 both forms give +0.0, so it
+    is Gamma(max(M, 0)) = -expm1(-gamma max(M, 0)).  Monostable it is M/M
+    where M > 0 and 0 elsewhere, not 1 everywhere.
+    """
     M = np.asarray(M, dtype=float)
+    if Ms is None:
+        if params.gamma is None:
+            out = np.divide(M, M, out=np.zeros_like(M), where=M > 0)
+        else:  # in place: -(gamma m) has the bits of (-gamma) m
+            out = np.maximum(M, 0.0, out=np.empty_like(M))
+            out *= params.gamma
+            np.negative(out, out=out)
+            np.expm1(out, out=out)
+            np.negative(out, out=out)
+        return out if out.ndim else float(out)
     Ms = np.asarray(Ms, dtype=float)
     P = M + params.gamma_s * Ms
     out = np.divide(M, P, out=np.zeros_like(P), where=P > 0)
@@ -219,38 +237,43 @@ def egg_rate(params: ModelParams | RateRows, E, F, K):
     return params.b * F * (1.0 - E / K) - params.egg_loss * E
 
 
-def reaction_arrays(params: ModelParams | RateRows, E, M, F, Ms, lam, K):
-    """Vectorized kinetics; K is the (already sampled) carrying capacity.
+def reaction_arrays(params: ModelParams | RateRows, y, lam, K):
+    """The kinetics at the state y, the rows E, M, F, Ms of one array; K is
+    the (already sampled) carrying capacity.
 
-    With RateRows, E, M, F, Ms and K are (S, n) and lam (n,) or (S, n)."""
-    fE = egg_rate(params, E, F, K)
-    fM = params.male_recruitment * E - params.mu_M * M
-    fF = (params.female_recruitment * E * mating_factor(params, M, Ms)
-          - params.mu_F * F)
-    fs = lam - params.mu_s * Ms
-    return fE, fM, fF, fs
+    Returns (fE, a, f): the egg rate fE, the egg loss rate a = b F / K +
+    mu_E + nu_E (so fE = b F - a E), and the rates of the diffusing fields
+    as the rows of f: M, F and Ms, or only M and F when lam is None, which
+    means there are no sterile males (Ms is +0.0 and stays so).  b F is
+    computed once for fE and a, and M and F go through their rates as one
+    (2, ...) block; each element gets the operations it would get alone.
 
-
-def reaction(params: ModelParams, s: StatePoint, lambda_val: float = 0.0,
-             x: float = 0.0) -> ReactionRates:
-    """Reaction rates at one state point.
-
-    Requires the state to lie in the invariant region and lambda_val >= 0;
-    total there (the mating factor is extended by 0 at M = Ms = 0).
+    With RateRows, y is (4, S, n), K (S, n) and lam (n,) or (S, n); with one
+    ModelParams, y is a (4, ...) array with at least one node axis, or four
+    equal-shaped arrays.
     """
-    if lambda_val < 0:
-        raise ValueError("release rate must be >= 0")
-    if min(s.E, s.M, s.F, s.Ms) < 0:
-        raise ValueError(f"state outside the invariant region: {s}")
-    K = float(params.K_at(x))
-    fE, fM, fF, fs = reaction_arrays(params, s.E, s.M, s.F, s.Ms, lambda_val, K)
-    return ReactionRates(float(fE), float(fM), float(fF), float(fs))
-
-
-def cone_leq(u: StatePoint, v: StatePoint, atol: float = 0.0) -> bool:
-    """Partial order of the cone R^3_+ x R_-: (E,M,F) componentwise <=, Ms >=."""
-    return (u.E <= v.E + atol and u.M <= v.M + atol and u.F <= v.F + atol
-            and u.Ms >= v.Ms - atol)
+    y = np.asarray(y, dtype=float)
+    E, M, F, Ms = y
+    # egg_rate's b F (1 - E/K) - egg_loss E, then a, in place on fresh
+    # arrays, each operation with egg_rate's operands
+    bF = params.b * F
+    fE = E / K
+    np.subtract(1.0, fE, out=fE)
+    fE *= bF
+    fE -= params.egg_loss * E
+    a = np.divide(bF, K, out=bF)
+    a += params.egg_loss
+    rec, mort = params.recruitment, params.mortality
+    if rec.ndim < y.ndim:  # one ModelParams: (2,) rates against (...) rows
+        shape = (2,) + (1,) * (y.ndim - 1)
+        rec, mort = rec.reshape(shape), mort.reshape(shape)
+    f = np.empty((2 if lam is None else 3,) + E.shape)
+    np.multiply(rec, E, out=f[:2])
+    f[1] *= mating_factor(params, M, None if lam is None else Ms)
+    f[:2] -= mort * y[1:3]
+    if lam is not None:
+        np.subtract(lam, params.mu_s * Ms, out=f[2])
+    return fE, a, f
 
 
 def _mating_and_dM(params: ModelParams, M: float, Ms: float) -> tuple[float, float]:

@@ -26,6 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .equilibria import (
+    EquilibriumSet,
     _wave_integrand,
     bisect,
     phi0,
@@ -265,7 +266,8 @@ class _PotentialGap:
         return np.sqrt(np.maximum(2.0 * self.H(F), 0.0))
 
 
-def build_stationary_F(params: ModelParams, eps: Optional[float] = None
+def build_stationary_F(params: ModelParams, eps: Optional[float] = None,
+                       equilibria: Optional[EquilibriumSet] = None
                        ) -> Optional[MonotoneProfile]:
     """Nondecreasing female profile rising from 0 to the potential's maximizer.
 
@@ -281,9 +283,10 @@ def build_stationary_F(params: ModelParams, eps: Optional[float] = None
     graded toward F_m, then the profile is resampled onto a uniform grid
     (spacing 0.01 in diffusion-rescaled units) by Newton inversion, so the
     sampled values solve the profile equation to near machine accuracy.
+    `equilibria` are the params' own, if already solved.
     """
     gamma = params.gamma
-    eq = solve_equilibria(params)
+    eq = equilibria if equilibria is not None else solve_equilibria(params)
     if eq.upper is None:
         return None
     F_star = eq.upper[2]

@@ -67,15 +67,26 @@ boundary, dt, t_end, snapshot_dt and Gamma kind (`batch_key`) as one
 (S, n) state, one row per member; `run` is the batch of one.  Their rates
 differ per member and K may too: `Batch` builds them once per run as
 (S, n) rows, with each h(mu_u) factor, the diffusion factor and the release
-schedules.  A step makes one `reaction_arrays` call on the whole state, and
-the 3S right-hand sides (M, F, Ms of each member) go to one dpttrs call.
-When no member releases (kind none or lambda_bar 0) and every member's
-initial Ms is +0.0, Ms stays +0.0 bit for bit (its source and its decay are
-both 0), so the step passes it through and solves 2S columns (M, F).  Every
-operation of the step is elementwise within a member's row and the solve
-works column by column, so the proof above holds per member, and each
-member's arrays are bit for bit those of its own run.  Clamp counts, scales
-and the `SolverError` threshold are per member too.
+schedules.  The state is one (4, S, n) array, E, M, F and Ms its rows, and
+a snapshot is one copy of it.  A step makes one `reaction_arrays` call on
+the whole state and solves the 3S right-hand sides (M, F, Ms of each
+member) in one dpttrs call, written in place into the rows of the next
+state.  The kinetics are fused: b F is computed once for fE and a, and M
+and F go through their rates and their exact updates as one (2, S, n)
+block, Ms joining it as a third row.  When no member releases (kind none
+or lambda_bar 0) and every member's initial Ms is +0.0, Ms stays +0.0 bit
+for bit (its source and its decay are both 0): the step then evaluates no
+release and no Ms rate, keeps Ms at +0.0 and solves 2S columns (M, F).
+Its bistable mating factor is then -expm1(-gamma max(M, 0)), which has the
+bits of M/P Gamma(P): with Ms = +0.0, P = M + gamma_s Ms is M wherever
+M > 0, so M/P is exactly 1.0 there, and where M <= 0 both forms are +0.0.
+The monostable factor keeps its form, M/M where M > 0 and 0 elsewhere: it
+is 0, not 1, where M = 0.  Every operation of the step is elementwise
+within a member's row, each element goes through the same floating-point
+operations as in the unfused form, and the solve works column by column;
+so the proof above holds unchanged per member, and each member's arrays
+are bit for bit those of its own run.  Clamp counts, scales and the
+`SolverError` threshold are per member too.
 
 The radial Laplacian is u'' + u'/r with the r = 0 node closed by symmetry
 (limit 2 u''(0)); boundaries are homogeneous Neumann by default with an
@@ -169,16 +180,27 @@ def _node_count(n: int) -> int:
     return n
 
 
-@dataclass
 class SimState:
-    """The fields at time t: (n,) arrays, or (S, n) with a row per member of
-    a batch."""
+    """The fields at time t, as the rows E, M, F, Ms of one array `y`:
+    (4, n), or (4, S, n) with a row per member of a batch.  E, M, F and Ms
+    are views of those rows."""
 
-    t: float
-    E: np.ndarray
-    M: np.ndarray
-    F: np.ndarray
-    Ms: np.ndarray
+    __slots__ = ("t", "y")
+
+    def __init__(self, t: float, E, M, F, Ms):
+        self.t, self.y = t, np.array((E, M, F, Ms), dtype=float)
+
+    @classmethod
+    def stacked(cls, t: float, y: np.ndarray) -> "SimState":
+        """The state whose fields are the rows of `y`, without a copy."""
+        state = cls.__new__(cls)
+        state.t, state.y = t, y
+        return state
+
+    E = property(lambda self: self.y[0])
+    M = property(lambda self: self.y[1])
+    F = property(lambda self: self.y[2])
+    Ms = property(lambda self: self.y[3])
 
 
 MOVING_KINDS = ("annulus", "annulus_tail", "disc")
@@ -399,7 +421,8 @@ def factor_diffusion(ab: np.ndarray) -> DiffusionFactor:
 
 
 def solve_banded(factor: DiffusionFactor, rhs: np.ndarray) -> np.ndarray:
-    """Solve with the factor of `factor_diffusion`, overwriting `rhs`.
+    """Solve with the factor of `factor_diffusion` in place: the solution
+    overwrites `rhs`, which is returned.
 
     `rhs` is one right-hand side (n,) or several as the columns of a
     Fortran-ordered (n, k) array.
@@ -435,7 +458,8 @@ class Batch:
 
     `fields` is 2 (M, F) when no member releases and the initial Ms rows
     `Ms0` are +0.0 everywhere: Ms then stays +0.0 bit for bit (its source
-    is 0), and `step` passes it through.  Otherwise it is 3 (M, F, Ms)."""
+    is 0), and `step` neither evaluates a release nor updates Ms.
+    Otherwise it is 3 (M, F, Ms)."""
 
     def __init__(self, scenarios, dt: float, Ms0: np.ndarray):
         sc = scenarios[0]
@@ -446,10 +470,6 @@ class Batch:
             sc.grid, sc.params.D, dt, sc.boundary))
         self.rates = RateRows.of(params, x.size)
         self.K = np.array([s.K_nodes for s in scenarios])
-        # -h(mu_u) = expm1(-dt mu_u) / mu_u for u = M, F, Ms, as (3, S, n)
-        neg_h = [[math.expm1(-dt * mu) / mu
-                  for mu in (p.mu_M, p.mu_F, p.mu_s)] for p in params]
-        self.neg_h = np.repeat(np.array(neg_h).T[:, :, None], x.size, axis=2)
         # (S,): a floor of each member's Ms clamp scale
         self.Ms_floor = np.array([s.schedule.lambda_bar / s.params.mu_s
                                   for s in scenarios])
@@ -463,6 +483,12 @@ class Batch:
         # +0.0 is the one float whose bits are all 0
         Ms0 = np.ascontiguousarray(Ms0, dtype=float)
         self.fields = 3 if releasing or Ms0.view(np.int64).any() else 2
+        # -h(mu_u) = expm1(-dt mu_u) / mu_u for u = M, F(, Ms), as
+        # (fields, S, n)
+        neg_h = [[math.expm1(-dt * mu) / mu
+                  for mu in (p.mu_M, p.mu_F, p.mu_s)[:self.fields]]
+                 for p in params]
+        self.neg_h = np.repeat(np.array(neg_h).T[:, :, None], x.size, axis=2)
 
 
 def batch_key(scenario: "Scenario") -> tuple:
@@ -488,35 +514,38 @@ def step(state: SimState, batch: Batch,
          clamps: Optional[list] = None) -> SimState:
     """One step of every member: exact reaction steps, then one solve.
 
-    `state` holds (S, n) fields, one row per member of `batch`; `clamps`,
-    if given, one ClampStats per member.  With `batch.fields` 2, Ms is
-    passed through.
+    `state` holds (4, S, n) fields, one row per member of `batch` in each;
+    `clamps`, if given, one ClampStats per member.  With `batch.fields` 2,
+    Ms stays +0.0 and no release is evaluated.
     """
-    E, M, F, Ms = state.E, state.M, state.F, state.Ms
-    rates, K = batch.rates, batch.K
-    fE, fM, fF, fs = reaction_arrays(rates, E, M, F, Ms,
-                                     _release(batch, state.t), K)
+    y, k, K = state.y, batch.fields, batch.K
+    lam = _release(batch, state.t) if k == 3 else None
+    fE, a, f = reaction_arrays(batch.rates, y, lam, K)
     # exact steps u + h(r) f with h(r) = -expm1(-r dt) / r and r the loss
-    # rate of u: a at each node for E, mu_u for M, F and Ms.  E is clipped
+    # rate of u: a at each node for E, mu_u for M, F and Ms, in place with
+    # the operands of E - expm1(-dt a) / a fE and u - (-h) f.  E is clipped
     # to [0, K] against roundoff (np.clip would cost twice as much).
-    k = batch.fields
-    new = np.empty((1 + k,) + E.shape)  # E, then the solve's M, F(, Ms)
-    a = rates.b * F / K + rates.egg_loss
-    np.maximum(E - np.expm1(-batch.dt * a) / a * fE, 0.0, out=new[0])
+    new = np.empty(y.shape)
+    r = np.multiply(a, -batch.dt)
+    np.expm1(r, out=r)
+    r /= a
+    r *= fE
+    np.subtract(y[0], r, out=new[0])
+    np.maximum(new[0], 0.0, out=new[0])
     np.minimum(new[0], K, out=new[0])
-    for j, (u, f) in enumerate(((M, fM), (F, fF), (Ms, fs))[:k]):
-        np.subtract(u, batch.neg_h[j] * f, out=new[1 + j])
-        if batch.boundary == "dirichlet":
-            new[1 + j, :, -1] = u[:, -1]
-    # row (field, member) of new[1:] is column field * S + member of one
-    # Fortran-ordered (n, kS) right-hand side
-    n = E.shape[-1]
-    out = solve_banded(batch.factor, new[1:].reshape(-1, n).T).T.reshape(
-        new[1:].shape)
-    if out.min() < 0.0:
-        _clamp(out, state, batch, clamps)
-    return SimState(state.t + batch.dt, new[0], out[0], out[1],
-                    out[2] if k == 3 else Ms)
+    u = new[1:1 + k]  # M, F(, Ms): the rows the solve updates
+    f *= batch.neg_h
+    np.subtract(y[1:1 + k], f, out=u)
+    if batch.boundary == "dirichlet":
+        u[:, :, -1] = y[1:1 + k, :, -1]
+    if k == 2:
+        new[3] = 0.0
+    # row (field, member) of u is column field * S + member of one
+    # Fortran-ordered (n, kS) right-hand side, solved in place
+    solve_banded(batch.factor, u.reshape(-1, y.shape[-1]).T)
+    if u.min() < 0.0:
+        _clamp(u, state, batch, clamps)
+    return SimState.stacked(state.t + batch.dt, new)
 
 
 def _clamp(out: np.ndarray, state: SimState, batch: Batch,
@@ -648,11 +677,11 @@ def run_batch(scenarios, states0=None) -> list[Trajectory]:
     n_steps = int(np.ceil(sc.t_end / dt - 1e-12))
     dt = sc.t_end / n_steps  # land exactly on t_end
     clamps = [ClampStats() for _ in scenarios]
-    state = SimState(states0[0].t, *(np.array([getattr(s, f) for s in states0])
-                                     for f in ("E", "M", "F", "Ms")))
+    state = SimState.stacked(states0[0].t,
+                             np.stack([s.y for s in states0], axis=1))
     batch = Batch(scenarios, dt, state.Ms)
     times = [state.t]
-    snaps = [np.stack((state.E, state.M, state.F, state.Ms))]
+    snaps = [state.y.copy()]
     # the next snapshot is the first step k with k >= m * steps_per_snap
     # (to a 1e-9-step tolerance for roundoff in the ratio)
     steps_per_snap = sc.snapshot_dt / dt
@@ -661,7 +690,7 @@ def run_batch(scenarios, states0=None) -> list[Trajectory]:
         state = step(state, batch, clamps)
         if k >= m * steps_per_snap - 1e-9 or k == n_steps:
             times.append(state.t)
-            snaps.append(np.stack((state.E, state.M, state.F, state.Ms)))
+            snaps.append(state.y.copy())
             m = int(k / steps_per_snap + 1e-9) + 1
     arr = np.array(snaps)  # (n_snap, 4, S, n)
     times = np.array(times)

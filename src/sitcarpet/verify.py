@@ -242,7 +242,7 @@ def build_subsolution(params: ModelParams, c: float, lambda_bar: float,
         raise SubsolutionUnavailable(
             "no admissible sterile tail amplitude: G_eps(F*) <= 0 for every "
             "eps down to 2^-199")
-    F_prof = build_stationary_F(params, eps=eps_gamma)
+    F_prof = build_stationary_F(params, eps=eps_gamma, equilibria=eq)
     if F_prof is None:
         raise SubsolutionUnavailable("no stationary profile in this "
                                      "regime")
@@ -284,7 +284,8 @@ def verify_subsolution(sub: SubsolutionFields,
         M = sub.M(x, t)
         F = sub.F(x, t)
         Ms = sub.Ms(x, t)
-        fE, fM, fF, _ = reaction_arrays(p, E, M, F, Ms, 0.0, p.K_scalar)
+        fE, _, (fM, fF, _) = reaction_arrays(p, (E, M, F, Ms), 0.0,
+                                             p.K_scalar)
         return {"E": fE, "M": fM, "F": fF}[which]
 
     equations = (("E", sub.E, 0.0, ce * E_star), ("M", sub.M, p.D, p.mu_M * M_star),
@@ -499,8 +500,8 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
     checked_R = 0
     for t, row in zip(t_grid, reads):
         Fb = Fbar(x, t)
-        fF = reaction_arrays(p, kept[row], bundle.C2 * Fb, Fb,
-                             floor.floor(x, t), 0.0, p.K_scalar)[2]
+        fF = reaction_arrays(p, (kept[row], bundle.C2 * Fb, Fb,
+                                 floor.floor(x, t)), 0.0, p.K_scalar)[2][1]
         resid = fF + g_fn(x, t) * Fb  # must be <= 0, relative to the cap
         mask = _clear_of(x, bundle.interfaces(t), EXCLUDE_CELLS)
         v = resid[mask] / (p.mu_F * Fb[mask])

@@ -68,9 +68,10 @@ def test_sweep_solves_twice_per_row(tmp_path, capsys, solve_calls,
     assert len(solve_calls) == 8
 
 
-def test_verify_all_solves_twice(capsys, solve_calls):
-    # the scenario's solve, which the pre-check, the sub-solution and the
-    # super-solution bundle share, and the stationary profile's;
-    # verify_subsolution reads the sub-solution's own equilibrium
+def test_verify_all_solves_once(capsys, solve_calls):
+    # the scenario's solve, which the pre-check, the super-solution bundle
+    # and the sub-solution share, and the sub-solution hands down to its
+    # stationary profile; verify_subsolution reads the sub-solution's own
+    # equilibrium
     assert main(["verify", "--preset", "carpet", "--which", "all"]) == 0
-    assert len(solve_calls) == 2
+    assert len(solve_calls) == 1

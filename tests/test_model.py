@@ -8,12 +8,19 @@ from sitcarpet.model import (
     Bistable,
     Monostable,
     StatePoint,
-    cone_leq,
     gamma_fn,
     jacobian_ode,
     mating_factor,
-    reaction,
+    reaction_arrays,
 )
+
+
+def _rates(p, E, M, F, Ms, lam=0.0):
+    """(fE, fM, fF, fs) of `reaction_arrays` at states given field by field,
+    as arrays or scalars that broadcast."""
+    y = np.broadcast_arrays(*map(np.atleast_1d, (E, M, F, Ms)))
+    fE, _, f = reaction_arrays(p, y, lam, p.K_scalar)
+    return (fE, *f)
 
 
 def test_gamma_fn_monostable_is_one():
@@ -51,28 +58,64 @@ def test_gamma_fn_monotone_in_m_and_gamma():
 
 
 def test_reaction_extinction_is_steady(p05):
-    r = reaction(p05, StatePoint(0, 0, 0, 0), 0.0)
-    assert r == (0.0, 0.0, 0.0, 0.0)
+    assert all(r == 0.0 for r in _rates(p05, 0.0, 0.0, 0.0, 0.0))
 
 
 def test_reaction_vanishes_at_equilibrium(p05, eq05):
     E, M, F = eq05.upper
-    r = reaction(p05, StatePoint(E, M, F, 0.0), 0.0)
+    fE, fM, fF, fs = _rates(p05, E, M, F, 0.0)
     scale = max(E, M, F)
-    for v in (r.fE, r.fM, r.fF):
-        assert abs(v) < 1e-9 * scale
-    assert r.fs == 0.0
+    for v in (fE, fM, fF):
+        assert abs(v[0]) < 1e-9 * scale
+    assert fs[0] == 0.0
 
 
 def test_reaction_saturated_eggs(p05):
     K = p05.K_scalar
-    r = reaction(p05, StatePoint(K, 0.0, 30.0, 0.0))
-    assert r.fE == pytest.approx(-(p05.mu_E + p05.nu_E) * K)
-    assert r.fE <= 0.0
+    fE = _rates(p05, K, 0.0, 30.0, 0.0)[0][0]
+    assert fE == pytest.approx(-(p05.mu_E + p05.nu_E) * K)
+    assert fE <= 0.0
+
+
+def test_reaction_egg_loss_rate(p05):
+    # a = b F / K + mu_E + nu_E, and fE = b F - a E
+    E, F = np.array([0.0, 50.0, 190.0]), np.array([70.0, 0.0, 30.0])
+    fE, a, _ = reaction_arrays(p05, (E, E, F, E), 0.0, p05.K_scalar)
+    assert np.allclose(a, p05.b * F / p05.K_scalar + p05.mu_E + p05.nu_E,
+                       rtol=1e-15)
+    assert np.allclose(fE, p05.b * F - a * E, rtol=1e-12, atol=1e-9)
+
+
+def test_reaction_without_sterile_males_has_two_rows(p05):
+    # lam None: no Ms row, and M, F rows bit for bit those with Ms = +0.0
+    y = np.array([[150.0, 0.0], [40.0, 0.0], [60.0, 5.0], [0.0, 0.0]])
+    K = p05.K_scalar
+    fE0, a0, f0 = reaction_arrays(p05, y, None, K)
+    fE, a, f = reaction_arrays(p05, y, 0.0, K)
+    assert f0.shape == (2, 2) and f.shape == (3, 2)
+    for got, want in ((fE0, fE), (a0, a), (f0, f[:2])):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_mating_factor_defined_at_origin(p05):
     assert mating_factor(p05, 0.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.355e-3, None],
+                         ids=["bistable", "bistable-small", "monostable"])
+def test_mating_factor_without_sterile_males_is_bitwise(gamma):
+    # Ms None computes the factor from M alone; its bits are those of the
+    # general formula at Ms = +0.0, at M = 0, -0.0, negative and tiny M too
+    p = table1_params(gamma)
+    rng = np.random.default_rng(3)
+    M = np.concatenate([[0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300],
+                        rng.uniform(0.0, 200.0, 500),
+                        rng.uniform(0.0, 1e-6, 100)])
+    got = mating_factor(p, M)
+    want = mating_factor(p, M, np.zeros_like(M))
+    assert got.tobytes() == want.tobytes()
+    if gamma is None:  # 1 where M > 0, not everywhere
+        assert got[0] == 0.0 and got[-1] == 1.0
 
 
 def test_invariant_region_flux_conditions(rng):
@@ -80,61 +123,39 @@ def test_invariant_region_flux_conditions(rng):
     for gamma in (0.5, None):
         p = table1_params(gamma)
         K = p.K_scalar
-        for _ in range(250):
-            M, F, Ms = rng.uniform(0, 100, 3)
-            lam = rng.uniform(0, 50)
-            assert reaction(p, StatePoint(K, M, F, Ms), lam).fE <= 0
-            assert reaction(p, StatePoint(0, M, F, Ms), lam).fE >= 0
-            E = rng.uniform(0, K)
-            assert reaction(p, StatePoint(E, 0, F, Ms), lam).fM >= 0
-            assert reaction(p, StatePoint(E, M, 0, Ms), lam).fF >= 0
-            assert reaction(p, StatePoint(E, M, F, 0), lam).fs >= 0
+        M, F, Ms = rng.uniform(0, 100, (3, 250))
+        lam = rng.uniform(0, 50, 250)
+        E = rng.uniform(0, K, 250)
+        assert np.all(_rates(p, K, M, F, Ms, lam)[0] <= 0)
+        assert np.all(_rates(p, 0.0, M, F, Ms, lam)[0] >= 0)
+        assert np.all(_rates(p, E, 0.0, F, Ms, lam)[1] >= 0)
+        assert np.all(_rates(p, E, M, 0.0, Ms, lam)[2] >= 0)
+        assert np.all(_rates(p, E, M, F, 0.0, lam)[3] >= 0)
 
 
 def test_fF_nonincreasing_in_Ms(rng):
     # finite differences at 1000 random states, both Gamma choices
     for gamma in (0.7, None):
         p = table1_params(gamma)
-        for _ in range(500):
-            E = rng.uniform(0, p.K_scalar)
-            M, F, Ms = rng.uniform(1e-6, 80, 3)
-            h = 1e-6 * max(Ms, 1.0)
-            up = reaction(p, StatePoint(E, M, F, Ms + h)).fF
-            dn = reaction(p, StatePoint(E, M, F, Ms)).fF
-            assert up <= dn + 1e-12 * max(abs(dn), 1.0)
-
-
-def test_cone_leq_examples():
-    assert cone_leq(StatePoint(1, 1, 1, 5), StatePoint(2, 2, 2, 3))
-    u = StatePoint(1.5, 2.5, 3.5, 4.5)
-    assert cone_leq(u, u)
-    assert not cone_leq(StatePoint(1, 1, 1, 1), StatePoint(2, 2, 2, 2))
-
-
-state_points = st.builds(
-    StatePoint,
-    st.floats(0, 10), st.floats(0, 10), st.floats(0, 10), st.floats(0, 10))
-
-
-@given(u=state_points, v=state_points, w=state_points)
-@settings(max_examples=200, deadline=None)
-def test_cone_leq_partial_order(u, v, w):
-    assert cone_leq(u, u)
-    if cone_leq(u, v) and cone_leq(v, u):
-        assert u == v
-    if cone_leq(u, v) and cone_leq(v, w):
-        assert cone_leq(u, w)
+        E = rng.uniform(0, p.K_scalar, 500)
+        M, F, Ms = rng.uniform(1e-6, 80, (3, 500))
+        h = 1e-6 * np.maximum(Ms, 1.0)
+        up = _rates(p, E, M, F, Ms + h)[2]
+        dn = _rates(p, E, M, F, Ms)[2]
+        assert np.all(up <= dn + 1e-12 * np.maximum(np.abs(dn), 1.0))
 
 
 def _fd_jacobian(p, s):
-    base = np.array(reaction(p, s)[:3])
+    def rates(s):
+        return np.concatenate(_rates(p, *s)[:3])
+
+    base = rates(s)
     J = np.zeros((3, 3))
     for j, name in enumerate(("E", "M", "F")):
         h = 1e-6 * max(abs(getattr(s, name)), 1.0)
         up = s._replace(**{name: getattr(s, name) + h})
         dn = s._replace(**{name: getattr(s, name) - h})
-        J[:, j] = (np.array(reaction(p, up)[:3])
-                   - np.array(reaction(p, dn)[:3])) / (2 * h)
+        J[:, j] = (rates(up) - rates(dn)) / (2 * h)
     return J, base
 
 

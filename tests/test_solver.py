@@ -320,7 +320,7 @@ class TestFactoredSolve:
         t, E, M, F, Ms = 0.0, state.E, state.M, state.F, state.Ms
         for _ in range(n_steps):
             lam = release_value(sched, grid.radius, t)
-            fE, fM, fF, fs = reaction_arrays(p05, E, M, F, Ms, lam, K)
+            fE, _, (fM, fF, fs) = reaction_arrays(p05, (E, M, F, Ms), lam, K)
             fields = []
             for u, f, mu in ((M, fM, p05.mu_M), (F, fF, p05.mu_F),
                              (Ms, fs, p05.mu_s)):
@@ -573,7 +573,7 @@ class TestMonotoneStep:
         E = np.linspace(0.0, K, 401)
         z = np.zeros_like(E)
         F = np.full_like(E, F_cap)
-        euler = E + dt * reaction_arrays(p05, E, z, F, z, 0.0, K)[0]
+        euler = E + dt * reaction_arrays(p05, (E, z, F, z), 0.0, K)[0]
         assert np.any(np.diff(euler) < 0.0) and euler.max() > K
         out = _one_step(SimState(0.0, E, z, F, z), p05, dt,
                         Grid.cartesian(0.0, 1.0, E.size))
@@ -649,10 +649,10 @@ class TestRunProperties:
         mu = np.array([p05.mu_M, p05.mu_F, p05.mu_s])
         n = int(round(4.0 / dt))
         for _ in range(n):
-            fE, fM, fF, fs = reaction_arrays(p05, *y, 0.0, p05.K_scalar)
+            fE, _, f = reaction_arrays(p05, y[:, None], 0.0, p05.K_scalar)
             a = p05.b * y[2] / p05.K_scalar + (p05.mu_E + p05.nu_E)
             h = -np.expm1(-dt * np.array([a, *mu])) / np.array([a, *mu])
-            y = y + h * np.array([fE, fM, fF, fs])
+            y = y + h * np.concatenate((fE, f[:, 0]))
         for arr, val in zip((traj.E[-1], traj.M[-1], traj.F[-1], traj.Ms[-1]), y):
             assert np.max(np.abs(arr - val)) < 1e-8 * max(abs(val), 1.0)
         # flatness is preserved
