@@ -8,10 +8,7 @@ wave-speed measurement, and release-cost accounting.
 """
 
 from .model import (
-    Bistable,
-    GammaKind,
     ModelParams,
-    Monostable,
     StatePoint,
     gamma_fn,
     jacobian_ode,
@@ -31,10 +28,7 @@ from .equilibria import (
 )
 
 __all__ = [
-    "Bistable",
-    "GammaKind",
     "ModelParams",
-    "Monostable",
     "StatePoint",
     "gamma_fn",
     "jacobian_ode",

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import Bistable, ModelParams, Monostable
+from .model import ModelParams
 from .solver import (DT, SNAPSHOT_DT, Grid, InitialData, ReleaseSchedule,
                      Scenario, check_run_settings)
 
@@ -49,8 +49,7 @@ def table1_params(gamma: Optional[float] = 0.5, mu_s: float = DEFAULT_MU_S,
     """ModelParams from the published table; gamma=None gives the monostable case."""
     kw = dict(TABLE1)
     kw.update(overrides)
-    kind = Monostable() if gamma is None else Bistable(gamma)
-    return ModelParams(mu_s=mu_s, gamma_s=gamma_s, gamma_kind=kind, **kw)
+    return ModelParams(mu_s=mu_s, gamma_s=gamma_s, gamma=gamma, **kw)
 
 
 @dataclass
@@ -178,8 +177,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             K=_require(m, "model", "K", TABLE1["K"]),
             D=float(_require(m, "model", "D", TABLE1["D"])),
             gamma_s=float(_require(m, "model", "gamma_s", DEFAULT_GAMMA_S)),
-            gamma_kind=(Monostable() if gamma_kind == "monostable"
-                        else Bistable(float(gamma))),
+            gamma=None if gamma_kind == "monostable" else float(gamma),
         )
         # so K(x) = K + K_oscillation sin(2 pi |x| / K_period) is finite
         # and at least K - K_oscillation > 0 everywhere

@@ -21,13 +21,13 @@ current parameter set's equilibrium, which is what `solve_gamma_0` does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .model import (Bistable, ModelParams, Monostable, StatePoint, gamma_fn,
-                    jacobian_ode, slaved_E, slaved_M)
+from .model import (ModelParams, StatePoint, gamma_fn, jacobian_ode, slaved_E,
+                    slaved_M)
 
 BISECT_TOL = 1e-12
 # Composite-Simpson panels of the potential G (an even count)
@@ -86,7 +86,8 @@ class ThresholdReport:
 
 @dataclass(frozen=True)
 class EquilibriumSet:
-    extinction: StatePoint
+    """Positive steady states (E, M, F) or None, besides extinction (0, 0, 0)."""
+
     middle: Optional[tuple[float, float, float]]
     upper: Optional[tuple[float, float, float]]
     extinction_stable: bool
@@ -98,7 +99,7 @@ class EquilibriumSet:
 def offspring_number(params: ModelParams) -> float:
     """Basic offspring number N = b rho nu_E / (mu_F (nu_E + mu_E))."""
     return params.b * params.rho * params.nu_E / (
-        params.mu_F * (params.nu_E + params.mu_E))
+        params.mu_F * params.egg_loss)
 
 
 def zeta_of_gamma(params: ModelParams, gamma: float) -> float:
@@ -106,7 +107,7 @@ def zeta_of_gamma(params: ModelParams, gamma: float) -> float:
 
     The map is its own inverse, so zeta_of_gamma(params, zeta_c) is gamma_c.
     """
-    return params.mu_M / ((1.0 - params.rho) * params.nu_E * gamma * params.K_scalar)
+    return params.mu_M / (params.male_recruitment * gamma * params.K_scalar)
 
 
 def solve_zeta_c(n_offspring: float) -> Optional[float]:
@@ -165,13 +166,12 @@ def phi_s_eps(params: ModelParams, eps: float, F, F_star: float):
     return out if out.ndim else float(out)
 
 
-def _wave_integrand(params: ModelParams, gamma: Optional[float], F_star: float,
-                    u: np.ndarray, eps: Optional[float]) -> np.ndarray:
+def _wave_integrand(params: ModelParams, F_star: float, u: np.ndarray,
+                    eps: Optional[float]) -> np.ndarray:
     """rho nu_E b u/(bu/K + mu_E + nu_E) * w(u) * Gamma(phi(u)) - mu_F u."""
-    recruit = params.rho * params.nu_E * slaved_E(params, u)
+    recruit = params.female_recruitment * slaved_E(params, u)
     ph = phi(params, u, F_star)
-    kind = Monostable() if gamma is None else Bistable(gamma)
-    gam = gamma_fn(kind, ph)
+    gam = gamma_fn(params.gamma, ph)
     if eps is None:
         w = 1.0
     else:
@@ -186,20 +186,20 @@ def _simpson_uniform(y: np.ndarray, h: float) -> float:
     return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
 
 
-def potential_G(params: ModelParams, gamma: Optional[float], F_star: float,
-                F: float, eps: Optional[float] = None) -> float:
+def potential_G(params: ModelParams, F_star: float, F: float,
+                eps: Optional[float] = None) -> float:
     """Potential G(F): integral of the wave reaction term from 0 to F.
 
-    gamma = None evaluates the monostable case (Gamma identically 1); eps, when
-    given, weights the integrand by phi/(phi + phi_s^eps), the sterile-tail
-    variant.  Composite Simpson with PANELS panels.
+    Gamma is the params' own (identically 1 when params.gamma is None); eps,
+    when given, weights the integrand by phi/(phi + phi_s^eps), the
+    sterile-tail variant.  Composite Simpson with PANELS panels.
     """
     if F < 0 or F > F_star * (1.0 + 1e-12):
         raise ValueError("potential_G requires 0 <= F <= F_star")
     if F == 0.0:
         return 0.0
     u = np.linspace(0.0, F, PANELS + 1)
-    y = _wave_integrand(params, gamma, F_star, u, eps)
+    y = _wave_integrand(params, F_star, u, eps)
     return float(_simpson_uniform(y, F / PANELS))
 
 
@@ -213,7 +213,7 @@ def solve_m0(zeta: float) -> float:
 
 def _m_to_F(params: ModelParams, m: float) -> float:
     # bF/K = (mu_E + nu_E) m / (1 - m)
-    return params.K_scalar * (params.mu_E + params.nu_E) * m / (params.b * (1.0 - m))
+    return params.K_scalar * params.egg_loss * m / (params.b * (1.0 - m))
 
 
 def _equilibrium_from_F(params: ModelParams, F: float) -> tuple[float, float, float]:
@@ -234,20 +234,19 @@ def solve_equilibria(params: ModelParams) -> EquilibriumSet:
     Stability is classified by the eigenvalues of the analytic Jacobian.
     """
     N = offspring_number(params)
-    ext = StatePoint(0.0, 0.0, 0.0, 0.0)
     ext_stable = _is_stable(params, 0.0, 0.0, 0.0)
 
-    if isinstance(params.gamma_kind, Monostable):
+    if params.gamma is None:
         if N <= 1.0:
-            return EquilibriumSet(ext, None, None, ext_stable, None, None)
-        F_star = params.K_scalar * (params.mu_E + params.nu_E) * (N - 1.0) / params.b
-        E_star = params.mu_F * F_star / (params.rho * params.nu_E)
+            return EquilibriumSet(None, None, ext_stable, None, None)
+        F_star = params.K_scalar * params.egg_loss * (N - 1.0) / params.b
+        E_star = params.mu_F * F_star / params.female_recruitment
         M_star = (1.0 - params.rho) * params.mu_F * F_star / (params.rho * params.mu_M)
         upper = (E_star, M_star, F_star)
-        return EquilibriumSet(ext, None, upper, ext_stable, None,
+        return EquilibriumSet(None, upper, ext_stable, None,
                               _is_stable(params, *upper))
 
-    zeta = zeta_of_gamma(params, params.gamma_kind.gamma)
+    zeta = zeta_of_gamma(params, params.gamma)
     m0 = solve_m0(zeta)
 
     def varphi(m: float) -> float:
@@ -255,11 +254,11 @@ def solve_equilibria(params: ModelParams) -> EquilibriumSet:
 
     peak = varphi(m0)
     if peak < 1.0 - _DEGENERATE_BAND:
-        return EquilibriumSet(ext, None, None, ext_stable, None, None)
+        return EquilibriumSet(None, None, ext_stable, None, None)
     degenerate = abs(peak - 1.0) <= _DEGENERATE_BAND
     if degenerate:
         eq = _equilibrium_from_F(params, _m_to_F(params, m0))
-        return EquilibriumSet(ext, None, eq, ext_stable, None,
+        return EquilibriumSet(None, eq, ext_stable, None,
                               _is_stable(params, *eq), degenerate=True)
 
     try:
@@ -270,7 +269,7 @@ def solve_equilibria(params: ModelParams) -> EquilibriumSet:
             f"an equilibrium is beyond double precision: {e}") from None
     middle = _equilibrium_from_F(params, _m_to_F(params, m_minus))
     upper = _equilibrium_from_F(params, _m_to_F(params, m_plus))
-    return EquilibriumSet(ext, middle, upper, ext_stable,
+    return EquilibriumSet(middle, upper, ext_stable,
                           _is_stable(params, *middle), _is_stable(params, *upper))
 
 
@@ -292,7 +291,7 @@ def solve_gamma_0(params: ModelParams) -> Optional[float]:
     F_star = eq.upper[2]
 
     def h(g: float) -> float:
-        return potential_G(params, g, F_star, F_star)
+        return potential_G(replace(params, gamma=g), F_star, F_star)
 
     hi = scale_until(lambda g: h(g) > 0, 10.0 * gamma_c, 2.0, 1e9)
     lo = None if hi is None else scale_until(
@@ -307,11 +306,11 @@ def thresholds(params: ModelParams) -> ThresholdReport:
     zeta_c = solve_zeta_c(N)
     gamma_c = None if zeta_c is None else zeta_of_gamma(params, zeta_c)
 
-    if isinstance(params.gamma_kind, Monostable):
+    gamma = params.gamma
+    if gamma is None:
         return ThresholdReport(N, None, zeta_c, gamma_c, None, "Monostable",
                                natural_extinction)
 
-    gamma = params.gamma_kind.gamma
     zeta = zeta_of_gamma(params, gamma)
     gamma_0 = solve_gamma_0(params)
     if natural_extinction or (gamma_c is not None and gamma <= gamma_c):

@@ -11,7 +11,8 @@ released sterile males Ms (the last three diffuse with coefficient D).
     dMs/dt - D lap Ms = Lambda - mu_s Ms
 
 Gamma is the mate-finding factor: identically 1 (monostable kinetics) or
-1 - exp(-gamma m) (bistable kinetics, Allee effect).  The mating probability
+1 - exp(-gamma m) (bistable kinetics, Allee effect).  The Allee coefficient
+is `ModelParams.gamma`, None in the monostable case.  The mating probability
 M/(M + gamma_s Ms) * Gamma(M + gamma_s Ms) is defined as Gamma(0) * 0-limit
 value at M = Ms = 0 so the kinetics are total on the invariant region
 [0, K] x R^3_+.
@@ -25,29 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Monostable:
-    """Gamma identically 1 (no Allee effect)."""
-
-
-@dataclass(frozen=True)
-class Bistable:
-    """Gamma(m) = 1 - exp(-gamma m); gamma > 0 has units 1/density."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not 0 < self.gamma < math.inf:
-            raise ValueError(f"bistable gamma must be finite and > 0, got "
-                             f"{self.gamma}")
-
-
-GammaKind = Union[Monostable, Bistable]
 
 # K may be a constant or a function of position (heterogeneous carrying
 # capacity; it only enters the E equation, which has no diffusion).
@@ -67,7 +48,9 @@ class ModelParams:
 
     Rates are per unit time, K is a density (scalar or function of position),
     D is length^2/time, rho in (0,1) is the sex ratio, gamma_s >= 0 the
-    sterile-male competitiveness.
+    sterile-male competitiveness.  gamma is the Allee coefficient of
+    Gamma(m) = 1 - exp(-gamma m), finite and > 0 with units 1/density, or
+    None for the monostable kinetics (Gamma identically 1).
     """
 
     b: float
@@ -79,7 +62,7 @@ class ModelParams:
     rho: float
     K: KField
     D: float
-    gamma_kind: GammaKind
+    gamma: Optional[float]
     gamma_s: float = 1.0
     # derived rates, set from the fields above; the kinetics read them
     egg_loss: float = field(init=False, repr=False, compare=False)
@@ -91,6 +74,9 @@ class ModelParams:
     mortality: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.gamma is not None and not 0 < self.gamma < math.inf:
+            raise ValueError(f"bistable gamma must be finite and > 0, got "
+                             f"{self.gamma}")
         for name in ("b", "nu_E", "mu_E", "mu_M", "mu_F", "mu_s", "D"):
             v = getattr(self, name)
             if not 0 < v < math.inf:
@@ -127,11 +113,6 @@ class ModelParams:
             raise ValueError("operation requires a scalar carrying capacity")
         return float(self.K)
 
-    @property
-    def gamma(self) -> float | None:
-        """Allee coefficient, or None in the monostable case."""
-        return self.gamma_kind.gamma if isinstance(self.gamma_kind, Bistable) else None
-
 
 class RateRows(NamedTuple):
     """The rates of S parameter sets as (S, n) rows, one per set, for
@@ -163,25 +144,13 @@ class RateRows(NamedTuple):
                    else rows("gamma"))
 
 
-def gamma_fn(kind: GammaKind, m):
-    """Mate-finding factor Gamma evaluated at total male density m >= 0."""
+def gamma_fn(gamma: Optional[float], m):
+    """Mate-finding factor Gamma evaluated at total male density m >= 0, for
+    the Allee coefficient gamma (None: monostable, Gamma identically 1)."""
     m = np.asarray(m, dtype=float)
     if np.any(m < 0):
         raise ValueError("gamma_fn requires m >= 0")
-    if isinstance(kind, Monostable):
-        out = np.ones_like(m)
-    else:
-        out = -np.expm1(-kind.gamma * m)
-    return out if out.ndim else float(out)
-
-
-def gamma_fn_prime(kind: GammaKind, m):
-    """d Gamma / dm (0 for monostable, gamma e^{-gamma m} for bistable)."""
-    m = np.asarray(m, dtype=float)
-    if isinstance(kind, Monostable):
-        out = np.zeros_like(m)
-    else:
-        out = kind.gamma * np.exp(-kind.gamma * m)
+    out = np.ones_like(m) if gamma is None else -np.expm1(-gamma * m)
     return out if out.ndim else float(out)
 
 
@@ -282,23 +251,28 @@ def _mating_and_dM(params: ModelParams, M: float, Ms: float) -> tuple[float, flo
     Along Ms = 0 the factor reduces to Gamma(M), so the extension at the origin
     is g = Gamma(0), dg/dM = Gamma'(0) (gamma in the bistable case).
     """
+    gamma = params.gamma
     P = M + params.gamma_s * Ms
-    kind = params.gamma_kind
     if P <= 0.0:
-        return float(gamma_fn(kind, 0.0)), float(gamma_fn_prime(kind, 0.0))
-    g = M / P * gamma_fn(kind, P)
-    dg = params.gamma_s * Ms / P**2 * gamma_fn(kind, P) + M / P * gamma_fn_prime(kind, P)
+        P = 0.0
+    gam = gamma_fn(gamma, P)
+    # Gamma'(P): 0 monostable, gamma e^{-gamma P} bistable
+    dgam = 0.0 if gamma is None else gamma * float(np.exp(-gamma * P))
+    if P == 0.0:
+        return gam, dgam
+    g = M / P * gam
+    dg = params.gamma_s * Ms / P**2 * gam + M / P * dgam
     return float(g), float(dg)
 
 
-def jacobian_ode(params: ModelParams, s: StatePoint, x: float = 0.0) -> np.ndarray:
+def jacobian_ode(params: ModelParams, s: StatePoint) -> np.ndarray:
     """Analytic 3x3 Jacobian of (fE, fM, fF) in (E, M, F), with Ms frozen.
 
     Sign pattern: d fE/d F >= 0, d fM/d E >= 0, d fF/d E >= 0, d fF/d M >= 0
     on the invariant region, which is what makes the system monotone for the
     cone order.
     """
-    K = float(params.K_at(x))
+    K = params.K_scalar
     g, dg = _mating_and_dM(params, s.M, s.Ms)
     rF = params.female_recruitment
     return np.array([

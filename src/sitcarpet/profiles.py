@@ -205,12 +205,12 @@ def find_eps0(params: ModelParams, F_star: float) -> Optional[float]:
     fails (condition violated for the bare G too).
     """
     eps = scale_until(
-        lambda e: potential_G(params, params.gamma, F_star, F_star, eps=e) > 0,
+        lambda e: potential_G(params, F_star, F_star, eps=e) > 0,
         1.0, 0.5, 2.0**-199)
     return None if eps is None else eps * 0.5
 
 
-def _locate_maximizer(pw: ModelParams, gamma, F_star: float, eps):
+def _locate_maximizer(pw: ModelParams, F_star: float, eps):
     """Smallest maximizer of the potential on [0, F*], or None if G <= 0.
 
     The maximizer is either F* (integrand still positive there) or a + -> -
@@ -218,7 +218,7 @@ def _locate_maximizer(pw: ModelParams, gamma, F_star: float, eps):
     first (smallest) wins.
     """
     F_scan = np.linspace(0.0, F_star, _SCAN_NODES + 1)
-    integrand = _wave_integrand(pw, gamma, F_star, F_scan, eps)
+    integrand = _wave_integrand(pw, F_star, F_scan, eps)
     G_scan = _cumulative_simpson_uniform(integrand, F_star / _SCAN_NODES)
     i_max = int(np.argmax(G_scan))
     if G_scan[i_max] <= 0.0:
@@ -231,7 +231,7 @@ def _locate_maximizer(pw: ModelParams, gamma, F_star: float, eps):
     k = int(cross[np.argmin(np.abs(cross - i_max))])
 
     def minus_integrand(F):  # bisect's sign convention: negative at lo
-        return -float(_wave_integrand(pw, gamma, F_star, np.array([F]), eps)[0])
+        return -float(_wave_integrand(pw, F_star, np.array([F]), eps)[0])
 
     return bisect(minus_integrand, F_scan[k], F_scan[k + 1], tol=0.0, max_iter=100)
 
@@ -244,8 +244,8 @@ class _PotentialGap:
     nodes by one further local quadrature of the analytic integrand.
     """
 
-    def __init__(self, pw, gamma, F_star, F_m, eps):
-        self.pw, self.gamma, self.F_star, self.eps = pw, gamma, F_star, eps
+    def __init__(self, pw, F_star, F_m, eps):
+        self.pw, self.F_star, self.eps = pw, F_star, eps
         self.F_m = F_m
         self.nodes = np.linspace(0.0, F_m, _GAP_CELLS + 1)
         cells = _gauss_cells(self._integrand, self.nodes[:-1], self.nodes[1:])
@@ -254,7 +254,7 @@ class _PotentialGap:
         self.H_nodes = H
 
     def _integrand(self, F):
-        return _wave_integrand(self.pw, self.gamma, self.F_star, F, self.eps)
+        return _wave_integrand(self.pw, self.F_star, F, self.eps)
 
     def H(self, F):
         Fc = np.clip(np.asarray(F, dtype=float), 0.0, self.F_m)
@@ -285,16 +285,15 @@ def build_stationary_F(params: ModelParams, eps: Optional[float] = None,
     sampled values solve the profile equation to near machine accuracy.
     `equilibria` are the params' own, if already solved.
     """
-    gamma = params.gamma
     eq = equilibria if equilibria is not None else solve_equilibria(params)
     if eq.upper is None:
         return None
     F_star = eq.upper[2]
 
-    F_m = _locate_maximizer(params, gamma, F_star, eps)
+    F_m = _locate_maximizer(params, F_star, eps)
     if F_m is None:
         return None
-    gap = _PotentialGap(params, gamma, F_star, F_m, eps)
+    gap = _PotentialGap(params, F_star, F_m, eps)
     if gap.H(0.0) <= 0.0:
         return None
 

@@ -247,6 +247,11 @@ class ReleaseSchedule:
     def speed(self) -> Optional[float]:
         return self.c if self.kind in MOVING_KINDS else None
 
+    @property
+    def releases(self) -> bool:
+        """False when Lambda is 0 everywhere at all times."""
+        return self.kind != "none" and self.lambda_bar != 0.0
+
 
 def release_value(schedule: ReleaseSchedule, x, t: float):
     """Lambda at |x| (vectorized) and time t."""
@@ -254,7 +259,7 @@ def release_value(schedule: ReleaseSchedule, x, t: float):
     s = schedule
     shift = 0.0 if s.kind == "fixed_region" else s.c * t
     inner, outer = s.R1 + shift, s.R2 + shift
-    if s.kind == "none" or s.lambda_bar == 0.0:
+    if not s.releases:
         out = np.zeros_like(r)
     elif s.kind == "annulus_tail":
         out = np.where(r < inner, s.lambda_bar * np.exp(s.eta * (r - inner)),
@@ -478,8 +483,7 @@ class Batch:
             rows.setdefault(s.schedule, []).append(i)
         self.releases = [(schedule, slice(None) if len(r) == len(scenarios)
                           else r) for schedule, r in rows.items()]
-        releasing = any(s.kind != "none" and s.lambda_bar != 0.0
-                        for s in rows)
+        releasing = any(s.releases for s in rows)
         # +0.0 is the one float whose bits are all 0
         Ms0 = np.ascontiguousarray(Ms0, dtype=float)
         self.fields = 3 if releasing or Ms0.view(np.int64).any() else 2
@@ -680,20 +684,24 @@ def run_batch(scenarios, states0=None) -> list[Trajectory]:
     state = SimState.stacked(states0[0].t,
                              np.stack([s.y for s in states0], axis=1))
     batch = Batch(scenarios, dt, state.Ms)
-    times = [state.t]
-    snaps = [state.y.copy()]
-    # the next snapshot is the first step k with k >= m * steps_per_snap
-    # (to a 1e-9-step tolerance for roundoff in the ratio)
+    # the steps to snapshot: 0, the first step k with k >= m *
+    # steps_per_snap (to a 1e-9-step tolerance for roundoff in the ratio)
+    # for m = 1, 2, ..., and the last; written into one block as they come
     steps_per_snap = sc.snapshot_dt / dt
-    m = 1
+    snap_steps, m = [0], 1
+    for k in range(1, n_steps + 1):
+        if k >= m * steps_per_snap - 1e-9 or k == n_steps:
+            snap_steps.append(k)
+            m = int(k / steps_per_snap + 1e-9) + 1
+    arr = np.empty((len(snap_steps),) + state.y.shape)  # (n_snap, 4, S, n)
+    times = np.empty(len(snap_steps))
+    arr[0], times[0] = state.y, state.t
+    j = 1
     for k in range(1, n_steps + 1):
         state = step(state, batch, clamps)
-        if k >= m * steps_per_snap - 1e-9 or k == n_steps:
-            times.append(state.t)
-            snaps.append(state.y.copy())
-            m = int(k / steps_per_snap + 1e-9) + 1
-    arr = np.array(snaps)  # (n_snap, 4, S, n)
-    times = np.array(times)
+        if k == snap_steps[j]:
+            arr[j], times[j] = state.y, state.t
+            j += 1
     return [Trajectory(s, times, arr[:, 0, i], arr[:, 1, i], arr[:, 2, i],
                        arr[:, 3, i], clamps[i], dt, n_steps)
             for i, s in enumerate(scenarios)]

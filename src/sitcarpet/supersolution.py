@@ -26,7 +26,7 @@ import numpy as np
 
 from .equilibria import (EquilibriumSet, bisect, scale_until,
                          solve_equilibria)
-from .model import Bistable, ModelParams, egg_rate, slaved_E
+from .model import ModelParams, egg_rate, slaved_E
 
 
 def lambda_roots(mu: float, drift: float) -> tuple[float, float]:
@@ -459,7 +459,7 @@ def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,
     solved.
     """
     p = params
-    if not isinstance(p.gamma_kind, Bistable):
+    if p.gamma is None:
         raise SupersolutionUnavailable("the bundle search covers the "
                                        "bistable case")
     eq = equilibria if equilibria is not None else solve_equilibria(p)
@@ -471,7 +471,7 @@ def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,
     sd = np.sqrt(p.D)
     ct = c / sd
     cpt = (5.0 / 6.0) * ct
-    ce = p.mu_E + p.nu_E
+    ce = p.egg_loss
 
     mu = scale_until(
         lambda m: (m / 4.0 + cpt * np.sqrt(m / 2.0) <= 0.5 * ce
@@ -491,14 +491,13 @@ def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,
     gap = p.mu_M - max(mu, eps)
     if gap <= 0:
         raise RuntimeError("mu, eps must stay below mu_M")
-    C2 = safety * max(C0, (1.0 - p.rho) * p.nu_E * C1 / gap)
+    C2 = safety * max(C0, p.male_recruitment * C1 / gap)
 
-    gamma = p.gamma_kind.gamma
-    q = (p.mu_F - mu) / (p.rho * p.nu_E * C1)
+    q = (p.mu_F - mu) / (p.female_recruitment * C1)
     if q >= 1.0:
         u0 = 0.5
     else:
-        u0 = 0.5 * (-np.log1p(-q)) / (gamma * C2 * F_star)
+        u0 = 0.5 * (-np.log1p(-q)) / (p.gamma * C2 * F_star)
     u0 = min(u0, 0.5)
 
     psi, _, L_t = psi_profile(eps, u0, ct, r1 / sd)
@@ -508,7 +507,7 @@ def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,
 
     lower = make_sterile_lower_bound(params, 1.0, c, R1, r1, r2, R2)
     C12 = lower.M_hat  # per unit lambda_bar
-    deficit = p.rho * p.nu_E * C1 - (p.mu_F - eps)
+    deficit = p.female_recruitment * C1 - (p.mu_F - eps)
     if deficit <= 0:
         M_hat_req = 1.0
     else:

@@ -277,7 +277,7 @@ def verify_subsolution(sub: SubsolutionFields,
 
     # uniform interior section of the profile grid (drop the appended tail node)
     s_nodes = sub.F_profile.grid[:-1]
-    ce = p.mu_E + p.nu_E
+    ce = p.egg_loss
 
     def react(x, t, which):
         E = sub.E(x, t)
@@ -431,7 +431,7 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
     # smallness hypotheses behind the C1/C2 bounds (named so a failure
     # diagnoses which inequality blocked)
     sd = bundle.sqrt_D
-    ce = p.mu_E + p.nu_E
+    ce = p.egg_loss
     hyps = [
         ("C1 drift hypothesis mu/4 + c' sqrt(mu/2) < mu_E + nu_E",
          bundle.mu / 4 + bundle.c_prime / sd * np.sqrt(bundle.mu / 2) - ce),

@@ -248,7 +248,7 @@ def sterile_cost(schedule: ReleaseSchedule, T: float) -> float:
     s = schedule
     if T < 0:
         raise ValueError("T must be >= 0")
-    if s.kind == "none" or s.lambda_bar == 0.0 or T == 0.0:
+    if not s.releases or T == 0.0:
         return 0.0
     if s.kind == "disc":
         return s.lambda_bar * np.pi * ((s.R2 + s.c * T) ** 3 - s.R2**3) / (3 * s.c)

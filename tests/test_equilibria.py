@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -211,30 +213,30 @@ def test_phi_s_eps(p05, eq05):
 
 def test_potential_G_basics(p05, eq05):
     Fs = eq05.upper[2]
-    assert potential_G(p05, 0.5, Fs, 0.0) == 0.0
-    assert potential_G(p05, 0.5, Fs, Fs) > 0  # gamma = 0.5 > gamma_0
+    assert potential_G(p05, Fs, 0.0) == 0.0
+    assert potential_G(p05, Fs, Fs) > 0  # gamma = 0.5 > gamma_0
     # monostable variant positive whenever N > 1
     mono = table1_params(None)
     Fs_m = solve_equilibria(mono).upper[2]
-    assert potential_G(mono, None, Fs_m, Fs_m) > 0
+    assert potential_G(mono, Fs_m, Fs_m) > 0
 
 
 def test_potential_G_against_adaptive_quadrature(p05, eq05):
     Fs = eq05.upper[2]
     for F_hi, eps in ((Fs, None), (0.6 * Fs, None), (Fs, 1e-3)):
         oracle = quad(
-            lambda u: float(_wave_integrand(p05, 0.5, Fs,
-                                            np.array([u]), eps)[0]),
+            lambda u: float(_wave_integrand(p05, Fs, np.array([u]),
+                                            eps)[0]),
             0, F_hi, limit=200)[0]
-        assert potential_G(p05, 0.5, Fs, F_hi, eps=eps) == pytest.approx(
+        assert potential_G(p05, Fs, F_hi, eps=eps) == pytest.approx(
             oracle, rel=1e-9, abs=1e-12)
 
 
 def test_gamma0_brackets_sign_change(p05, eq05):
     Fs = eq05.upper[2]
     g0 = solve_gamma_0(p05)
-    assert potential_G(p05, g0 * 1.001, Fs, Fs) > 0
-    assert potential_G(p05, g0 * 0.999, Fs, Fs) < 0
+    assert potential_G(replace(p05, gamma=g0 * 1.001), Fs, Fs) > 0
+    assert potential_G(replace(p05, gamma=g0 * 0.999), Fs, Fs) < 0
     rep = thresholds(p05)
     assert g0 > rep.gamma_c
 

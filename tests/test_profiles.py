@@ -102,7 +102,7 @@ class TestStationaryProfiles:
         v = F_prof.values
         h = x[1] - x[0]
         lap = (v[2:] - 2 * v[1:-1] + v[:-2]) / h**2
-        rhs = _wave_integrand(p05, 0.5, solve_equilibria(p05).upper[2],
+        rhs = _wave_integrand(p05, solve_equilibria(p05).upper[2],
                               v[1:-1], None)
         resid = np.abs(-p05.D * lap - rhs) / (p05.mu_F * 77.4)
         assert resid.max() < 1e-3
