@@ -251,10 +251,16 @@ def cmd_verify(args) -> int:
         r1 = R1 + 2.0
         r2 = R2 - 2.0
         reports.append(verify_sterile_cap(params, lam, c, R1, R2, Rs=R2 + 1.0))
-        reports.append(verify_sterile_floor(
-            make_sterile_lower_bound(params, lam, c, R1, r1, r2, R2)))
-        reports.append(verify_sterile_floor(
-            make_sterile_lower_bound_tail(params, lam, c, R1, r1, r2, R2, eta)))
+        for kind, make, extra in (
+                ("lower_annulus", make_sterile_lower_bound, ()),
+                ("lower_annulus_tail", make_sterile_lower_bound_tail, (eta,))):
+            try:  # r1 < r2 needs R2 - R1 > 4
+                floor = make(params, lam, c, R1, r1, r2, R2, *extra)
+            except ValueError as e:  # a failed check, not a crash
+                reports.append(CertificateReport(
+                    f"sterile-lower-bound-{kind}", [], False, unbuilt=str(e)))
+            else:
+                reports.append(verify_sterile_floor(floor))
     for rep in reports:
         print(rep)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY

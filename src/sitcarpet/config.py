@@ -125,14 +125,23 @@ def _require(d: dict, sec: str, key: str, default=None, required=False):
     return default
 
 
+def _number(d: dict, sec: str, key: str, default=None, required=False):
+    """`sec.key` as a float; ConfigError naming the key unless the value is
+    an int or a float (a string or a boolean is not a number)."""
+    v = _require(d, sec, key, default, required)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{sec}.{key} must be a number, got {v!r}")
+    return float(v)
+
+
 # Every key build_scenario reads, by section; any other key is an error.
 KNOWN_KEYS = {
     "model": ("gamma_kind", "gamma", "K", "K_oscillation", "K_period", "b",
               "nu_E", "mu_E", "mu_M", "mu_F", "mu_s", "rho", "D", "gamma_s"),
     "grid": ("kind", "n", "x_min", "x_max", "r_max"),
     "schedule": ("kind", "lambda_bar", "R1", "R2", "c", "eta"),
-    "initial": ("kind", "R0_0", "R0_1", "u0", "C0", "x_step", "step_side"),
-    "run": ("t_end", "dt", "snapshot_dt", "boundary"),
+    "initial": ("kind", "R0_0", "R0_1", "u0", "x_step", "step_side"),
+    "run": ("t_end", "dt", "snapshot_dt"),
 }
 
 
@@ -160,28 +169,22 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     gamma_kind = str(_require(m, "model", "gamma_kind", "bistable")).lower()
     if gamma_kind not in ("bistable", "monostable"):
         raise ConfigError("model.gamma_kind must be bistable or monostable")
-    gamma = _require(m, "model", "gamma", None)
+    gamma = _number(m, "model", "gamma") if "gamma" in m else None
     if gamma_kind == "bistable" and gamma is None:
         raise ConfigError("model.gamma required in the bistable case")
-    K_osc = _require(m, "model", "K_oscillation", 0.0)
-    K_period = _require(m, "model", "K_period", 10.0)
+    rates = {key: _number(m, "model", key, default) for key, default in (
+        ("b", TABLE1["b"]), ("nu_E", TABLE1["nu_E"]),
+        ("mu_E", TABLE1["mu_E"]), ("mu_M", TABLE1["mu_M"]),
+        ("mu_F", TABLE1["mu_F"]), ("mu_s", DEFAULT_MU_S),
+        ("rho", TABLE1["rho"]), ("K", TABLE1["K"]), ("D", TABLE1["D"]),
+        ("gamma_s", DEFAULT_GAMMA_S))}
+    K_osc = _number(m, "model", "K_oscillation", 0.0)
+    K_period = _number(m, "model", "K_period", 10.0)
     try:
         params = ModelParams(
-            b=float(_require(m, "model", "b", TABLE1["b"])),
-            nu_E=float(_require(m, "model", "nu_E", TABLE1["nu_E"])),
-            mu_E=float(_require(m, "model", "mu_E", TABLE1["mu_E"])),
-            mu_M=float(_require(m, "model", "mu_M", TABLE1["mu_M"])),
-            mu_F=float(_require(m, "model", "mu_F", TABLE1["mu_F"])),
-            mu_s=float(_require(m, "model", "mu_s", DEFAULT_MU_S)),
-            rho=float(_require(m, "model", "rho", TABLE1["rho"])),
-            K=_require(m, "model", "K", TABLE1["K"]),
-            D=float(_require(m, "model", "D", TABLE1["D"])),
-            gamma_s=float(_require(m, "model", "gamma_s", DEFAULT_GAMMA_S)),
-            gamma=None if gamma_kind == "monostable" else float(gamma),
-        )
+            gamma=None if gamma_kind == "monostable" else gamma, **rates)
         # so K(x) = K + K_oscillation sin(2 pi |x| / K_period) is finite
         # and at least K - K_oscillation > 0 everywhere
-        K_osc, K_period = float(K_osc), float(K_period)
         if not 0.0 <= K_osc < params.K:
             raise ValueError(f"K_oscillation must be finite and in [0, K), "
                              f"got {K_osc!r} with K = {params.K!r}")
@@ -198,17 +201,14 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     # the run settings are checked before the grid is built, so a run too
     # long to step allocates nothing
     r = cfg.run
-    dt = _require(r, "run", "dt", None)
+    dt = None
+    if _require(r, "run", "dt") not in (None, "auto"):
+        dt = _number(r, "run", "dt") or None  # 0 is DT too
+    run_settings = dict(
+        t_end=_number(r, "run", "t_end", required=True), dt=dt,
+        snapshot_dt=_number(r, "run", "snapshot_dt", SNAPSHOT_DT))
     try:
-        run_settings = dict(
-            t_end=float(_require(r, "run", "t_end", required=True)),
-            dt=None if dt in (None, 0, 0.0, "auto") else float(dt),
-            snapshot_dt=float(_require(r, "run", "snapshot_dt", SNAPSHOT_DT)),
-            boundary=str(_require(r, "run", "boundary", "neumann")),
-        )
         check_run_settings(**run_settings)
-    except ConfigError:
-        raise
     except ValueError as e:
         raise ConfigError(f"run: {e}") from e
     if run_settings["dt"] is not None and run_settings["dt"] > MAX_DT:
@@ -218,47 +218,42 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
 
     g = cfg.grid
     kind = str(_require(g, "grid", "kind", required=True)).lower()
-    n = _require(g, "grid", "n", required=True)
+    n = _number(g, "grid", "n", required=True)
+    if not n.is_integer():
+        raise ConfigError(f"grid: n = {n!r} is not a whole number of nodes")
+    n = int(n)
+    if kind == "cartesian1d":
+        make, extent = Grid.cartesian, (
+            _number(g, "grid", "x_min", required=True),
+            _number(g, "grid", "x_max", required=True))
+    elif kind == "radial2d":
+        make, extent = Grid.radial, (
+            _number(g, "grid", "r_max", required=True),)
+    else:
+        raise ConfigError(f"grid.kind {kind!r} unknown")
     try:
-        if isinstance(n, float) and not n.is_integer():
-            raise ValueError(f"n = {n!r} is not a whole number of nodes")
-        n = int(n)
-        if kind == "cartesian1d":
-            grid = Grid.cartesian(float(_require(g, "grid", "x_min", required=True)),
-                                  float(_require(g, "grid", "x_max", required=True)),
-                                  n)
-        elif kind == "radial2d":
-            grid = Grid.radial(float(_require(g, "grid", "r_max", required=True)), n)
-        else:
-            raise ConfigError(f"grid.kind {kind!r} unknown")
-    except (ValueError, OverflowError) as e:
+        grid = make(*extent, n)
+    except ValueError as e:
         raise ConfigError(f"grid: {e}") from e
 
     s = cfg.schedule
+    release = {key: _number(s, "schedule", key, 0.0)
+               for key in ("lambda_bar", "R1", "R2", "c", "eta")}
     try:
         schedule = ReleaseSchedule(
             kind=str(_require(s, "schedule", "kind", "none")).lower(),
-            lambda_bar=float(_require(s, "schedule", "lambda_bar", 0.0)),
-            R1=float(_require(s, "schedule", "R1", 0.0)),
-            R2=float(_require(s, "schedule", "R2", 0.0)),
-            c=float(_require(s, "schedule", "c", 0.0)),
-            eta=float(_require(s, "schedule", "eta", 0.0)),
-        )
+            **release)
     except ValueError as e:
         raise ConfigError(f"schedule: {e}") from e
 
     i = cfg.initial
+    shape = {key: _number(i, "initial", key, default) for key, default in (
+        ("R0_0", 10.0), ("R0_1", 15.0), ("u0", 0.0), ("x_step", 0.0))}
     try:
         initial = InitialData(
             kind=str(_require(i, "initial", "kind", "well_prepared")).lower(),
-            R0_0=float(_require(i, "initial", "R0_0", 10.0)),
-            R0_1=float(_require(i, "initial", "R0_1", 15.0)),
-            u0=float(_require(i, "initial", "u0", 0.0)),
-            C0=(None if _require(i, "initial", "C0", None) is None
-                else float(i["C0"])),
-            x_step=float(_require(i, "initial", "x_step", 0.0)),
             step_side=str(_require(i, "initial", "step_side", "left")),
-        )
+            **shape)
     except ValueError as e:
         raise ConfigError(f"initial: {e}") from e
 

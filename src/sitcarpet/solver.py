@@ -34,15 +34,14 @@ into itself.  Proof, in two parts.
    adv = D dt / (2 r dx), and lam > adv at every node with r >= dx, that
    is every node but the centre, whose row is symmetric.  So A is an
    M-matrix: its inverse is entrywise nonnegative with unit row sums, and
-   the solve keeps order, nonnegativity and upper bounds by a constant (the
-   Dirichlet row keeps the edge value).  A is also symmetrizable: each
-   off-diagonal pair A[i, i+1], A[i+1, i] has a positive product, so with
-   w_0 = 1 and w_{i+1} = w_i A[i, i+1] / A[i+1, i] (the finite-volume
-   weights: r on the radial grid, 1 on the Cartesian one, each boundary
-   row with its own factor) W A is symmetric, and with its strictly
-   dominant positive diagonal it is positive definite.  Its LDL^T
-   factorization needs no pivoting, and solving W A x = W b gives the same
-   A^{-1} b in exact arithmetic; only the rounding differs.
+   the solve keeps order, nonnegativity and upper bounds by a constant.  A
+   is also symmetrizable: each off-diagonal pair A[i, i+1], A[i+1, i] has
+   a positive product, so with w_0 = 1 and w_{i+1} = w_i A[i, i+1] /
+   A[i+1, i] (the finite-volume weights: r on the radial grid, 1 on the
+   Cartesian one, each edge row with its own factor) W A is symmetric, and
+   with its strictly dominant positive diagonal it is positive definite.
+   Its LDL^T factorization needs no pivoting, and solving W A x = W b gives
+   the same A^{-1} b in exact arithmetic; only the rounding differs.
 
 So dt is an accuracy choice, not a stability bound: the automatic step is
 DT (`reaction_dt_bound`), free of every rate, and the first-order error in
@@ -52,45 +51,43 @@ counted, and a relative undershoot above CLAMP_FAIL_THRESHOLD raises
 `SolverError`.
 
 A run keeps one dt, t_end / n_steps, so the diffusing fields share one
-matrix for the whole run.  A Dirichlet last row, an identity row, is
-eliminated (x_{n-1} = b_{n-1}, moved to the right-hand side of row n - 2);
-the rest is weighted to W A and factored once (LAPACK dpttrf).  Each step
-scales all right-hand sides by W, stacked as the columns of one array, and
-solves them with a single dpttrs call, column by column.
+matrix for the whole run, weighted to W A and factored once (LAPACK
+dpttrf).  Each step scales all right-hand sides by W, stacked as the
+columns of one array, and solves them with a single dpttrs call, column by
+column.
 A non-finite right-hand side (a NaN or inf that reached the state) raises
 `SolverError` instead of being solved.  Snapshots are taken at the initial
 state, at the first step at or after each multiple of
 `Scenario.snapshot_dt`, and at the final step.
 
-Batches.  `run_batch` advances S scenarios that share the grid, D,
-boundary, dt, t_end, snapshot_dt and Gamma kind (`batch_key`) as one
-(S, n) state, one row per member; `run` is the batch of one.  Their rates
-differ per member and K may too: `Batch` builds them once per run as
-(S, n) rows, with each h(mu_u) factor, the diffusion factor and the release
-schedules.  The state is one (4, S, n) array, E, M, F and Ms its rows, and
-a snapshot is one copy of it.  A step makes one `reaction_arrays` call on
-the whole state and solves the 3S right-hand sides (M, F, Ms of each
-member) in one dpttrs call, written in place into the rows of the next
-state.  The kinetics are fused: b F is computed once for fE and a, and M
-and F go through their rates and their exact updates as one (2, S, n)
-block, Ms joining it as a third row.  When no member releases (kind none
-or lambda_bar 0) and every member's initial Ms is +0.0, Ms stays +0.0 bit
-for bit (its source and its decay are both 0): the step then evaluates no
-release and no Ms rate, keeps Ms at +0.0 and solves 2S columns (M, F).
-Its bistable mating factor is then -expm1(-gamma max(M, 0)), which has the
-bits of M/P Gamma(P): with Ms = +0.0, P = M + gamma_s Ms is M wherever
-M > 0, so M/P is exactly 1.0 there, and where M <= 0 both forms are +0.0.
-The monostable factor keeps its form, M/M where M > 0 and 0 elsewhere: it
-is 0, not 1, where M = 0.  Every operation of the step is elementwise
-within a member's row, each element goes through the same floating-point
-operations as in the unfused form, and the solve works column by column;
-so the proof above holds unchanged per member, and each member's arrays
-are bit for bit those of its own run.  Clamp counts, scales and the
-`SolverError` threshold are per member too.
+Batches.  `run_batch` advances S scenarios that share the grid, D, dt,
+t_end, snapshot_dt and Gamma kind (`batch_key`) as one (S, n) state, one
+row per member; `run` is the batch of one.  Their rates differ per member
+and K may too: `Batch` builds them once per run as (S, n) rows, with each
+h(mu_u) factor, the diffusion factor and the release schedules.  The state
+is one (4, S, n) array, E, M, F and Ms its rows, and a snapshot is one copy
+of it.  A step makes one `reaction_arrays` call on the whole state and
+solves the 3S right-hand sides (M, F, Ms of each member) in one dpttrs
+call, written in place into the rows of the next state.  The kinetics are
+fused: b F is computed once for fE and a, and M and F go through their
+rates and their exact updates as one (2, S, n) block, Ms joining it as a
+third row.  When no member releases (kind none or lambda_bar 0) and every
+member's initial Ms is +0.0, Ms stays +0.0 bit for bit (its source and its
+decay are both 0): the step then evaluates no release and no Ms rate, keeps
+Ms at +0.0 and solves 2S columns (M, F).  Its bistable mating factor is then
+-expm1(-gamma max(M, 0)), which has the bits of M/P Gamma(P): with Ms =
++0.0, P = M + gamma_s Ms is M wherever M > 0, so M/P is exactly 1.0 there,
+and where M <= 0 both forms are +0.0.  The monostable factor keeps its form,
+M/M where M > 0 and 0 elsewhere: it is 0, not 1, where M = 0.  Every
+operation of the step is elementwise within a member's row, each element
+goes through the same floating-point operations as in the unfused form, and
+the solve works column by column; so the proof above holds unchanged per
+member, and each member's arrays are bit for bit those of its own
+run.  Clamp counts, scales and the `SolverError` threshold are per member
+too.
 
 The radial Laplacian is u'' + u'/r with the r = 0 node closed by symmetry
-(limit 2 u''(0)); boundaries are homogeneous Neumann by default with an
-optional Dirichlet clamp at the outer edge for invasion runs.
+(limit 2 u''(0)); both edges are zero-flux (homogeneous Neumann).
 
 A heterogeneous K(x) enters the egg equation nodewise.  Equilibria,
 thresholds and classification reduce it to its maximum over the grid nodes:
@@ -114,7 +111,6 @@ from .model import (ModelParams, RateRows, reaction_arrays, slaved_E,
 
 CLAMP_COUNT_THRESHOLD = 1e-12
 CLAMP_FAIL_THRESHOLD = 1e-9
-BOUNDARIES = ("neumann", "dirichlet")
 # Default time between snapshots: 100 steps of 150/4239, the presets'
 # spacing when the cadence was counted in steps, so their snapshot times
 # (42 between t = 0 and T = 150) are kept.
@@ -277,22 +273,25 @@ class InitialData:
     """Well-prepared initial fields: cleared, pre-dosed center; equilibrium far out.
 
     F0 = F* (u0 inside R0_0, linear ramp on [R0_0, R0_1], 1 outside); E0 and
-    M0 at the slaved quasi-equilibrium values capped by C0 F0 (and K); Ms0
-    ramps from lambda_bar/mu_s inside R0_0 to 0 at R0_1.  The "step" kind is
-    the 1D invasion setup: equilibrium on one side of x_step, zero beyond.
+    M0 at the slaved quasi-equilibrium values capped by C0 F0 (and K), with
+    C0 = max(E*, M*) / F*; Ms0 ramps from lambda_bar/mu_s inside R0_0 to 0
+    at R0_1.  The "step" kind is the 1D invasion setup: equilibrium on one
+    side of x_step, zero beyond.
     """
 
     kind: str = "well_prepared"
     R0_0: float = 10.0
     R0_1: float = 15.0
     u0: float = 0.0
-    C0: Optional[float] = None
     x_step: float = 0.0
     step_side: str = "left"  # equilibrium on x < x_step ("left") or x > x_step
 
     def __post_init__(self):
-        if self.kind not in ("well_prepared", "step", "uniform"):
+        if self.kind not in ("well_prepared", "step"):
             raise ValueError(f"unknown initial kind {self.kind!r}")
+        if self.step_side not in ("left", "right"):
+            raise ValueError(f"step_side must be left or right, got "
+                             f"{self.step_side!r}")
         if self.kind == "well_prepared":
             if not 0 <= self.u0 < 1:
                 raise ValueError("u0 must be in [0, 1)")
@@ -314,14 +313,7 @@ def make_initial(scenario: Scenario) -> SimState:
         F0 = np.where(mask, F_star, 0.0)
         Ms0 = np.zeros_like(x)
         return SimState(0.0, E0, M0, F0, Ms0)
-    if data.kind == "uniform":
-        return SimState(0.0, np.minimum(E_star, K) * np.ones_like(x),
-                        M_star * np.ones_like(x), F_star * np.ones_like(x),
-                        np.zeros_like(x))
-
-    C0 = data.C0
-    if C0 is None:
-        C0 = max(E_star / F_star, M_star / F_star)
+    C0 = max(E_star / F_star, M_star / F_star)
     ramp = np.clip((data.R0_1 - r) / (data.R0_1 - data.R0_0), 0.0, 1.0)
     F0 = F_star * (data.u0 * ramp + (1.0 - ramp))
     E0 = np.minimum(np.minimum(slaved_E(params, F0, K=K), C0 * F0), K)
@@ -342,8 +334,7 @@ def make_initial(scenario: Scenario) -> SimState:
     return SimState(0.0, E0, M0, F0, Ms0)
 
 
-def implicit_diffusion_matrix(grid: Grid, D: float, dt: float,
-                              boundary: str = "neumann") -> np.ndarray:
+def implicit_diffusion_matrix(grid: Grid, D: float, dt: float) -> np.ndarray:
     """I - dt D L in (1,1)-banded form: rows superdiagonal, diagonal, subdiagonal.
 
     Entry (i, j) of the matrix is ab[1 + i - j, j]; `factor_diffusion`
@@ -370,59 +361,44 @@ def implicit_diffusion_matrix(grid: Grid, D: float, dt: float,
         ab[1, 0] = 1.0 + 2.0 * lam
         ab[0, 1] = -2.0 * lam
 
-    # outer boundary
-    if boundary == "neumann":
-        ab[1, -1] = 1.0 + 2.0 * lam
-        ab[2, -2] = -2.0 * lam
-    elif boundary == "dirichlet":
-        ab[1, -1] = 1.0
-        ab[2, -2] = 0.0
-    else:
-        raise ValueError(f"unknown boundary {boundary!r}")
+    # Neumann mirror at the outer edge
+    ab[1, -1] = 1.0 + 2.0 * lam
+    ab[2, -2] = -2.0 * lam
     return ab
 
 
 class DiffusionFactor(NamedTuple):
     """A tridiagonal matrix A, symmetrized and factored: W A = L D L^T.
 
-    d and e are LAPACK dpttrf's factors of W A, w the row weights W, and
-    edge the A[n-2, n-1] of an eliminated Dirichlet last row (0 if none)."""
+    d and e are LAPACK dpttrf's factors of W A, w the row weights W."""
 
     d: np.ndarray
     e: np.ndarray
     w: np.ndarray
-    edge: float
 
 
 def factor_diffusion(ab: np.ndarray) -> DiffusionFactor:
     """Factor the (1,1)-banded matrix `ab` once for any number of solves.
 
-    A last row without a subdiagonal must be an identity (Dirichlet) row: it
-    is eliminated, x_{n-1} = b_{n-1}.  The other rows are weighted, w_0 = 1
-    and w_{i+1} = w_i A[i, i+1] / A[i+1, i], so that W A is symmetric; an
-    off-diagonal pair whose product is not > 0 is a SolverError.
+    The rows are weighted, w_0 = 1 and w_{i+1} = w_i A[i, i+1] / A[i+1, i],
+    so that W A is symmetric; an off-diagonal pair whose product is not > 0
+    is a SolverError.
     """
     if not np.all(np.isfinite(ab)):
         raise SolverError("non-finite entry in the diffusion matrix")
-    n = ab.shape[1]
     up, lo = ab[0, 1:], ab[2, :-1]  # A[i, i+1] and A[i+1, i]
-    pairs, edge = n - 1, 0.0
-    if lo[-1] == 0.0 and ab[1, -1] == 1.0:
-        pairs, edge = n - 2, float(up[-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = up[:pairs] / lo[:pairs]
+        ratio = up / lo
     if not np.all(ratio > 0.0):
         raise SolverError("diffusion matrix is not symmetrizable: an "
                           "off-diagonal pair has a product that is not > 0")
-    w = np.ones(n)
-    np.cumprod(ratio, out=w[1:pairs + 1])
-    e = np.zeros(n - 1)
-    e[:pairs] = w[:pairs] * up[:pairs]
-    d, e, info = dpttrf(w * ab[1], e)
+    w = np.ones(ab.shape[1])
+    np.cumprod(ratio, out=w[1:])
+    d, e, info = dpttrf(w * ab[1], w[:-1] * up)
     if info != 0:
         raise SolverError(f"diffusion matrix is not positive definite "
                           f"(pivot {info})")
-    return DiffusionFactor(d, e, w, edge)
+    return DiffusionFactor(d, e, w)
 
 
 def solve_banded(factor: DiffusionFactor, rhs: np.ndarray) -> np.ndarray:
@@ -434,8 +410,6 @@ def solve_banded(factor: DiffusionFactor, rhs: np.ndarray) -> np.ndarray:
     """
     if not np.all(np.isfinite(rhs)):
         raise SolverError("non-finite state reached the diffusion solve")
-    if factor.edge:
-        rhs[-2] -= factor.edge * rhs[-1]
     np.multiply(rhs.T, factor.w, out=rhs.T)  # W b, a row per node
     x, info = dpttrs(factor.d, factor.e, rhs, overwrite_b=1)
     if info != 0:
@@ -470,9 +444,9 @@ class Batch:
         sc = scenarios[0]
         params = [s.params for s in scenarios]
         x = sc.grid.x
-        self.grid, self.dt, self.boundary = sc.grid, dt, sc.boundary
+        self.grid, self.dt = sc.grid, dt
         self.factor = factor_diffusion(implicit_diffusion_matrix(
-            sc.grid, sc.params.D, dt, sc.boundary))
+            sc.grid, sc.params.D, dt))
         self.rates = RateRows.of(params, x.size)
         self.K = np.array([s.K_nodes for s in scenarios])
         # (S,): a floor of each member's Ms clamp scale
@@ -497,10 +471,10 @@ class Batch:
 
 def batch_key(scenario: "Scenario") -> tuple:
     """Scenarios with equal keys can advance as one batch: the same grid, D,
-    boundary, dt, t_end, snapshot_dt and Gamma kind."""
+    dt, t_end, snapshot_dt and Gamma kind."""
     sc = scenario
-    return (sc.grid.kind, sc.grid.x.tobytes(), sc.params.D, sc.boundary,
-            sc.dt, sc.t_end, sc.snapshot_dt, sc.params.gamma is None)
+    return (sc.grid.kind, sc.grid.x.tobytes(), sc.params.D, sc.dt, sc.t_end,
+            sc.snapshot_dt, sc.params.gamma is None)
 
 
 def _release(batch: Batch, t: float):
@@ -540,8 +514,6 @@ def step(state: SimState, batch: Batch,
     u = new[1:1 + k]  # M, F(, Ms): the rows the solve updates
     f *= batch.neg_h
     np.subtract(y[1:1 + k], f, out=u)
-    if batch.boundary == "dirichlet":
-        u[:, :, -1] = y[1:1 + k, :, -1]
     if k == 2:
         new[3] = 0.0
     # row (field, member) of u is column field * S + member of one
@@ -588,11 +560,9 @@ class Scenario:
     t_end: float
     dt: Optional[float] = None  # None: DT
     snapshot_dt: float = SNAPSHOT_DT  # time between snapshots
-    boundary: str = "neumann"
 
     def __post_init__(self):
-        check_run_settings(self.t_end, self.dt, self.snapshot_dt,
-                           self.boundary)
+        check_run_settings(self.t_end, self.dt, self.snapshot_dt)
 
     @cached_property
     def K_nodes(self) -> np.ndarray:
@@ -618,11 +588,10 @@ class Scenario:
         return self.equilibria.upper
 
 
-def check_run_settings(t_end: float, dt: Optional[float], snapshot_dt: float,
-                       boundary: str) -> None:
+def check_run_settings(t_end: float, dt: Optional[float],
+                       snapshot_dt: float) -> None:
     """Raise ValueError unless these are valid `Scenario` run settings: finite
-    positive times, a known boundary, and at most MAX_STEPS steps of dt (DT
-    when dt is None)."""
+    positive times and at most MAX_STEPS steps of dt (DT when dt is None)."""
     for name, v in (("t_end", t_end), ("dt", dt), ("snapshot_dt", snapshot_dt)):
         if v is not None and not 0 < v < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {v}")
@@ -630,9 +599,6 @@ def check_run_settings(t_end: float, dt: Optional[float], snapshot_dt: float,
     if steps > MAX_STEPS:
         raise ValueError(f"t_end / dt = {steps:.3g} steps exceeds the "
                          f"limit of {MAX_STEPS}")
-    if boundary not in BOUNDARIES:
-        raise ValueError(f"unknown boundary {boundary!r}; expected "
-                         f"one of {', '.join(BOUNDARIES)}")
 
 
 @dataclass
@@ -673,8 +639,8 @@ def run_batch(scenarios, states0=None) -> list[Trajectory]:
     scenarios = list(scenarios)
     sc = scenarios[0]
     if any(batch_key(s) != batch_key(sc) for s in scenarios[1:]):
-        raise ValueError("batch members must share grid, D, boundary, dt, "
-                         "t_end, snapshot_dt and Gamma kind")
+        raise ValueError("batch members must share grid, D, dt, t_end, "
+                         "snapshot_dt and Gamma kind")
     if states0 is None:
         states0 = [make_initial(s) for s in scenarios]
     dt = sc.dt if sc.dt is not None else reaction_dt_bound()

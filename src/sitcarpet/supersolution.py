@@ -380,7 +380,9 @@ def _skirt_constants(params: ModelParams, c: float, r1: float, r2: float,
                      R1: float, R2: float) -> tuple[float, float]:
     """Minimal Gaussian decay rates (unit-diffusion units) for the skirts."""
     if not 0 < R1 < r1 < r2 < R2:
-        raise ValueError("geometry must satisfy 0 < R1 < r1 < r2 < R2")
+        raise ValueError(f"geometry must satisfy 0 < R1 < r1 < r2 < R2, got "
+                         f"R1 = {R1:g}, r1 = {r1:g}, r2 = {r2:g}, "
+                         f"R2 = {R2:g}")
     sd = np.sqrt(params.D)
     ct = c / sd
     r1t, r2t, R1t, R2t = r1 / sd, r2 / sd, R1 / sd, R2 / sd

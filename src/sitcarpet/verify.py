@@ -460,7 +460,7 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
               if k % max(1, n_steps // 20) == 0 or k == n_steps - 1}
     reads = [min(int(np.searchsorted(times, t)), n_steps) for t in t_grid]
     kept = {}
-    ab = implicit_diffusion_matrix(grid, p.D, dt, "neumann")
+    ab = implicit_diffusion_matrix(grid, p.D, dt)
     ab[1, :] += dt * p.mu_M
     lu = factor_diffusion(ab)
     worst_E = worst_M = -np.inf

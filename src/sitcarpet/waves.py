@@ -3,9 +3,9 @@
 A front is the outermost level crossing of the female field (default level
 F*/2).  Speeds are trailing least-squares slopes of the front trace with the
 initial transient discarded.  Classification probes the final quarter of a
-run: for scheduled (moving-release) runs, the interior cone {|x| < c_under t}
-must be empty and the exterior cone {|x| > c_over t} must contain
-near-equilibrium states, or positive ones for a heterogeneous K (the
+run: for scheduled (moving-release) runs, the interior cone
+{|x| < 0.75 c t} must be empty and the exterior cone {|x| > 1.25 c t} must
+contain near-equilibrium states, or positive ones for a heterogeneous K (the
 finite-horizon surrogate of the blocking statement); unscheduled runs are
 classified by global decay or by growth of the above-level region.
 """
@@ -22,8 +22,12 @@ import numpy as np
 from .equilibria import solve_equilibria  # noqa: F401
 from .solver import Grid, ReleaseSchedule, Scenario, Trajectory
 
-DEFAULT_TOL_IN = 1e-3
-DEFAULT_TOL_OUT = 1e-2
+# classify's cone speeds, as fractions of the release speed c, and its
+# tolerances on the interior (and global) relative sup and on the exterior
+# distance to the equilibrium
+PROBE_UNDER, PROBE_OVER = 0.75, 1.25
+TOL_IN = 1e-3
+TOL_OUT = 1e-2
 # A failed blocking run is called Invasion when some interior point has come
 # back within this relative distance of the positive equilibrium.  The
 # re-grown core is a diffusive dome (it keeps draining into the suppressed
@@ -37,11 +41,10 @@ INVASION_PROXIMITY = 0.25
 class FrontTrace:
     times: np.ndarray
     positions: np.ndarray  # nan where no crossing
-    multiple: np.ndarray   # True where several crossings existed
 
     def valid(self) -> "FrontTrace":
         ok = np.isfinite(self.positions)
-        return FrontTrace(self.times[ok], self.positions[ok], self.multiple[ok])
+        return FrontTrace(self.times[ok], self.positions[ok])
 
 
 @dataclass(frozen=True)
@@ -59,12 +62,10 @@ class Outcome:
     trace: Optional[FrontTrace] = field(default=None, compare=False)
 
 
-def front_position(f: np.ndarray, grid: Grid, level: float):
-    """Outermost crossing of `level`, linearly interpolated between nodes.
-
-    Returns (position, multiple) or (None, False) when the field never
-    crosses the level.
-    """
+def front_position(f: np.ndarray, grid: Grid,
+                   level: float) -> Optional[float]:
+    """Outermost crossing of `level`, linearly interpolated between nodes;
+    None when the field never crosses the level."""
     f = np.asarray(f, dtype=float)
     d = f - level
     sign_change = d[:-1] * d[1:] < 0.0
@@ -77,9 +78,8 @@ def front_position(f: np.ndarray, grid: Grid, level: float):
         positions.extend(x0 + frac * grid.dx)
     positions.extend(grid.x[np.flatnonzero(exact)])
     if not positions:
-        return None, False
-    positions = np.asarray(positions)
-    return float(positions.max()), positions.size > 1
+        return None
+    return float(np.max(positions))
 
 
 def _level_or_default(level: Optional[float], scenario: Scenario) -> float:
@@ -91,13 +91,11 @@ def front_trace(traj: Trajectory, level: Optional[float] = None) -> FrontTrace:
     """Trace of the outermost F-front across all snapshots."""
     level = _level_or_default(level, traj.scenario)
     pos = np.full(traj.times.shape, np.nan)
-    mult = np.zeros(traj.times.shape, dtype=bool)
     for i in range(traj.times.size):
-        p, m = front_position(traj.F[i], traj.grid, level)
+        p = front_position(traj.F[i], traj.grid, level)
         if p is not None:
             pos[i] = p
-            mult[i] = m
-    return FrontTrace(traj.times.copy(), pos, mult)
+    return FrontTrace(traj.times.copy(), pos)
 
 
 def estimate_speed(trace: FrontTrace) -> Optional[SpeedEstimate]:
@@ -133,11 +131,7 @@ def _relative_fields(traj: Trajectory, i: int, eq) -> tuple[np.ndarray, np.ndarr
     return size, dist
 
 
-def classify(traj: Trajectory,
-             probe: Optional[tuple[float, float]] = None,
-             level: Optional[float] = None,
-             tol_in: float = DEFAULT_TOL_IN,
-             tol_out: float = DEFAULT_TOL_OUT) -> Outcome:
+def classify(traj: Trajectory, level: Optional[float] = None) -> Outcome:
     """Classify a trajectory as Carpet / Extinction / Invasion / Indeterminate.
 
     Everything the verdict depends on is read from the run: c is the release
@@ -147,9 +141,11 @@ def classify(traj: Trajectory,
     Scheduled runs: over the final quarter of the run, s_in is the worst
     interior-cone relative sup and s_out the worst exterior-cone relative
     distance to the equilibrium (or, for a callable K, the worst exterior
-    positivity floor).  Carpet needs s_in < tol_in and the exterior
-    condition; Extinction needs the global sup < tol_in; Invasion (fallback)
-    holds when some interior point has re-approached the equilibrium.
+    positivity floor), with the cones at PROBE_UNDER c and PROBE_OVER c.
+    Carpet needs s_in < TOL_IN and the exterior condition; Extinction needs
+    the global sup < TOL_IN; Invasion (fallback) holds when some interior
+    point has re-approached the equilibrium.  A box too small for the
+    exterior cone at the final time is Indeterminate.
 
     Unscheduled runs: Extinction by global decay, Invasion when the
     above-level region grows, else Indeterminate.
@@ -175,7 +171,7 @@ def classify(traj: Trajectory,
         return Outcome(kind, est.speed if est else None, diag, trace)
 
     if c is None:
-        if global_sup < tol_in:
+        if global_sup < TOL_IN:
             return verdict("Extinction")
         filled0 = float(np.mean(traj.F[0] > level))
         filled1 = float(np.mean(traj.F[-1] > level))
@@ -187,11 +183,7 @@ def classify(traj: Trajectory,
         return verdict("Invasion" if filled1 > filled0 + 0.05
                        else "Indeterminate")
 
-    if probe is None:
-        probe = (0.75 * c, 1.25 * c)
-    c_under, c_over = probe
-    if not c_under < c < c_over:
-        raise ValueError("probe speeds must straddle the carpet speed")
+    c_under, c_over = PROBE_UNDER * c, PROBE_OVER * c
     r = traj.grid.radius
     t_final = traj.times[-1]
     if c_over * t_final > float(r.max()):
@@ -225,12 +217,12 @@ def classify(traj: Trajectory,
     diag["interior_best_equilibrium_distance"] = inv_in
 
     if positivity:
-        exterior_ok = diag.get("exterior_positivity", 0.0) > tol_in
+        exterior_ok = diag.get("exterior_positivity", 0.0) > TOL_IN
     else:
-        exterior_ok = s_out < tol_out
-    if s_in < tol_in and exterior_ok:
+        exterior_ok = s_out < TOL_OUT
+    if s_in < TOL_IN and exterior_ok:
         return verdict("Carpet")
-    if global_sup < tol_in:
+    if global_sup < TOL_IN:
         return verdict("Extinction")
     if inv_in < INVASION_PROXIMITY:
         return verdict("Invasion")

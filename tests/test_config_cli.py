@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import shutil
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ import sitcarpet.solver as solver_mod
 from sitcarpet.cli import main, simulate_to_dir
 from sitcarpet.config import (
     ConfigError,
+    KNOWN_KEYS,
     PRESET_NAMES,
     ScenarioConfig,
     preset,
@@ -80,9 +82,11 @@ class TestConfigRoundTrip:
             cfg.scenario()
 
     def test_boundary_is_validated_at_construction(self):
+        # every run has a zero-flux edge: run.boundary is no key at all
         cfg = preset("fig1")
-        cfg.run["boundary"] = "periodic"
-        with pytest.raises(ConfigError, match="periodic"):
+        cfg.run["boundary"] = "neumann"
+        with pytest.raises(ConfigError,
+                           match=r"unknown config key run\.boundary"):
             cfg.scenario()
 
     def test_hetero_K_field(self):
@@ -91,6 +95,86 @@ class TestConfigRoundTrip:
         K = scen.params.K_at(np.linspace(0, 45, 1000))
         assert K.min() >= 150.0 - 1e-9
         assert K.max() <= 250.0 + 1e-9
+
+
+# For each config key: a preset, keys added to it that it ignores, and a
+# legal value of the key other than the one it has there.
+KEY_CASES = {
+    "model.gamma_kind": ("fig1", {}, "monostable"),
+    "model.gamma": ("fig1", {}, 0.3),
+    "model.K": ("fig1", {}, 150.0),
+    "model.K_oscillation": ("fig1", {}, 20.0),
+    "model.K_period": ("carpet-hetero", {}, 7.0),
+    "model.b": ("fig1", {}, 8.0),
+    "model.nu_E": ("fig1", {}, 0.1),
+    "model.mu_E": ("fig1", {}, 0.04),
+    "model.mu_M": ("fig1", {}, 0.12),
+    "model.mu_F": ("fig1", {}, 0.09),
+    "model.mu_s": ("fig1", {}, 0.4),
+    "model.rho": ("fig1", {}, 0.6),
+    "model.D": ("fig1", {}, 0.2),
+    "model.gamma_s": ("fig1", {}, 0.5),
+    "grid.kind": ("fig1", {"grid.r_max": 40.0}, "radial2d"),
+    "grid.n": ("fig1", {}, 801),
+    "grid.x_min": ("fig1", {}, -30.0),
+    "grid.x_max": ("fig1", {}, 30.0),
+    "grid.r_max": ("carpet", {}, 50.0),
+    "schedule.kind": ("carpet", {}, "fixed_region"),
+    "schedule.lambda_bar": ("carpet", {}, 1000.0),
+    "schedule.R1": ("carpet", {}, 5.0),
+    "schedule.R2": ("carpet", {}, 20.0),
+    "schedule.c": ("carpet", {}, 0.05),
+    "schedule.eta": ("carpet", {}, 0.5),
+    "initial.kind": ("fig1", {}, "well_prepared"),
+    "initial.R0_0": ("carpet", {}, 31.0),
+    "initial.R0_1": ("carpet", {}, 40.0),
+    "initial.u0": ("carpet", {}, 0.1),
+    "initial.x_step": ("fig1", {}, -5.0),
+    "initial.step_side": ("fig1", {}, "right"),
+    "run.t_end": ("fig1", {}, 100.0),
+    "run.dt": ("fig1", {}, 0.5),
+    "run.snapshot_dt": ("fig1", {}, 10.0),
+}
+
+
+def _with(cfg, key, value):
+    sec, name = key.split(".", 1)
+    getattr(cfg, sec)[name] = value
+    return cfg
+
+
+def _run_inputs(scenario) -> tuple:
+    """What a run reads of `scenario`, as values that compare with ==."""
+    p = scenario.params
+    rates = tuple(getattr(p, f.name) for f in dataclasses.fields(p)
+                  if f.compare and f.name != "K")
+    return (rates, scenario.K_nodes.tobytes(), scenario.grid.kind,
+            scenario.grid.x.tobytes(), scenario.schedule, scenario.initial,
+            scenario.t_end, scenario.dt, scenario.snapshot_dt)
+
+
+@pytest.mark.parametrize("key", [f"{sec}.{key}" for sec, keys in
+                                 KNOWN_KEYS.items() for key in keys])
+def test_every_key_is_read_and_checked(tmp_path, capsys, key):
+    # a legal value changes what the run reads; a string that is no legal
+    # value, or a boolean, is a config error naming the key, with nothing
+    # written
+    name, extra, value = KEY_CASES[key]
+    base = preset(name)
+    for k, v in extra.items():
+        _with(base, k, v)
+    text = base.to_text()
+    changed = _with(ScenarioConfig.from_text(text), key, value).scenario()
+    assert _run_inputs(changed) != _run_inputs(base.scenario())
+    for bad in ("abc", True):
+        path = tmp_path / "bad.cfg"
+        path.write_text(_with(ScenarioConfig.from_text(text), key,
+                              bad).to_text())
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and key.split(".")[1] in err, err
+        assert not out.exists()
 
 
 class TestCli:
@@ -203,8 +287,8 @@ class TestCli:
 
     def test_unknown_boundary_exits_2(self, tmp_path, capsys):
         rc, err = self._simulate_fig1_with(tmp_path, capsys, "run.boundary",
-                                           "periodic")
-        assert rc == 2 and "periodic" in err
+                                           "dirichlet")
+        assert rc == 2 and "unknown config key run.boundary" in err
 
     @pytest.mark.parametrize("key,value,hint", [
         ("run.dt", 1e-300, "t_end / dt"), ("grid.n", 1e9, "n = 1000000000"),
@@ -682,7 +766,7 @@ class TestCli:
         snaps = snaps.reshape(-1, grid.n, 6)
         expected = []
         for block in snaps:
-            pos, _ = front_position(block[:, 4], grid, 0.0)
+            pos = front_position(block[:, 4], grid, 0.0)
             if pos is not None:
                 expected.append((block[0, 0], pos))
         trace = np.loadtxt(d / "trace.csv", delimiter=",", skiprows=1,
@@ -733,6 +817,27 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_narrow_annulus_floor_is_a_failed_check(self, tmp_path, capsys):
+        # with R2 - R1 <= 4 the floors' plateau [R1 + 2, R2 - 2] is empty:
+        # each floor fails as not built, naming the geometry, and the cap
+        # still runs
+        cfg = preset("carpet")
+        cfg.schedule["R2"] = 7.0
+        path = tmp_path / "narrow.cfg"
+        path.write_text(cfg.to_text())
+        rc = main(["verify", "--config", str(path), "--which",
+                   "sterile-bounds"])
+        out = capsys.readouterr().out
+        assert rc == 4
+        assert [ln for ln in out.splitlines()
+                if ln.startswith("certificate ")] == [
+            "certificate sterile-upper-bound: PASS",
+            "certificate sterile-lower-bound-lower_annulus: FAIL",
+            "certificate sterile-lower-bound-lower_annulus_tail: FAIL"]
+        assert out.count("  [FAIL] not built: geometry must satisfy "
+                         "0 < R1 < r1 < r2 < R2, got R1 = 4, r1 = 6, "
+                         "r2 = 5, R2 = 7\n") == 2
 
     @pytest.mark.parametrize("which", ["all", "subsolution", "supersolution",
                                        "sterile-bounds"])

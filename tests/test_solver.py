@@ -220,18 +220,10 @@ class TestStep:
 def _ldlt_solve(ab, b):
     """Reference for A x = b, A in (1,1)-banded form: one LAPACK dptsv call
     on W A and W b, with W the row weights w_0 = 1, w_{i+1} = w_i A[i, i+1]
-    / A[i+1, i] that make W A symmetric, and a Dirichlet (identity) last
-    row eliminated first."""
-    n = ab.shape[1]
-    up, lo = ab[0, 1:].copy(), ab[2, :-1]
-    b = b.copy()
-    pairs = n - 1
-    if lo[-1] == 0.0:  # x_{n-1} = b_{n-1}, moved to row n - 2
-        pairs = n - 2
-        b[-2] -= up[-1] * b[-1]
-        up[-1] = 0.0
-    w = np.ones(n)
-    for i in range(pairs):
+    / A[i+1, i] that make W A symmetric."""
+    up, lo = ab[0, 1:], ab[2, :-1]
+    w = np.ones(ab.shape[1])
+    for i in range(up.size):
         w[i + 1] = w[i] * (up[i] / lo[i])
     d, e, x, info = scipy.linalg.lapack.dptsv(w * ab[1], w[:-1] * up,
                                               (w * b)[:, None])
@@ -242,35 +234,38 @@ def _ldlt_solve(ab, b):
 _SOLVE_GRIDS = pytest.mark.parametrize(
     "grid", [Grid.radial(20.0, 201), Grid.cartesian(-10.0, 10.0, 201)],
     ids=["radial", "cartesian"])
+# "neumann" is the matrix of a run; "mbar" the male matrix of the
+# super-solution walk, the same plus dt mu_M on the diagonal
+_SOLVE_MATRICES = pytest.mark.parametrize("matrix", ["neumann", "mbar"])
+
+
+def _solve_matrix(matrix, grid, dt=0.035):
+    ab = implicit_diffusion_matrix(grid, 0.8, dt)
+    if matrix == "mbar":
+        ab[1, :] += dt * 0.1
+    return ab
 
 
 class TestFactoredSolve:
     @_SOLVE_GRIDS
-    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
-    def test_bit_identical_to_solve_banded(self, rng, grid, boundary):
+    @_SOLVE_MATRICES
+    def test_bit_identical_to_solve_banded(self, rng, grid, matrix):
         # the batched solve is, column by column, one LDL^T solve
-        ab = implicit_diffusion_matrix(grid, 0.8, 0.035, boundary)
+        ab = _solve_matrix(matrix, grid)
         rhs = np.asfortranarray(rng.uniform(0.0, 100.0, (grid.n, 3)))
         out = solve_banded(factor_diffusion(ab), rhs.copy(order="F"))
         for j in range(3):
             assert np.array_equal(out[:, j], _ldlt_solve(ab, rhs[:, j]))
 
     @_SOLVE_GRIDS
-    @pytest.mark.parametrize("matrix", ["neumann", "dirichlet", "mbar"])
+    @_SOLVE_MATRICES
     def test_symmetrized_solve_matches_gtsv(self, rng, grid, matrix):
         # W A is symmetric to rounding, and the solve agrees with the
-        # pivoted gtsv solve to rounding; "mbar" is the male matrix of the
-        # super-solution walk, the Neumann matrix plus dt mu_M on the
-        # diagonal
-        dt = 0.035
-        ab = implicit_diffusion_matrix(grid, 0.8, dt, "neumann"
-                                       if matrix == "mbar" else matrix)
-        if matrix == "mbar":
-            ab[1, :] += dt * 0.1
+        # pivoted gtsv solve to rounding
+        ab = _solve_matrix(matrix, grid)
         factor = factor_diffusion(ab)
-        pairs = grid.n - (2 if matrix == "dirichlet" else 1)
-        upper = factor.w[:pairs] * ab[0, 1:pairs + 1]
-        lower = factor.w[1:pairs + 1] * ab[2, :pairs]
+        upper = factor.w[:-1] * ab[0, 1:]
+        lower = factor.w[1:] * ab[2, :-1]
         assert np.all(factor.w > 0.0)
         assert np.max(np.abs(upper - lower) / np.abs(upper)) < 1e-14
         rhs = np.asfortranarray(rng.uniform(0.0, 100.0, (grid.n, 4)))
@@ -287,17 +282,16 @@ class TestFactoredSolve:
         # an off-diagonal pair with a zero or a positive entry has no
         # positive weight that makes it symmetric
         ab = implicit_diffusion_matrix(Grid.cartesian(0.0, 1.0, 11), 1.0,
-                                       0.01, "neumann")
+                                       0.01)
         for value in (0.0, 0.5):
             bad = ab.copy()
             bad[entry] = value
             with pytest.raises(SolverError, match="not symmetrizable"):
                 factor_diffusion(bad)
 
-    @pytest.mark.parametrize("boundary,release", [
-        ("neumann", True), ("dirichlet", True), ("dirichlet", False)],
-        ids=["neumann", "dirichlet", "dirichlet-no-release"])
-    def test_run_matches_per_field_solves(self, rng, p05, boundary, release):
+    @pytest.mark.parametrize("release", [True, False],
+                             ids=["neumann", "neumann-no-release"])
+    def test_run_matches_per_field_solves(self, rng, p05, release):
         # reference: the scheme with one LDL^T solve per field; without a
         # release and with Ms0 = +0.0, the run skips the Ms solve, and its
         # Ms must still be the reference's +0.0 bit for bit
@@ -312,11 +306,10 @@ class TestFactoredSolve:
                          mk(100) if release else np.zeros(grid.n))
         dt, n_steps = 0.02, 25
         scen = Scenario(p05, grid, sched, InitialData(kind="step"),
-                        t_end=dt * n_steps, dt=dt, snapshot_dt=n_steps * dt,
-                        boundary=boundary)
+                        t_end=dt * n_steps, dt=dt, snapshot_dt=n_steps * dt)
         traj = run(scen, state0=state)
 
-        ab = implicit_diffusion_matrix(grid, p05.D, traj.dt, boundary)
+        ab = implicit_diffusion_matrix(grid, p05.D, traj.dt)
         K, dt = p05.K_scalar, traj.dt
         t, E, M, F, Ms = 0.0, state.E, state.M, state.F, state.Ms
         for _ in range(n_steps):
@@ -326,8 +319,6 @@ class TestFactoredSolve:
             for u, f, mu in ((M, fM, p05.mu_M), (F, fF, p05.mu_F),
                              (Ms, fs, p05.mu_s)):
                 rhs = u - math.expm1(-dt * mu) / mu * f
-                if boundary == "dirichlet":
-                    rhs[-1] = u[-1]
                 fields.append(np.maximum(_ldlt_solve(ab, rhs), 0.0))
             a = p05.b * F / K + (p05.mu_E + p05.nu_E)
             E = np.clip(E - np.expm1(-dt * a) / a * fE, 0.0, K)
@@ -369,14 +360,13 @@ class TestBatch:
     """Members advanced as one (S, n) state match their own runs bitwise."""
 
     @staticmethod
-    def _members(boundary):
+    def _members():
         grid = Grid.radial(12.0, 121)
         initial = InitialData(kind="well_prepared", R0_0=3.0, R0_1=5.0)
 
         def member(gamma, K, schedule, **rates):
             return Scenario(table1_params(gamma, K=K, **rates), grid,
-                            schedule, initial, t_end=6.0, snapshot_dt=1.0,
-                            boundary=boundary)
+                            schedule, initial, t_end=6.0, snapshot_dt=1.0)
 
         shared = ReleaseSchedule(kind="annulus", lambda_bar=300.0, R1=2.0,
                                  R2=5.0, c=0.1)
@@ -390,11 +380,11 @@ class TestBatch:
                    mu_s=0.4, b=8.0, rho=0.6),
         ]
 
-    @pytest.mark.parametrize("boundary", ["neumann", "dirichlet"])
-    def test_members_match_their_own_runs(self, boundary):
+    @pytest.mark.parametrize("edge", ["neumann"])  # the ids name the edge
+    def test_members_match_their_own_runs(self, edge):
         # members differ in gamma, lambda_bar, c, release kind, K (one
         # callable) and rates; two share a schedule
-        members = self._members(boundary)
+        members = self._members()
         batch = run_batch(members)
         for scen, got in zip(members, batch):
             alone = run(scen)
@@ -450,7 +440,7 @@ class TestBatch:
             return run_batch(scenarios, states0)
 
         monkeypatch.setattr(solver, "run_batch", recording)
-        scen = self._members("neumann")[0]
+        scen = self._members()[0]
         run(scen)
         assert seen == [1]
 
@@ -459,7 +449,7 @@ class TestBatch:
         # an undershoot of about depth times member 1's F scale, planted in
         # its F column each step: counted and clamped for member 1 alone
         # under CLAMP_FAIL_THRESHOLD (1e-9), a SolverError naming it above
-        members = self._members("neumann")[:3]
+        members = self._members()[:3]
         solve = solver.solve_banded
 
         def undershooting(lu, rhs):
@@ -500,12 +490,13 @@ class TestBatch:
 
     @pytest.mark.parametrize("change", [
         {"t_end": 5.0}, {"dt": 0.2}, {"snapshot_dt": 2.0},
-        {"boundary": "dirichlet"}, {"grid": Grid.radial(12.0, 61)},
+        {"grid": Grid.cartesian(0.0, 12.0, 121)},  # same x, other kind
+        {"grid": Grid.radial(12.0, 61)},
         {"params": table1_params(0.5, D=2.0)},
         {"params": table1_params(None)}])
     def test_incompatible_members_are_refused(self, change):
         import dataclasses
-        scen = self._members("neumann")[0]
+        scen = self._members()[0]
         other = dataclasses.replace(scen, **change)
         assert solver.batch_key(other) != solver.batch_key(scen)
         with pytest.raises(ValueError, match="batch members must share"):
@@ -617,7 +608,7 @@ def test_dt_halving_observed_order(p05, eq05):
                         dt=t_end / (n0 * 2**k), snapshot_dt=t_end)
         traj = run(scen)
         positions.append(front_position(traj.F[-1], grid,
-                                        eq05.upper[2] / 2)[0])
+                                        eq05.upper[2] / 2))
     gaps = np.abs(np.diff(positions))
     orders = np.log2(gaps[:-1] / gaps[1:])
     print(f"\nobserved order in dt: {orders[0]:.3f}, {orders[1]:.3f}")
@@ -731,14 +722,22 @@ class TestRunProperties:
             assert np.all(lo.F <= hi.F + tol)
             assert np.all(lo.Ms >= hi.Ms - tol)
 
-    def test_dirichlet_outer_boundary(self, p05, eq05):
-        grid = Grid.radial(20.0, 201)
-        scen = Scenario(p05, grid, ReleaseSchedule(),
-                        InitialData(kind="well_prepared", R0_0=6, R0_1=10,
-                                    u0=0.0),
-                        t_end=2.0, boundary="dirichlet", snapshot_dt=0.5)
-        traj = run(scen)
-        assert np.allclose(traj.F[:, -1], eq05.upper[2], rtol=1e-12)
+    def test_step_right_mirrors_left(self, p05):
+        # on a grid symmetric about 0, the equilibrium right of x = 10 is
+        # the mirror image of the equilibrium left of x = -10, and so is
+        # the run
+        grid = Grid.cartesian(-40.0, 40.0, 800)
+
+        def final(x_step, side):
+            return run(Scenario(p05, grid, ReleaseSchedule(),
+                                InitialData(kind="step", x_step=x_step,
+                                            step_side=side),
+                                t_end=30.0, snapshot_dt=30.0))
+
+        left, right = final(-10.0, "left"), final(10.0, "right")
+        for f in ("E", "M", "F"):
+            a, b = getattr(left, f)[-1], getattr(right, f)[-1][::-1]
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
     def test_front_refinement_consistency(self, p05, eq05):
         # halving dx and dt moves the measured front by < 2%
@@ -751,7 +750,7 @@ class TestRunProperties:
                             InitialData(kind="step", x_step=-10.0),
                             t_end=60.0, dt=dt, snapshot_dt=60.0)
             traj = run(scen)
-            pos, _ = front_position(traj.F[-1], grid, eq05.upper[2] / 2)
+            pos = front_position(traj.F[-1], grid, eq05.upper[2] / 2)
             positions.append(pos)
         spread = abs(positions[1] - positions[0])
         assert spread < 0.02 * (positions[1] + 40.0)
