@@ -201,9 +201,9 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     # the run settings are checked before the grid is built, so a run too
     # long to step allocates nothing
     r = cfg.run
-    dt = None
+    dt = None  # absent or "auto": the automatic step DT
     if _require(r, "run", "dt") not in (None, "auto"):
-        dt = _number(r, "run", "dt") or None  # 0 is DT too
+        dt = _number(r, "run", "dt")
     run_settings = dict(
         t_end=_number(r, "run", "t_end", required=True), dt=dt,
         snapshot_dt=_number(r, "run", "snapshot_dt", SNAPSHOT_DT))

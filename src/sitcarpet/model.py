@@ -201,9 +201,20 @@ def slaved_M(params: ModelParams, E):
     return params.male_recruitment * E / params.mu_M
 
 
-def egg_rate(params: ModelParams | RateRows, E, F, K):
-    """Egg rate b F (1 - E/K) - (mu_E + nu_E) E; K already sampled."""
-    return params.b * F * (1.0 - E / K) - params.egg_loss * E
+def egg_rate(params: ModelParams | RateRows, E, F, K, bF=None, out=None):
+    """Egg rate b F (1 - E/K) - (mu_E + nu_E) E; K already sampled.
+
+    bF, if given, is b F already formed, and F is not read: stages that
+    share F form it once.  out, if given, is an array that receives the
+    rate in place of fresh temporaries.  The operations and operands are
+    the same either way, so are the bits.
+    """
+    if bF is None:
+        bF = params.b * F
+    rate = np.divide(E, K, out=out)
+    rate = np.subtract(1.0, rate, out=out)
+    rate = np.multiply(bF, rate, out=out)
+    return np.subtract(rate, params.egg_loss * E, out=out)
 
 
 def reaction_arrays(params: ModelParams | RateRows, y, lam, K):

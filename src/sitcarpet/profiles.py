@@ -21,6 +21,7 @@ grids.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -148,15 +149,22 @@ def halfline_green_solve(mu: float, psi: Callable, x, *,
     a_cells, b_cells = _cell_exp_integrals(psi, grid, s)
     decay = np.exp(-s * np.diff(grid))
 
+    # A[k+1] = decay[k] A[k] + a_cells[k] forward from A[0] = 0, and
+    # B[k] = decay[k] B[k+1] + b_cells[k] backward from the closed-form
+    # constant-psi tail, on Python floats read lazily from the arrays:
+    # each product and sum rounds as in float64, with no per-element
+    # numpy scalars and no lists
+    def recur(acc, pair):
+        decay_k, cell_k = pair
+        return decay_k * acc + cell_k
+
     n = grid.size
-    A = np.empty(n)
-    B = np.empty(n)
-    A[0] = 0.0
-    for k in range(n - 1):
-        A[k + 1] = decay[k] * A[k] + a_cells[k]
-    B[-1] = psi_limit / s  # constant-psi closed-form tail
-    for k in range(n - 2, -1, -1):
-        B[k] = decay[k] * B[k + 1] + b_cells[k]
+    A = np.fromiter(accumulate(zip(memoryview(decay), memoryview(a_cells)),
+                               recur, initial=0.0), float, n)
+    B = np.fromiter(accumulate(zip(memoryview(decay[::-1]),
+                                   memoryview(b_cells[::-1])),
+                               recur, initial=float(psi_limit / s)),
+                    float, n)[::-1]
 
     u = (A + B - np.exp(-s * grid) * B[0]) / (2.0 * s)
     out = u[np.searchsorted(grid, x_arr)]
@@ -266,39 +274,14 @@ class _PotentialGap:
         return np.sqrt(np.maximum(2.0 * self.H(F), 0.0))
 
 
-def build_stationary_F(params: ModelParams, eps: Optional[float] = None,
-                       equilibria: Optional[EquilibriumSet] = None
-                       ) -> Optional[MonotoneProfile]:
-    """Nondecreasing female profile rising from 0 to the potential's maximizer.
+def _inverse_map(gap: _PotentialGap):
+    """Knots (F_knots, x_knots) of the inverse profile map x(F) = integral
+    of 1/v from 0 to F, and x_of_F, which evaluates it elementwise.
 
-    The potential is the one of the params' own Allee coefficient (the
-    monostable one when params.gamma is None).  When the potential never
-    becomes positive on (0, F*] there is no profile and None is returned
-    (the regime does not support an invading sub-solution).  With eps given,
-    the sterile-tail-weighted potential is used; the profile then certifies
-    invasion against a small sterile remnant.
-
-    The first-order reduction F' = sqrt(2 (G(F_m) - G(F))) separates: the
-    inverse map x(F) is accumulated by per-cell quadrature on an F-grid
-    graded toward F_m, then the profile is resampled onto a uniform grid
-    (spacing 0.01 in diffusion-rescaled units) by Newton inversion, so the
-    sampled values solve the profile equation to near machine accuracy.
-    `equilibria` are the params' own, if already solved.
+    The F-grid is graded geometrically toward F_m, where 1/v blows up like
+    1/(F_m - F); per-cell Gauss-Legendre handles the constant-ratio cells.
     """
-    eq = equilibria if equilibria is not None else solve_equilibria(params)
-    if eq.upper is None:
-        return None
-    F_star = eq.upper[2]
-
-    F_m = _locate_maximizer(params, F_star, eps)
-    if F_m is None:
-        return None
-    gap = _PotentialGap(params, F_star, F_m, eps)
-    if gap.H(0.0) <= 0.0:
-        return None
-
-    # F-grid graded geometrically toward F_m, where 1/v blows up like
-    # 1/(F_m - F); per-cell Gauss-Legendre handles the constant-ratio cells
+    F_m = gap.F_m
     delta_geo = 0.05
     F_uniform = np.linspace(0.0, F_m * (1.0 - delta_geo), 4097)
     n_geo = int(np.ceil(np.log(_APPROACH_TOL / delta_geo) / np.log(0.92)))
@@ -319,13 +302,58 @@ def build_stationary_F(params: ModelParams, eps: Optional[float] = None,
                     F_knots.size - 2)
         return x_knots[k] + _gauss_cells(inv_v, F_knots[k], F)
 
+    return F_knots, x_knots, x_of_F
+
+
+def build_stationary_F(params: ModelParams, eps: Optional[float] = None,
+                       equilibria: Optional[EquilibriumSet] = None
+                       ) -> Optional[MonotoneProfile]:
+    """Nondecreasing female profile rising from 0 to the potential's maximizer.
+
+    The potential is the one of the params' own Allee coefficient (the
+    monostable one when params.gamma is None).  When the potential never
+    becomes positive on (0, F*] there is no profile and None is returned
+    (the regime does not support an invading sub-solution).  With eps given,
+    the sterile-tail-weighted potential is used; the profile then certifies
+    invasion against a small sterile remnant.
+
+    The first-order reduction F' = sqrt(2 (G(F_m) - G(F))) separates: the
+    inverse map x(F) is accumulated by per-cell quadrature on an F-grid
+    graded toward F_m, then the profile is resampled onto a uniform grid
+    (spacing 0.01 in diffusion-rescaled units) by Newton inversion, so the
+    sampled values solve the profile equation to near machine accuracy.
+    Each Newton iteration after the first refines only the points the one
+    before moved; a settled point would get its own bits back, so the
+    values are those of refining every point 4 times.  `equilibria` are
+    the params' own, if already solved.
+    """
+    eq = equilibria if equilibria is not None else solve_equilibria(params)
+    if eq.upper is None:
+        return None
+    F_star = eq.upper[2]
+
+    F_m = _locate_maximizer(params, F_star, eps)
+    if F_m is None:
+        return None
+    gap = _PotentialGap(params, F_star, F_m, eps)
+    if gap.H(0.0) <= 0.0:
+        return None
+
+    F_knots, x_knots, x_of_F = _inverse_map(gap)
     x_max = float(x_knots[-1])
     x_out = np.arange(0.0, x_max, 0.01)
     F_out = np.interp(x_out, x_knots, F_knots)
-    # Newton refinement of x(F) = x_target (dx/dF = 1/v)
+    # Newton refinement of x(F) = x_target (dx/dF = 1/v), at most 4
+    # iterations, each on the points the previous one moved: x_of_F and
+    # gap.v are elementwise (see _gauss_cells), so a point that came back
+    # unchanged would come back unchanged again
+    moving = np.arange(x_out.size)
     for _ in range(4):
-        F_out = np.clip(F_out - (x_of_F(F_out) - x_out) * gap.v(F_out),
+        F = F_out[moving]
+        F_new = np.clip(F - (x_of_F(F) - x_out[moving]) * gap.v(F),
                         0.0, F_m * (1.0 - _APPROACH_TOL))
+        F_out[moving] = F_new
+        moving = moving[F_new != F]
     F_out[0] = 0.0
 
     x_phys = x_out * np.sqrt(params.D)

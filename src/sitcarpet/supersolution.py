@@ -129,9 +129,16 @@ class SupersolutionBundle:
         """Index k of the Omega_k holding radius r at t >= 0: the number of
         interfaces strictly below r, so Omega_k ends at, and includes,
         interface k.  r and t broadcast (a time column against a row of
-        radii gives one row of indices per time)."""
+        radii gives one row of indices per time).
+
+        The three comparisons accumulate in place into one intp array, so
+        a block costs one index array and no per-interface copies; the
+        integers are those of summing the comparisons."""
         r = np.asarray(r, dtype=float)
-        return sum((r > i).astype(np.intp) for i in self.interfaces(t))
+        i0, i1, i2 = self.interfaces(t)
+        k = np.add(r > i0, r > i1, dtype=np.intp)
+        k += r > i2
+        return k
 
 
 # Rows per assemble_Fbar call when a caller walks a long time column: one
@@ -150,6 +157,12 @@ def assemble_Fbar(bundle: SupersolutionBundle, x, t):
     per time; each row is bitwise equal to the scalar-t call, since every
     node goes through the same elementwise operations.  Callers walking
     many times pass FBAR_BLOCK of them per call.
+
+    The block starts as F* (Omega3) and each region's values are scaled
+    by F* as they are written: F* (alpha beta(0)) once per time on Omega0,
+    where it does not depend on |x|, and F* (alpha beta) and F* psi at the
+    Omega1 and Omega2 nodes.  These are the operands and operations of
+    scaling the whole unit-level block by F*, so the bits are the same.
     """
     r = np.abs(np.asarray(x, dtype=float))
     t = np.asarray(t, dtype=float)
@@ -159,13 +172,13 @@ def assemble_Fbar(bundle: SupersolutionBundle, x, t):
     a = bundle.alpha(t)
     k = bundle.region(r, t)
     shape = k.shape
+    F_star = bundle.F_star
+    out = np.full(shape, F_star)  # Omega3: the equilibrium
+    np.copyto(out, F_star * (a * bundle.beta(0.0)), where=k == 0)
+    ramp, bridge = k == 1, k == 2
     r, a, i0, i1 = (np.broadcast_to(v, shape) for v in (r, a, i0, i1))
-    out = np.ones(shape)  # Omega3: the equilibrium
-    core, ramp, bridge = k == 0, k == 1, k == 2
-    out[core] = a[core] * bundle.beta(0.0)
-    out[ramp] = a[ramp] * bundle.beta(r[ramp] - i0[ramp])
-    out[bridge] = bundle.psi(r[bridge] - i1[bridge])
-    out = bundle.F_star * out
+    out[ramp] = F_star * (a[ramp] * bundle.beta(r[ramp] - i0[ramp]))
+    out[bridge] = F_star * bundle.psi(r[bridge] - i1[bridge])
     return out if out.ndim else float(out)
 
 
@@ -206,10 +219,16 @@ def ebar_ode(bundle: SupersolutionBundle, x, t_end: float, dt: float,
     Classical RK4 on the `walk_times` steps, yielded as it goes: first the
     row at t = 0, then one EbarBlock per FBAR_BLOCK steps holding the
     step-end rows.  Each block takes one assemble_Fbar call for its
-    step-end times and one for its half-step times; k2 and k3 share the
-    half-step row, and k4's row is the next step's k1 row, so each Fbar
-    value is computed once.  The yielded Fbar rows are bitwise those of
-    assemble_Fbar at the same times.  Only the current block is live, so
+    step-end times and one for its half-step times, and b Fbar is formed
+    once per Fbar row: the half-step row serves k2 and k3, the step-end
+    row k4 and the next step's k1.  The stages and the sum ((k1 + 2 k2) +
+    2 k3) + k4, scaled by h/6, run in buffers allocated once, through
+    egg_rate's bF and out, and each step-end Ebar row is written straight
+    into its block.  Every element gets the operations and operands of
+    the plain formula, so the rows are bitwise those of four egg_rate
+    calls per step on fresh arrays.  The yielded Fbar rows are bitwise
+    those of assemble_Fbar at the same times, and no yielded array is
+    written after it is yielded.  Only the current block is live, so
     memory stays flat in the number of steps; a caller that needs the
     whole table concatenates the blocks.
     """
@@ -226,21 +245,32 @@ def ebar_ode(bundle: SupersolutionBundle, x, t_end: float, dt: float,
     halves = times[:-1] + 0.5 * steps
 
     yield EbarBlock(0, times[:1], F_now[None], E[None])
+    bF_now = p.b * F_now
+    k1, k2, k3, k4, stage = (np.empty_like(E) for _ in range(5))
     for start in range(0, n_steps, FBAR_BLOCK):
         stop = min(start + FBAR_BLOCK, n_steps)
         F_ends = assemble_Fbar(bundle, x, times[start + 1:stop + 1])
         F_halves = assemble_Fbar(bundle, x, halves[start:stop])
+        # F_halves is not yielded, so it can hold b Fbar in place
+        bF_halves = np.multiply(p.b, F_halves, out=F_halves)
         out = np.empty_like(F_ends)
         for j in range(stop - start):
             h = steps[start + j]
-            F_mid, F_end = F_halves[j], F_ends[j]
-            k1 = egg_rate(p, E, F_now, K)
-            k2 = egg_rate(p, E + 0.5 * h * k1, F_mid, K)
-            k3 = egg_rate(p, E + 0.5 * h * k2, F_mid, K)
-            k4 = egg_rate(p, E + h * k3, F_end, K)
-            E = E + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out[j] = E
-            F_now = F_end
+            bF_mid, bF_end = bF_halves[j], p.b * F_ends[j]
+            egg_rate(p, E, None, K, bF=bF_now, out=k1)
+            np.add(E, np.multiply(0.5 * h, k1, out=stage), out=stage)
+            egg_rate(p, stage, None, K, bF=bF_mid, out=k2)
+            np.add(E, np.multiply(0.5 * h, k2, out=stage), out=stage)
+            egg_rate(p, stage, None, K, bF=bF_mid, out=k3)
+            np.add(E, np.multiply(h, k3, out=stage), out=stage)
+            egg_rate(p, stage, None, K, bF=bF_end, out=k4)
+            # E + h/6 (((k1 + 2 k2) + 2 k3) + k4), summed into k1
+            k1 += np.multiply(2.0, k2, out=k2)
+            k1 += np.multiply(2.0, k3, out=k3)
+            k1 += k4
+            k1 *= h / 6.0
+            E = np.add(E, k1, out=out[j])
+            bF_now = bF_end
         yield EbarBlock(start + 1, times[start + 1:stop + 1], F_ends, out)
 
 

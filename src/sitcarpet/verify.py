@@ -279,22 +279,26 @@ def verify_subsolution(sub: SubsolutionFields,
     s_nodes = sub.F_profile.grid[:-1]
     ce = p.egg_loss
 
-    def react(x, t, which):
+    def react(x, t):
+        """The E, M and F reaction rates at (x, t), by field name."""
         E = sub.E(x, t)
         M = sub.M(x, t)
         F = sub.F(x, t)
         Ms = sub.Ms(x, t)
         fE, _, (fM, fF, _) = reaction_arrays(p, (E, M, F, Ms), 0.0,
                                              p.K_scalar)
-        return {"E": fE, "M": fM, "F": fF}[which]
+        return {"E": fE, "M": fM, "F": fF}
 
     equations = (("E", sub.E, 0.0, ce * E_star), ("M", sub.M, p.D, p.mu_M * M_star),
                  ("F", sub.F, p.D, p.mu_F * F_star))
     for t in t_grid:
         xg = sub.c * t + sub.R_shift + s_nodes
+        # the three residuals read their reactions at (xg, t) from one
+        # evaluation
+        rates = react(xg, t)
         for w, fld, D, scale in equations:
             reports.append(verify_inequality(
-                fld, lambda x, tt, u, w=w: react(x, tt, w), "sub", xg, [t],
+                fld, lambda x, tt, u, f=rates[w]: f, "sub", xg, [t],
                 D=D, radial=True, interfaces=interfaces, scale=scale,
                 name=f"{w} residual t={t:g}"))
         for fld, nm in ((sub.M, "M"), (sub.F, "F")):
@@ -306,9 +310,10 @@ def verify_subsolution(sub: SubsolutionFields,
         # beyond the sampled profiles both fields are constant in space, so
         # the sub-solution inequality reduces to reaction nonnegativity
         x_far = xg[-1] + np.linspace(0.5, 60.0, 200)
+        far = react(x_far, t)
         worst = -np.inf
         for which, scale in (("M", p.mu_M * M_star), ("F", p.mu_F * F_star)):
-            v = float(np.max(-react(x_far, t, which) / scale))
+            v = float(np.max(-far[which] / scale))
             worst = max(worst, v)
         reports.append(ResidualReport(
             f"far-plateau reaction t={t:g}", "sub", worst, None,

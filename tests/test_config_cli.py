@@ -270,6 +270,7 @@ class TestCli:
         assert rc == 2 and "t_end" in err
 
     @pytest.mark.parametrize("key,value", [
+        ("run.dt", 0.0), ("run.dt", -0.0),  # "auto" or no key asks for DT
         ("run.dt", -0.1), ("run.dt", float("nan")), ("run.dt", float("inf")),
         ("run.snapshot_dt", 0.0), ("run.snapshot_dt", -1.0),
         ("run.snapshot_dt", float("nan")), ("run.snapshot_dt", float("inf"))])
@@ -626,6 +627,19 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "config error" in err and "schedule.c = 0.0" in err
+        assert started == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_zero_dt_exits_2_before_any_run(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # run.dt = 0 is a config error, not the automatic step: the valid
+        # 0.25 row never runs and nothing is written
+        started = self._record_runs(monkeypatch, tmp_path)
+        rc = main(["sweep", "--preset", "fig1", "--axis", "run.dt",
+                   "--values", "0,0.25", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "dt must be finite and > 0" in err
         assert started == []
         assert list(tmp_path.iterdir()) == []
 
