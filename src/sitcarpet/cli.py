@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,13 +30,11 @@ from .config import (ConfigError, PRESET_NAMES, ScenarioConfig, check_key,
                      preset)
 from .solver import (ReleaseSchedule, Scenario, SolverError, batch_key,
                      run, run_batch)
-from .supersolution import (SupersolutionUnavailable,
+from .supersolution import (CertificateUnavailable,
                             find_supersolution_bundle,
-                            make_sterile_lower_bound,
-                            make_sterile_lower_bound_tail)
+                            make_sterile_lower_bound)
 from .verify import (
     CertificateReport,
-    SubsolutionUnavailable,
     build_subsolution,
     verify_sterile_cap,
     verify_sterile_floor,
@@ -208,13 +206,20 @@ def _release_geometry(sched: ReleaseSchedule) -> tuple[float, float, float]:
     return R1, R2, sched.eta if sched.eta > 0 else 0.3
 
 
+def _verify_bundle(bundle) -> CertificateReport:
+    """Print the bundle's constants, then check it."""
+    print(f"bundle constants: mu={bundle.mu:g} eps={bundle.eps:g} "
+          f"u0={bundle.u0:g} C1={bundle.C1:g} C2={bundle.C2:g} "
+          f"L={bundle.L:g} lambda_bar={bundle.lambda_bar:g}")
+    return verify_supersolution(bundle)
+
+
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     scenario = cfg.scenario()
     params = scenario.params
     sched = scenario.schedule
     c, lam = max(sched.c, 0.01), max(sched.lambda_bar, 1.0)
-    reports = []
     which = args.which
     if which != "sterile-bounds" and callable(params.K):
         raise ConfigError(f"verify --which {which} needs a scalar K; this "
@@ -224,43 +229,37 @@ def cmd_verify(args) -> int:
         # with no positive equilibrium there is nothing to certify:
         # SolverError (exit 3) before any check runs, as in `simulate`
         scenario.upper
+    # (name, build, check) per certificate asked for, in report order
+    certificates = []
     if which in ("subsolution", "all"):
-        try:
-            sub = build_subsolution(params, c=c, lambda_bar=lam,
-                                    R2=max(sched.R2, 1.0),
-                                    equilibria=scenario.equilibria)
-        except SubsolutionUnavailable as e:  # a failed check, not a crash
-            reports.append(CertificateReport("subsolution", [], False,
-                                             unbuilt=str(e)))
-        else:
-            reports.append(verify_subsolution(sub))
+        certificates.append(("subsolution", lambda: build_subsolution(
+            params, c=c, lambda_bar=lam, R2=max(sched.R2, 1.0),
+            equilibria=scenario.equilibria), verify_subsolution))
     if which in ("supersolution", "all"):
-        try:
-            bundle = find_supersolution_bundle(
-                params, c=c, equilibria=scenario.equilibria)
-        except SupersolutionUnavailable as e:  # a failed check, not a crash
-            reports.append(CertificateReport("supersolution", [], False,
-                                             unbuilt=str(e)))
-        else:
-            print(f"bundle constants: mu={bundle.mu:g} eps={bundle.eps:g} "
-                  f"u0={bundle.u0:g} C1={bundle.C1:g} C2={bundle.C2:g} "
-                  f"L={bundle.L:g} lambda_bar={bundle.lambda_bar:g}")
-            reports.append(verify_supersolution(bundle))
+        certificates.append((
+            "supersolution", lambda: find_supersolution_bundle(
+                params, c=c, equilibria=scenario.equilibria), _verify_bundle))
     if which in ("sterile-bounds", "all"):
         R1, R2, eta = _release_geometry(sched)
-        r1 = R1 + 2.0
-        r2 = R2 - 2.0
-        reports.append(verify_sterile_cap(params, lam, c, R1, R2, Rs=R2 + 1.0))
-        for kind, make, extra in (
-                ("lower_annulus", make_sterile_lower_bound, ()),
-                ("lower_annulus_tail", make_sterile_lower_bound_tail, (eta,))):
-            try:  # r1 < r2 needs R2 - R1 > 4
-                floor = make(params, lam, c, R1, r1, r2, R2, *extra)
-            except ValueError as e:  # a failed check, not a crash
-                reports.append(CertificateReport(
-                    f"sterile-lower-bound-{kind}", [], False, unbuilt=str(e)))
-            else:
-                reports.append(verify_sterile_floor(floor))
+        annulus = ReleaseSchedule("annulus", lam, R1, R2, c)
+        certificates.append(("sterile-upper-bound", lambda: annulus,
+                             lambda rel: verify_sterile_cap(params, rel,
+                                                            Rs=R2 + 1.0)))
+        # r1 < r2 needs R2 - R1 > 4
+        for rel in (annulus, replace(annulus, kind="annulus_tail", eta=eta)):
+            certificates.append((
+                f"sterile-lower-bound-lower_{rel.kind}",
+                lambda rel=rel: make_sterile_lower_bound(params, rel, R1 + 2.0,
+                                                         R2 - 2.0),
+                verify_sterile_floor))
+    reports = []
+    for name, build, check in certificates:
+        try:
+            built = build()
+        except CertificateUnavailable as e:  # a failed check, not a crash
+            reports.append(CertificateReport(name, [], False, unbuilt=str(e)))
+        else:
+            reports.append(check(built))
     for rep in reports:
         print(rep)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY

@@ -234,13 +234,8 @@ def reaction_arrays(params: ModelParams | RateRows, y, lam, K):
     """
     y = np.asarray(y, dtype=float)
     E, M, F, Ms = y
-    # egg_rate's b F (1 - E/K) - egg_loss E, then a, in place on fresh
-    # arrays, each operation with egg_rate's operands
     bF = params.b * F
-    fE = E / K
-    np.subtract(1.0, fE, out=fE)
-    fE *= bF
-    fE -= params.egg_loss * E
+    fE = egg_rate(params, E, None, K, bF=bF, out=np.empty(E.shape))
     a = np.divide(bF, K, out=bF)
     a += params.egg_loss
     rec, mort = params.recruitment, params.mortality

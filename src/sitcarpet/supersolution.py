@@ -11,7 +11,9 @@ caps ride on Fbar through the constants C1, C2.
 Sterile males are bounded above by a translating plateau with exponential
 skirt and below by translating plateau profiles with Gaussian (or, for the
 release-with-tail variant, exponential-then-Gaussian) skirts; the skirt decay
-constants come from the sufficient inequalities of the construction.
+constants come from the sufficient inequalities of the construction.  A
+lower bound keeps the `ReleaseSchedule` it bounds.  A builder that cannot
+build its object raises `CertificateUnavailable`, naming the condition.
 
 All closed forms hold for unit diffusion, so lengths and speeds are rescaled
 by sqrt(D) internally; public evaluation is in physical coordinates.
@@ -27,6 +29,12 @@ import numpy as np
 from .equilibria import (EquilibriumSet, bisect, scale_until,
                          solve_equilibria)
 from .model import ModelParams, egg_rate, slaved_E
+from .solver import ReleaseSchedule
+
+
+class CertificateUnavailable(ValueError):
+    """A certificate's object cannot be built for these inputs; the message
+    names the condition that fails."""
 
 
 def lambda_roots(mu: float, drift: float) -> tuple[float, float]:
@@ -43,7 +51,8 @@ def psi_profile(eps: float, u0: float, c: float, r1: float):
     root of psi(L) = 1.  On (0, L): 0 < psi' < sqrt(eps) psi.
     """
     if not (eps > 0 and 0 < u0 < 1 and c > 0 and r1 > 0):
-        raise ValueError("psi_profile requires eps > 0, u0 in (0,1), c > 0, r1 > 0")
+        raise CertificateUnavailable("psi_profile requires eps > 0, u0 in "
+                                     "(0,1), c > 0, r1 > 0")
     lp, lm = lambda_roots(2.0 * eps, c + 1.0 / r1)
     scale = u0 / (lp - lm)
 
@@ -59,7 +68,7 @@ def psi_profile(eps: float, u0: float, c: float, r1: float):
 
     hi = scale_until(lambda r: psi(r) >= 1.0, 1.0, 2.0, 1e12)
     if hi is None:
-        raise RuntimeError("psi fails to reach 1")
+        raise CertificateUnavailable("psi fails to reach 1")
     L = bisect(lambda r: psi(r) - 1.0, 0.0, hi)
     return psi, dpsi, L
 
@@ -302,27 +311,31 @@ def sterile_upper_bound(params: ModelParams, lambda_bar: float, c: float,
 
 @dataclass(frozen=True)
 class SterileBoundProfile:
-    """Translating lower bound for the sterile-male field.
+    """Translating lower bound for the sterile males of `release`.
 
-    kind "lower_annulus": Gaussian skirts around the plateau [r1, r2];
-    kind "lower_annulus_tail": an exponential inner tail exp(eta (r - R1))
-    joined C1 to the Gaussian skirt (release-with-tail variant).  All decay
-    constants are stored in unit-diffusion units; eta_phys = eta / sqrt(D).
+    kind "lower_annulus" (an annulus release): Gaussian skirts around the
+    plateau [r1, r2]; kind "lower_annulus_tail" (an annulus_tail release):
+    an exponential inner tail exp(eta (r - R1)) joined C1 to the Gaussian
+    skirt.  The skirt rates a, b are in unit-diffusion units.
     """
 
     params: ModelParams
-    kind: str
-    lambda_bar: float
-    c: float
-    R1: float
+    release: ReleaseSchedule
     r1: float
     r2: float
-    R2: float
     a: float
     b: float
     M_hat: float
-    eta: float = 0.0
     eps_tail: float = 0.0
+
+    @property
+    def kind(self) -> str:
+        return f"lower_{self.release.kind}"
+
+    @property
+    def eta(self) -> float:
+        """The release's tail rate per unit-diffusion length."""
+        return self.release.eta * np.sqrt(self.params.D)
 
     def _pieces(self) -> list:
         """Piece table: (start, amplitude, shape, slope) per piece.
@@ -332,7 +345,7 @@ class SterileBoundProfile:
         shape(s) and its derivative amplitude * slope(s).
         """
         sd = np.sqrt(self.params.D)
-        r1, r2, R1 = self.r1 / sd, self.r2 / sd, self.R1 / sd
+        r1, r2, R1 = self.r1 / sd, self.r2 / sd, self.release.R1 / sd
 
         def gauss(rate, centre):
             def value(s):
@@ -387,12 +400,12 @@ class SterileBoundProfile:
 
     def __call__(self, x, t):
         r = np.abs(np.asarray(x, dtype=float))
-        return self.shape(r - self.c * t)
+        return self.shape(r - self.release.c * t)
 
     def floor(self, x, t):
         """The guaranteed floor M_hat 1_{r1+ct < |x| < r2+ct} (plus tail)."""
         r = np.abs(np.asarray(x, dtype=float))
-        s = r - self.c * t
+        s = r - self.release.c * t
         plateau = self.M_hat * ((s >= self.r1) & (s <= self.r2))
         if self.kind == "lower_annulus_tail":
             sd = np.sqrt(self.params.D)
@@ -410,9 +423,9 @@ def _skirt_constants(params: ModelParams, c: float, r1: float, r2: float,
                      R1: float, R2: float) -> tuple[float, float]:
     """Minimal Gaussian decay rates (unit-diffusion units) for the skirts."""
     if not 0 < R1 < r1 < r2 < R2:
-        raise ValueError(f"geometry must satisfy 0 < R1 < r1 < r2 < R2, got "
-                         f"R1 = {R1:g}, r1 = {r1:g}, r2 = {r2:g}, "
-                         f"R2 = {R2:g}")
+        raise CertificateUnavailable(
+            f"geometry must satisfy 0 < R1 < r1 < r2 < R2, got R1 = {R1:g}, "
+            f"r1 = {r1:g}, r2 = {r2:g}, R2 = {R2:g}")
     sd = np.sqrt(params.D)
     ct = c / sd
     r1t, r2t, R1t, R2t = r1 / sd, r2 / sd, R1 / sd, R2 / sd
@@ -436,43 +449,30 @@ def _plateau_gain(params: ModelParams, c: float, r2: float, a: float,
                1.0 / (2.0 * a + params.mu_s))
 
 
-def make_sterile_lower_bound(params: ModelParams, lambda_bar: float, c: float,
-                             R1: float, r1: float, r2: float,
-                             R2: float) -> SterileBoundProfile:
-    """Case-(i) lower bound: plateau M_hat on the inner annulus [r1, r2]."""
-    a, b = _skirt_constants(params, c, r1, r2, R1, R2)
-    return SterileBoundProfile(params, "lower_annulus", lambda_bar, c,
-                               R1, r1, r2, R2, a, b,
-                               lambda_bar * _plateau_gain(params, c, r2, a, b))
+def make_sterile_lower_bound(params: ModelParams, release: ReleaseSchedule,
+                             r1: float, r2: float) -> SterileBoundProfile:
+    """Lower bound for the sterile males of an "annulus" or "annulus_tail"
+    release: the plateau M_hat on [r1, r2], inside the release's [R1, R2].
 
-
-def make_sterile_lower_bound_tail(params: ModelParams, lambda_bar: float,
-                                  c: float, R1: float, r1: float, r2: float,
-                                  R2: float, eta: float) -> SterileBoundProfile:
-    """Case-(ii) lower bound with an exponential inner tail of rate eta.
-
-    eta is the physical tail rate of the release function.  The joint at
-    R1 is made exactly C1 by eps_tail = e^{eta (r1 - R1)/2} - 1 and
-    a_eps = eta / (2 (r1 - R1)) (unit-diffusion units), under which the
-    plateau floor and the sub-solution inequalities still hold.
+    For the tail release (case (ii)), with eta the release's physical tail
+    rate, the joint at R1 is made exactly C1 by eps_tail =
+    e^{eta (r1 - R1)/2} - 1 and a_eps = eta / (2 (r1 - R1)) (unit-diffusion
+    units), under which the plateau floor and the sub-solution
+    inequalities still hold.
     """
-    if not eta > 0:
-        raise ValueError("eta must be > 0")
-    _, b = _skirt_constants(params, c, r1, r2, R1, R2)
+    s = release
+    a, b = _skirt_constants(params, s.c, r1, r2, s.R1, s.R2)
+    if s.kind == "annulus":
+        M_hat = s.lambda_bar * _plateau_gain(params, s.c, r2, a, b)
+        return SterileBoundProfile(params, s, r1, r2, a, b, M_hat)
     sd = np.sqrt(params.D)
-    eta_t = eta * sd  # exponent per rescaled length
-    din = (r1 - R1) / sd
+    eta_t = s.eta * sd  # exponent per rescaled length
+    din = (r1 - s.R1) / sd
     eps_tail = float(np.expm1(0.5 * eta_t * din))
     a_eps = eta_t / (2.0 * din)
-    M_hat = lambda_bar / (1.0 + eps_tail) * _plateau_gain(params, c, r2, a_eps, b)
-    return SterileBoundProfile(params, "lower_annulus_tail", lambda_bar, c,
-                               R1, r1, r2, R2, a_eps, b, M_hat,
-                               eta=eta_t, eps_tail=eps_tail)
-
-
-class SupersolutionUnavailable(ValueError):
-    """The bundle search does not cover these parameters; the message says
-    why."""
+    M_hat = (s.lambda_bar / (1.0 + eps_tail)
+             * _plateau_gain(params, s.c, r2, a_eps, b))
+    return SterileBoundProfile(params, s, r1, r2, a_eps, b, M_hat, eps_tail)
 
 
 def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,
@@ -492,12 +492,12 @@ def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,
     """
     p = params
     if p.gamma is None:
-        raise SupersolutionUnavailable("the bundle search covers the "
-                                       "bistable case")
+        raise CertificateUnavailable("the bundle search covers the "
+                                     "bistable case")
     eq = equilibria if equilibria is not None else solve_equilibria(p)
     if eq.upper is None:
-        raise SupersolutionUnavailable("no positive equilibrium: nothing "
-                                       "to block")
+        raise CertificateUnavailable("no positive equilibrium: nothing "
+                                     "to block")
     E_star, M_star, F_star = eq.upper
     C0 = max(E_star / F_star, M_star / F_star)
     sd = np.sqrt(p.D)
@@ -513,16 +513,15 @@ def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,
         eps = scale_until(
             lambda e: ct * np.sqrt(e) <= 0.5 * ce and e <= 0.9 * min(p.mu_F, p.mu_M),
             0.6 * min(p.mu_F, p.mu_M), 0.5, 1e-300)
-    if mu is None or eps is None:
-        raise RuntimeError("drift conditions unsatisfiable at this speed")
-
-    drift_pen = max(mu / 4.0 + cpt * np.sqrt(mu / 2.0), ct * np.sqrt(eps))
+    drift_pen = (np.inf if mu is None or eps is None else
+                 max(mu / 4.0 + cpt * np.sqrt(mu / 2.0), ct * np.sqrt(eps)))
     if drift_pen >= ce:
-        raise RuntimeError("drift conditions unsatisfiable at this speed")
+        raise CertificateUnavailable("drift conditions unsatisfiable at "
+                                     "this speed")
     C1 = safety * max(C0, p.K_scalar / F_star, p.b / (ce - drift_pen))
     gap = p.mu_M - max(mu, eps)
     if gap <= 0:
-        raise RuntimeError("mu, eps must stay below mu_M")
+        raise CertificateUnavailable("mu, eps must stay below mu_M")
     C2 = safety * max(C0, p.male_recruitment * C1 / gap)
 
     q = (p.mu_F - mu) / (p.female_recruitment * C1)
@@ -537,7 +536,8 @@ def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,
     r2 = r1 + L
     R2 = r2 + (r1 - R1)
 
-    lower = make_sterile_lower_bound(params, 1.0, c, R1, r1, r2, R2)
+    lower = make_sterile_lower_bound(
+        params, ReleaseSchedule("annulus", 1.0, R1, R2, c), r1, r2)
     C12 = lower.M_hat  # per unit lambda_bar
     deficit = p.female_recruitment * C1 - (p.mu_F - eps)
     if deficit <= 0:

@@ -11,7 +11,10 @@ super-solution kink must not increase it.
 
 The drivers below assemble the full certificates: the translating stationary
 pair as a sub-solution of the four-field system, the moving-cap bundle as a
-super-solution, and the translating sterile-male upper/lower bounds.
+super-solution, and the translating sterile-male upper/lower bounds.  For
+every failure a config can reach, a builder raises the one error
+`CertificateUnavailable`; `sitcarpet verify` reports it as a failed
+certificate (`[FAIL] not built:` and the condition) and exits 4.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .solver import (
     solve_banded,
 )
 from .supersolution import (
+    CertificateUnavailable,
     SterileBoundProfile,
     SupersolutionBundle,
     assemble_Fbar,
@@ -113,29 +117,40 @@ def verify_inequality(field_fn: Callable, reaction_fn: Callable, sign: str,
     if sign not in ("sub", "super"):
         raise ValueError("sign must be 'sub' or 'super'")
     x = np.asarray(x_grid, dtype=float)
-    worst = -np.inf
-    loc = None
-    checked = 0
-    for t in t_grid:
-        u = np.asarray(field_fn(x, t), dtype=float)
-        up = np.asarray(field_fn(x, t + DT_FD), dtype=float)
-        um = np.asarray(field_fn(x, t - DT_FD), dtype=float)
-        dudt = (up - um) / (2.0 * DT_FD)
-        lap = _laplacian_1d(u, x, radial)
-        resid = dudt - D * lap - np.asarray(reaction_fn(x, t, u), dtype=float)
-        mask = _clear_of(x, [] if interfaces is None else interfaces(t),
-                         EXCLUDE_CELLS)
-        mask[:2] = False
-        mask[-2:] = False
+
+    def rows():
+        for t in t_grid:
+            u = np.asarray(field_fn(x, t), dtype=float)
+            up = np.asarray(field_fn(x, t + DT_FD), dtype=float)
+            um = np.asarray(field_fn(x, t - DT_FD), dtype=float)
+            dudt = (up - um) / (2.0 * DT_FD)
+            lap = _laplacian_1d(u, x, radial)
+            resid = (dudt - D * lap
+                     - np.asarray(reaction_fn(x, t, u), dtype=float))
+            mask = _clear_of(x, [] if interfaces is None else interfaces(t),
+                             EXCLUDE_CELLS)
+            mask[:2] = False
+            mask[-2:] = False
+            yield t, (resid if sign == "sub" else -resid) / scale, mask
+
+    worst, loc, checked = _worst_violation(x, rows())
+    return ResidualReport(name, sign, worst, loc, tol, worst <= tol, checked)
+
+
+def _worst_violation(x: np.ndarray, rows) -> tuple:
+    """(worst, its (x, t), nodes checked) over rows (t, v, mask): v the
+    violation at the nodes x, mask the nodes checked; worst -inf if none."""
+    worst, loc, checked = -np.inf, None, 0
+    for t, v, mask in rows:
         if not mask.any():
             continue
-        v = resid[mask] / scale if sign == "sub" else -resid[mask] / scale
+        v = v[mask]
         k = int(np.argmax(v))
         if v[k] > worst:
             worst = float(v[k])
             loc = (float(x[mask][k]), float(t))
-        checked += int(mask.sum())
-    return ResidualReport(name, sign, worst, loc, tol, worst <= tol, checked)
+        checked += v.size
+    return worst, loc, checked
 
 
 def _clear_of(x: np.ndarray, points, cells: int) -> np.ndarray:
@@ -198,7 +213,7 @@ class SubsolutionFields:
     eps_gamma: float
     F_profile: MonotoneProfile
     M_profile: MonotoneProfile
-    Ms_cap: Callable
+    Ms: Callable  # Ms(x, t), the sterile cap
 
     def offset(self, x, t):
         return np.abs(np.asarray(x, dtype=float)) - self.c * t - self.R_shift
@@ -214,14 +229,6 @@ class SubsolutionFields:
         s = self.offset(x, t)
         return np.where(s > 0, self.F_profile(np.maximum(s, 0.0)), 0.0)
 
-    def Ms(self, x, t):
-        return self.Ms_cap(x, t)
-
-
-class SubsolutionUnavailable(ValueError):
-    """No sub-solution exists for these parameters; the message names the
-    condition that fails."""
-
 
 def build_subsolution(params: ModelParams, c: float, lambda_bar: float,
                       R2: float, equilibria: Optional[EquilibriumSet] = None
@@ -235,16 +242,16 @@ def build_subsolution(params: ModelParams, c: float, lambda_bar: float,
     """
     eq = equilibria if equilibria is not None else solve_equilibria(params)
     if eq.upper is None:
-        raise SubsolutionUnavailable("no positive equilibrium for a "
+        raise CertificateUnavailable("no positive equilibrium for a "
                                      "sub-solution")
     eps_gamma = find_eps0(params, eq.upper[2])
     if eps_gamma is None:
-        raise SubsolutionUnavailable(
+        raise CertificateUnavailable(
             "no admissible sterile tail amplitude: G_eps(F*) <= 0 for every "
             "eps down to 2^-199")
     F_prof = build_stationary_F(params, eps=eps_gamma, equilibria=eq)
     if F_prof is None:
-        raise SubsolutionUnavailable("no stationary profile in this "
+        raise CertificateUnavailable("no stationary profile in this "
                                      "regime")
     M_prof = build_stationary_M(params, F_prof)
 
@@ -311,73 +318,70 @@ def verify_subsolution(sub: SubsolutionFields,
         # the sub-solution inequality reduces to reaction nonnegativity
         x_far = xg[-1] + np.linspace(0.5, 60.0, 200)
         far = react(x_far, t)
-        worst = -np.inf
-        for which, scale in (("M", p.mu_M * M_star), ("F", p.mu_F * F_star)):
-            v = float(np.max(-far[which] / scale))
-            worst = max(worst, v)
+        every = np.ones(x_far.size, dtype=bool)
+        worst, loc, checked = _worst_violation(x_far, [
+            (t, -far[which] / scale, every) for which, scale in
+            (("M", p.mu_M * M_star), ("F", p.mu_F * F_star))])
         reports.append(ResidualReport(
-            f"far-plateau reaction t={t:g}", "sub", worst, None,
-            RESIDUAL_TOL, worst <= RESIDUAL_TOL, 2 * x_far.size))
+            f"far-plateau reaction t={t:g}", "sub", worst, loc,
+            RESIDUAL_TOL, worst <= RESIDUAL_TOL, checked))
     return _collect("subsolution", reports)
 
 
-def verify_sterile_cap(params: ModelParams, lambda_bar: float, c: float,
-                       R1: float, R2: float, Rs: float) -> CertificateReport:
-    """The translating plateau/skirt dominates the annulus release equation."""
-    cap = sterile_upper_bound(params, lambda_bar, c, Rs)
-    release = ReleaseSchedule("annulus", lambda_bar, R1, R2, c)
-
+def _sterile_reports(params: ModelParams, release: ReleaseSchedule, bound,
+                     sign: str, window: Callable, joints: list, scale: float,
+                     name: str, kink_scale: float = 0.0) -> list:
+    """At each STERILE_T_GRID time, the residual of `bound` in the equation
+    of the sterile males of `release`, checked for `sign` on STERILE_N_X
+    radii across window(t) = (lo, hi) clear of the kinks at offsets
+    `joints` from ct; and, given kink_scale, each kink's slope jump."""
     def react(x, t, u):
         return release_value(release, x, t) - params.mu_s * u
 
+    def interfaces(t):
+        return [j + release.c * t for j in joints]
+
     reports = []
     for t in STERILE_T_GRID:
-        xg = np.linspace(max(Rs + c * t - 15.0, 1e-3), Rs + c * t + 25.0,
-                         STERILE_N_X)
+        lo, hi = window(t)
+        xg = np.linspace(max(lo, 1e-3), hi, STERILE_N_X)
         reports.append(verify_inequality(
-            cap, react, "super", xg, [t], D=params.D, radial=True,
-            interfaces=lambda tt: [Rs + c * tt], tol=STERILE_TOL,
-            scale=params.mu_s * cap.height, name=f"sterile cap residual t={t:g}"))
-        reports.append(jump_check(cap, Rs + c * t, t, "super", scale=cap.height,
-                                  name=f"sterile cap kink t={t:g}"))
-    return _collect("sterile-upper-bound", reports)
+            bound, react, sign, xg, [t], D=params.D, radial=True,
+            interfaces=interfaces, tol=STERILE_TOL, scale=scale,
+            name=f"{name} residual t={t:g}"))
+        if kink_scale:
+            reports += [jump_check(bound, xi, t, sign, scale=kink_scale,
+                                   name=f"{name} kink t={t:g}")
+                        for xi in interfaces(t)]
+    return reports
+
+
+def verify_sterile_cap(params: ModelParams, release: ReleaseSchedule,
+                       Rs: float) -> CertificateReport:
+    """The translating plateau/skirt with edge Rs dominates the sterile
+    males of an annulus `release`."""
+    c = release.c
+    cap = sterile_upper_bound(params, release.lambda_bar, c, Rs)
+    return _collect("sterile-upper-bound", _sterile_reports(
+        params, release, cap, "super",
+        lambda t: (Rs + c * t - 15.0, Rs + c * t + 25.0), [Rs],
+        params.mu_s * cap.height, "sterile cap", kink_scale=cap.height))
 
 
 def verify_sterile_floor(profile: SterileBoundProfile) -> CertificateReport:
-    """The translating floor is a sub-solution of the release equation."""
-    p = profile.params
-    s = profile
-    if s.kind == "lower_annulus_tail":
-        # the profile keeps eta per unit-diffusion length, the release per
-        # physical length
-        release = ReleaseSchedule("annulus_tail", s.lambda_bar, s.R1, s.R2,
-                                  s.c, eta=s.eta / np.sqrt(p.D))
-    else:
-        release = ReleaseSchedule("annulus", s.lambda_bar, s.R1, s.R2, s.c)
-
-    def react(x, t, u):
-        return release_value(release, x, t) - p.mu_s * u
-
-    reports = []
-    for t in STERILE_T_GRID:
-        lo = max(s.R1 + s.c * t - 10.0, 1e-3)
-        hi = s.R2 + s.c * t + 15.0
-        xg = np.linspace(lo, hi, STERILE_N_X)
-
-        def interfaces(tt):
-            pts = [s.r1 + s.c * tt, s.r2 + s.c * tt]
-            if s.kind == "lower_annulus_tail":
-                pts.append(s.R1 + s.c * tt)
-            return pts
-
-        reports.append(verify_inequality(
-            profile, react, "sub", xg, [t], D=p.D, radial=True,
-            interfaces=interfaces, tol=STERILE_TOL, scale=s.lambda_bar,
-            name=f"sterile floor residual t={t:g}"))
-    if s.kind == "lower_annulus_tail":
+    """The translating floor is a sub-solution for the sterile males of its
+    release."""
+    s, p, rel = profile, profile.params, profile.release
+    tail = s.kind == "lower_annulus_tail"
+    reports = _sterile_reports(
+        p, rel, s, "sub",
+        lambda t: (rel.R1 + rel.c * t - 10.0, rel.R2 + rel.c * t + 15.0),
+        [s.r1, s.r2] + ([rel.R1] if tail else []), rel.lambda_bar,
+        "sterile floor")
+    if tail:
         # C0/C1 matching at the two joints, from the analytic piece formulas
         slope_scale = s.M_hat * max(s.eta, 1.0) / np.sqrt(p.D)
-        for joint in (s.R1, s.r1):
+        for joint in (rel.R1, s.r1):
             v_left, v_right = s.one_sided_values(joint)
             d_left, d_right = s.one_sided_slopes(joint)
             c0 = abs(v_right - v_left) / s.M_hat
@@ -404,11 +408,17 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
     radial Laplacian divides by r); (2) Ebar <= C1 Fbar with Ebar the actual
     pointwise ODE solution; (3) Mbar <= C2 Fbar with Mbar solved from its
     parabolic equation sourced by Ebar; (4) the reaction-side inequality of
-    the female equation with the sterile floor on the annulus and the
-    worst-case substitutions Mbar -> C2 Fbar, Ebar -> C1 Fbar.  One
+    the female equation,
+
+        fF(Ebar, Mbar, Fbar, Ms_floor) + g Fbar <= 0,
+
+    with Ms_floor the sterile floor on the annulus and Ebar, Mbar the
+    computed rows at the first step at or after each check time: fF grows
+    with E and M, so the caps stand in for the fields they bound.  One
     streamed Ebar walk serves (2), (3) and (4): each block of rows is used
-    as it arrives and then dropped, and only the five Ebar rows that (4)
-    reads are kept, so memory stays bounded whatever the number of steps.
+    as it arrives and then dropped, and only the five Ebar and Mbar rows
+    that (4) reads are kept, so memory stays bounded whatever the number
+    of steps.
     """
     p = bundle.params
     reports = []
@@ -447,17 +457,17 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
         ("reaction margin hypothesis max(mu, eps) < mu_F",
          max(bundle.mu, bundle.eps) - p.mu_F),
     ]
-    for name, slack in hyps:
-        reports.append(ResidualReport(name, "sub", float(slack), None, 0.0,
-                                      slack < 0.0, 1))
+    reports += [ResidualReport(name, "sub", float(slack), None, 0.0,
+                               slack < 0.0, 1) for name, slack in hyps]
 
     # (2) Ebar <= C1 Fbar and (3) Mbar <= C2 Fbar read one streamed walk
     # of the pointwise Ebar ODE, each block as it arrives.  Mbar is solved
     # from the male equation with the Ebar source (implicit diffusion and
     # decay, explicit source; unconditionally stable) and compared with
     # its cap after every (n_steps // 20)-th step and the last, that is at
-    # the rows in `checks`; (4) reads the first row at or after each check
-    # time.  Both bounds are scaled by the local cap.
+    # the rows in `checks`; (4) reads the Ebar and Mbar rows at the first
+    # step at or after each check time.  Both bounds are scaled by the
+    # local cap.
     dt = 0.02
     times = walk_times(t_end, dt)[0]
     n_steps = times.size - 1
@@ -487,34 +497,29 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
                 worst_M = max(worst_M, float(np.max((Mb - cap) / cap)))
                 checked_M += Mb.size
             if row in reads:
-                kept[row] = E_row.copy()
+                kept[row] = (E_row.copy(), Mb)
             E_prev = E_row
-    reports.append(ResidualReport("Ebar <= C1 Fbar", "super", worst_E, None,
-                                  RESIDUAL_TOL, worst_E <= RESIDUAL_TOL,
-                                  checked_E))
-    reports.append(ResidualReport("Mbar <= C2 Fbar", "super", worst_M, None,
-                                  RESIDUAL_TOL, worst_M <= RESIDUAL_TOL,
-                                  checked_M))
+    reports += [ResidualReport(name, "super", worst, None, RESIDUAL_TOL,
+                               worst <= RESIDUAL_TOL, checked)
+                for name, worst, checked in (
+                    ("Ebar <= C1 Fbar", worst_E, checked_E),
+                    ("Mbar <= C2 Fbar", worst_M, checked_M))]
 
-    # (4) reaction-side inequality with worst-case bounds
-    floor = make_sterile_lower_bound(p, bundle.lambda_bar, bundle.c,
-                                     bundle.R1, bundle.r1, bundle.r2,
-                                     bundle.R2)
-    worst_R = -np.inf
-    loc_R = None
-    checked_R = 0
-    for t, row in zip(t_grid, reads):
-        Fb = Fbar(x, t)
-        fF = reaction_arrays(p, (kept[row], bundle.C2 * Fb, Fb,
-                                 floor.floor(x, t)), 0.0, p.K_scalar)[2][1]
-        resid = fF + g_fn(x, t) * Fb  # must be <= 0, relative to the cap
-        mask = _clear_of(x, bundle.interfaces(t), EXCLUDE_CELLS)
-        v = resid[mask] / (p.mu_F * Fb[mask])
-        checked_R += v.size
-        k = int(np.argmax(v))
-        if v[k] > worst_R:
-            worst_R = float(v[k])
-            loc_R = (float(x[mask][k]), float(t))
+    # (4) reaction-side inequality on the kept Ebar and Mbar rows
+    floor = make_sterile_lower_bound(
+        p, ReleaseSchedule("annulus", bundle.lambda_bar, bundle.R1,
+                           bundle.R2, bundle.c), bundle.r1, bundle.r2)
+
+    def reaction_rows():
+        for t, row in zip(t_grid, reads):
+            Fb = Fbar(x, t)
+            fF = reaction_arrays(p, (*kept[row], Fb, floor.floor(x, t)),
+                                 0.0, p.K_scalar)[2][1]
+            resid = fF + g_fn(x, t) * Fb  # must be <= 0, relative to the cap
+            yield (t, resid / (p.mu_F * Fb),
+                   _clear_of(x, bundle.interfaces(t), EXCLUDE_CELLS))
+
+    worst_R, loc_R, checked_R = _worst_violation(x, reaction_rows())
     reports.append(ResidualReport("female reaction cap", "sub", worst_R,
                                   loc_R, RESIDUAL_TOL, worst_R <= RESIDUAL_TOL,
                                   checked_R))

@@ -46,7 +46,6 @@ from sitcarpet.solver import (
 from sitcarpet.supersolution import (
     find_supersolution_bundle,
     make_sterile_lower_bound,
-    make_sterile_lower_bound_tail,
 )
 from sitcarpet.verify import (
     verify_sterile_cap,
@@ -321,11 +320,12 @@ def test_criterion_09_certificates(p05, rng, subsolution_05):
                    f"(lambda_bar={bundle.lambda_bar:.3e}, L={bundle.L:.2f})")
 
     # (d) sterile bounds, including exact C1 joints for the tail variant
-    cap_ok = verify_sterile_cap(p05, 1000.0, 0.05, CARPET_R1, 30.0,
-                                Rs=31.0).passed
-    low = make_sterile_lower_bound(p05, 1000.0, 0.05, 4.0, 6.0, 28.0, 30.0)
-    tail = make_sterile_lower_bound_tail(p05, 1000.0, 0.05, 4.0, 6.0, 28.0,
-                                         30.0, eta=0.3)
+    annulus = ReleaseSchedule("annulus", 1000.0, CARPET_R1, 30.0, 0.05)
+    cap_ok = verify_sterile_cap(p05, annulus, Rs=31.0).passed
+    low = make_sterile_lower_bound(p05, annulus, 6.0, 28.0)
+    tail = make_sterile_lower_bound(
+        p05, dataclasses.replace(annulus, kind="annulus_tail", eta=0.3),
+        6.0, 28.0)
     rep_low = verify_sterile_floor(low)
     rep_tail = verify_sterile_floor(tail)
     c1_worst = max(r.worst_violation for r in rep_tail.reports

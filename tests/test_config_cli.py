@@ -884,20 +884,45 @@ class TestCli:
                         if ln.startswith("certificate ")]
         assert len(certificates) == (1 if which == "subsolution" else 5)
 
-    @pytest.mark.parametrize("name, worst, nodes",
-                             [("fig2-left", "1.445e+00", 5915),
-                              ("fig2-right", "9.181e+00", 5917)])
-    def test_supersolution_fails_only_the_female_cap(self, capsys, name,
-                                                     worst, nodes):
-        # the bundle search meets every check here but the female reaction
-        # cap, which fails by the pinned amount
+    @pytest.mark.parametrize("name, worst, nodes", [
+        pytest.param("fig2-left", "-9.509e-14", 5915, id="fig2-left"),
+        pytest.param("fig2-right", "1.885e-14", 5917, id="fig2-right")])
+    def test_supersolution_passes_the_female_cap(self, capsys, name, worst,
+                                                 nodes):
+        # the female reaction cap reads the computed Ebar and Mbar rows, so
+        # it holds here by the pinned amount, as every other check does
         rc = main(["verify", "--preset", name, "--which", "supersolution"])
         lines = capsys.readouterr().out.splitlines()
+        assert rc == 0
+        assert lines[1] == "certificate supersolution: PASS"
+        assert all(ln.startswith("  [PASS] ") for ln in lines[2:])
+        assert lines[-1] == (f"  [PASS] female reaction cap: worst violation "
+                             f"{worst} (tol 1.0e-06, {nodes} nodes)")
+
+    @pytest.mark.parametrize("c, which, condition", [
+        (1e3, "supersolution", "psi fails to reach 1"),
+        (1e3, "all", "psi fails to reach 1"),
+        (1e200, "supersolution",
+         "drift conditions unsatisfiable at this speed")],
+        ids=["1e3-supersolution", "1e3-all", "1e200-supersolution"])
+    def test_failed_bundle_search_is_a_failed_check(self, tmp_path, capsys,
+                                                    c, which, condition):
+        # every way the bundle search can fail is a failed certificate
+        # naming the condition, and the other checks asked for still run
+        cfg = preset("carpet")
+        cfg.schedule["c"] = c
+        path = tmp_path / "fast.cfg"
+        path.write_text(cfg.to_text())
+        rc = main(["verify", "--config", str(path), "--which", which])
+        out = capsys.readouterr().out
         assert rc == 4
-        assert lines[1] == "certificate supersolution: FAIL"
-        failed = [ln for ln in lines[2:] if not ln.startswith("  [PASS] ")]
-        assert failed == [f"  [FAIL] female reaction cap: worst violation "
-                          f"{worst} (tol 1.0e-06, {nodes} nodes)"]
+        assert (f"certificate supersolution: FAIL\n  [FAIL] not built: "
+                f"{condition}\n") in out
+        certificates = [ln for ln in out.splitlines()
+                        if ln.startswith("certificate ")]
+        assert len(certificates) == (1 if which == "supersolution" else 5)
+        assert [c for c in certificates if c.endswith("FAIL")] == [
+            "certificate supersolution: FAIL"]
 
     @pytest.mark.parametrize("which", ["supersolution", "all"])
     def test_monostable_supersolution_is_a_failed_check(self, tmp_path,
@@ -945,8 +970,9 @@ class TestCli:
 
 
 def _certificate_structure() -> list[str]:
-    """Certificate and report lines of `verify --preset carpet --which all`,
-    each cut before its numbers."""
+    """Certificate and report lines of `verify --which all` on the presets
+    that pass it (carpet, fig1, no-release-2d), each cut before its
+    numbers."""
     sub = [f"{name} t={t}" for t in (1, 7, 19)
            for name in ("E residual", "M residual", "F residual", "M kink",
                         "F kink", "far-plateau reaction")]
@@ -973,9 +999,10 @@ def _certificate_structure() -> list[str]:
     return lines
 
 
-def test_verify_all_keeps_every_check(capsys):
+@pytest.mark.parametrize("name", ["carpet", "fig1", "no-release-2d"])
+def test_verify_all_keeps_every_check(capsys, name):
     # a refactor of the certificates must not drop, reorder or fail a check
-    rc = main(["verify", "--preset", "carpet", "--which", "all"])
+    rc = main(["verify", "--preset", name, "--which", "all"])
     assert rc == 0
     first, *lines = capsys.readouterr().out.splitlines()
     assert first.startswith("bundle constants:")

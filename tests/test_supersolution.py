@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 
 from sitcarpet.model import egg_rate, slaved_E
+from sitcarpet.solver import ReleaseSchedule
 from sitcarpet.supersolution import (
     FBAR_BLOCK,
     assemble_Fbar,
     ebar_ode,
     find_supersolution_bundle,
     make_sterile_lower_bound,
-    make_sterile_lower_bound_tail,
     psi_profile,
     sterile_upper_bound,
     walk_times,
 )
+
+
+# the releases the sterile floors below bound, plateau [6, 30] inside
+ANNULUS = ReleaseSchedule("annulus", 1000.0, 4.0, 32.0, 0.05)
+TAIL = ReleaseSchedule("annulus_tail", 1000.0, 4.0, 32.0, 0.05, eta=0.4)
 
 
 @pytest.fixture(scope="module")
@@ -224,7 +229,7 @@ def test_sterile_upper_bound_shape(p05):
 
 
 def test_lower_bound_plateau_and_cap(p05):
-    low = make_sterile_lower_bound(p05, 1000.0, 0.05, 4.0, 6.0, 30.0, 32.0)
+    low = make_sterile_lower_bound(p05, ANNULUS, 6.0, 30.0)
     t = 11.0
     r = np.linspace(0.0, 60.0, 4000)
     vals = low(r, t)
@@ -236,15 +241,15 @@ def test_lower_bound_plateau_and_cap(p05):
 
 def test_lower_bound_geometry_validation(p05):
     with pytest.raises(ValueError):
-        make_sterile_lower_bound(p05, 1.0, 0.05, 6.0, 4.0, 30.0, 32.0)
+        make_sterile_lower_bound(p05, ReleaseSchedule("annulus", 1.0, 6.0,
+                                                      32.0, 0.05), 4.0, 30.0)
     with pytest.raises(ValueError):
-        make_sterile_lower_bound_tail(p05, 1.0, 0.05, 4.0, 6.0, 30.0, 32.0,
-                                      eta=-0.1)
+        make_sterile_lower_bound(p05, ReleaseSchedule(
+            "annulus_tail", 1.0, 4.0, 32.0, 0.05, eta=-0.1), 6.0, 30.0)
 
 
 def test_tail_variant_c1_joints(p05):
-    low = make_sterile_lower_bound_tail(p05, 1000.0, 0.05, 4.0, 6.0, 30.0,
-                                        32.0, eta=0.4)
+    low = make_sterile_lower_bound(p05, TAIL, 6.0, 30.0)
     for joint in (4.0, 6.0):
         v_left, v_right = low.one_sided_values(joint)
         d_left, d_right = low.one_sided_slopes(joint)
@@ -257,11 +262,8 @@ def test_tail_variant_c1_joints(p05):
     ("lower_annulus_tail", (4.0, 6.0, 30.0)),
 ])
 def test_sterile_profile_joints(p05, kind, joints):
-    if kind == "lower_annulus":
-        low = make_sterile_lower_bound(p05, 1000.0, 0.05, 4.0, 6.0, 30.0, 32.0)
-    else:
-        low = make_sterile_lower_bound_tail(p05, 1000.0, 0.05, 4.0, 6.0, 30.0,
-                                            32.0, eta=0.4)
+    release = ANNULUS if kind == "lower_annulus" else TAIL
+    low = make_sterile_lower_bound(p05, release, 6.0, 30.0)
     assert low.kind == kind
     h = 1e-6
     for joint in joints:
@@ -277,8 +279,7 @@ def test_sterile_profile_joints(p05, kind, joints):
 
 
 def test_tail_variant_floor_includes_tail(p05):
-    low = make_sterile_lower_bound_tail(p05, 1000.0, 0.05, 4.0, 6.0, 30.0,
-                                        32.0, eta=0.4)
+    low = make_sterile_lower_bound(p05, TAIL, 6.0, 30.0)
     t = 5.0
     r = np.linspace(0.0, 40.0, 2000)
     assert np.all(low(r, t) >= low.floor(r, t) - 1e-9 * low.M_hat)

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from sitcarpet.config import CARPET_C, preset
-from sitcarpet.solver import Grid
+from sitcarpet.solver import Grid, ReleaseSchedule
 from sitcarpet.supersolution import (
     assemble_Fbar,
     ebar_ode,
     find_supersolution_bundle,
     lambda_roots,
     make_sterile_lower_bound,
-    make_sterile_lower_bound_tail,
     walk_times,
 )
 from sitcarpet.verify import (
@@ -79,15 +78,18 @@ def test_subsolution_certificate(subsolution_05):
 
 
 def test_sterile_cap_certificate(p05):
-    rep = verify_sterile_cap(p05, 1000.0, 0.05, 4.0, 32.0, Rs=33.0)
+    release = ReleaseSchedule("annulus", 1000.0, 4.0, 32.0, 0.05)
+    rep = verify_sterile_cap(p05, release, Rs=33.0)
     assert rep.passed, str(rep)
 
 
 def test_sterile_floor_certificates(p05):
-    low = make_sterile_lower_bound(p05, 1000.0, 0.05, 4.0, 6.0, 30.0, 32.0)
+    release = ReleaseSchedule("annulus", 1000.0, 4.0, 32.0, 0.05)
+    low = make_sterile_lower_bound(p05, release, 6.0, 30.0)
     assert verify_sterile_floor(low).passed
-    tail = make_sterile_lower_bound_tail(p05, 1000.0, 0.05, 4.0, 6.0, 30.0,
-                                         32.0, eta=0.3)
+    tail = make_sterile_lower_bound(
+        p05, dataclasses.replace(release, kind="annulus_tail", eta=0.3),
+        6.0, 30.0)
     rep = verify_sterile_floor(tail)
     assert rep.passed, str(rep)
     names = [r.name for r in rep.reports]
