@@ -137,7 +137,7 @@ def phi0(params: ModelParams, F):
     return slaved_M(params, slaved_E(params, F))
 
 
-def phi(params: ModelParams, F, F_star: float):
+def phi(params: ModelParams, F, F_star: float, E=None):
     """Worst-case male bound along a nondecreasing female profile.
 
     phi(F) = (1/(2 mu_M)) * (1-rho) nu_E b F / (bF/K + mu_E + nu_E)
@@ -145,9 +145,12 @@ def phi(params: ModelParams, F, F_star: float):
 
     For 1 - F/F* below 1e-14 (and for F >= F*) the value switches to the
     analytic limit, which equals M*/2 when F* is the upper equilibrium.
+    E, if given, is the slaved egg density E(F) already computed.
     """
     F = np.asarray(F, dtype=float)
-    base = 0.5 * phi0(params, F)
+    if E is None:
+        E = slaved_E(params, F)
+    base = 0.5 * slaved_M(params, E)
     rem = 1.0 - F / F_star
     expo = 2.0 * np.sqrt(params.mu_M / params.mu_F)
     safe = np.maximum(rem, 1e-14)
@@ -168,9 +171,12 @@ def phi_s_eps(params: ModelParams, eps: float, F, F_star: float):
 
 def _wave_integrand(params: ModelParams, F_star: float, u: np.ndarray,
                     eps: Optional[float]) -> np.ndarray:
-    """rho nu_E b u/(bu/K + mu_E + nu_E) * w(u) * Gamma(phi(u)) - mu_F u."""
-    recruit = params.female_recruitment * slaved_E(params, u)
-    ph = phi(params, u, F_star)
+    """rho nu_E b u/(bu/K + mu_E + nu_E) * w(u) * Gamma(phi(u)) - mu_F u.
+
+    E(u) is computed once, for the recruitment and for phi."""
+    E = slaved_E(params, u)
+    recruit = params.female_recruitment * E
+    ph = phi(params, u, F_star, E)
     gam = gamma_fn(params.gamma, ph)
     if eps is None:
         w = 1.0

@@ -22,7 +22,7 @@ by sqrt(D) internally; public evaluation is in physical coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -152,43 +152,165 @@ class SupersolutionBundle:
 
 # Rows per assemble_Fbar call when a caller walks a long time column: one
 # (FBAR_BLOCK, n_x) block at a time keeps peak memory flat in the number of
-# times, where the whole (n_t, n_x) table would grow with it.  A block's
-# assemble_Fbar temporaries are a few times its own size, so this also
-# sets the walk's peak.
+# times, where the whole (n_t, n_x) table would grow with it.  The block
+# and its b Fbar buffers are most of the walk's memory (assemble_Fbar's
+# temporaries stay within _BAND_VALUES values), so this also sets the
+# walk's peak.
 FBAR_BLOCK = 40
+# Values per chunk of an Fbar band (64 KB of float64); see _Runs.fill_band
+_BAND_VALUES = 8192
 
 
-def assemble_Fbar(bundle: SupersolutionBundle, x, t):
+def assemble_Fbar(bundle: SupersolutionBundle, x, t, out=None):
     """Piecewise female cap Fbar(x, t); continuous, radially nondecreasing.
 
     A scalar t gives an array shaped like x (a float for a scalar x).  A
-    1-D time column t gives the block of shape (len(t), *x.shape), one row
+    time array t gives the block of shape (*t.shape, *x.shape), one row
     per time; each row is bitwise equal to the scalar-t call, since every
     node goes through the same elementwise operations.  Callers walking
-    many times pass FBAR_BLOCK of them per call.
+    many times pass FBAR_BLOCK of them per call, and may pass a
+    C-contiguous `out` of the block's shape to receive it.
 
-    The block starts as F* (Omega3) and each region's values are scaled
-    by F* as they are written: F* (alpha beta(0)) once per time on Omega0,
-    where it does not depend on |x|, and F* (alpha beta) and F* psi at the
-    Omega1 and Omega2 nodes.  These are the operands and operations of
-    scaling the whole unit-level block by F*, so the bits are the same.
+    On the radii sorted nondecreasing (x is sorted first unless |x|
+    already is), Omega_k is one run of columns per row, found by
+    searchsorted of `interfaces(t)`.  Omega0 holds F* (alpha beta(0)),
+    one value per time, and Omega3 holds F*; Omega1 and Omega2 hold
+    F* (alpha beta(|x| - r1 - c't)) and F* psi(|x| - r1 - ct), each
+    evaluated once on the band of columns its runs span, a few rows at a
+    time (`_Runs.fill_band`).
     """
-    r = np.abs(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    if t.ndim:
-        t = t.reshape(t.shape + (1,) * r.ndim)
-    i0, i1, _ = bundle.interfaces(t)
-    a = bundle.alpha(t)
-    k = bundle.region(r, t)
-    shape = k.shape
+    r = np.abs(x).ravel()
+    order = None
+    if np.any(r[1:] < r[:-1]):
+        order = np.argsort(r, kind="stable")
+        r = r[order]
+    ts = t.reshape(-1, 1)
+    # the run of Omega_k is [edges[k], edges[k + 1]) in each row: node j is
+    # in Omega_k when k interfaces lie strictly below r[j]
+    ifaces = bundle.interfaces(ts)
+    edges = np.zeros((5, ts.shape[0]), dtype=np.intp)
+    edges[1:4] = np.sort([np.searchsorted(r, i.ravel(), side="right")
+                          for i in ifaces], axis=0)
+    edges[4] = r.size
     F_star = bundle.F_star
-    out = np.full(shape, F_star)  # Omega3: the equilibrium
-    np.copyto(out, F_star * (a * bundle.beta(0.0)), where=k == 0)
-    ramp, bridge = k == 1, k == 2
-    r, a, i0, i1 = (np.broadcast_to(v, shape) for v in (r, a, i0, i1))
-    out[ramp] = F_star * (a[ramp] * bundle.beta(r[ramp] - i0[ramp]))
-    out[bridge] = F_star * bundle.psi(r[bridge] - i1[bridge])
+    a = bundle.alpha(ts)
+    out = (np.empty((ts.shape[0], r.size)) if out is None
+           else out.reshape(ts.shape[0], r.size))
+    if out.size:
+        inner, ramp, bridge, far = _Runs.of(edges)
+        inner.fill(out, F_star * (a * bundle.beta(0.0)))
+
+        # F* (alpha beta) and F* psi, scaled in place: a product's bits do
+        # not depend on the order of its two factors
+        def ramp_values(offsets, rows):
+            values = bundle.beta(offsets)
+            values *= a[rows]
+            values *= F_star
+            return values
+
+        def bridge_values(offsets, rows):
+            values = bundle.psi(offsets)
+            values *= F_star
+            return values
+
+        ramp.fill_band(out, r, ifaces[0], ramp_values)
+        bridge.fill_band(out, r, ifaces[1], bridge_values)
+        far.fill(out, F_star)  # Omega3: the equilibrium
+    if order is not None:
+        out[:, order] = out.copy()
+    out = out.reshape(t.shape + x.shape)
     return out if out.ndim else float(out)
+
+
+class _Runs(NamedTuple):
+    """One region's run of columns [starts[j], stops[j]) in each row j:
+    together they span the band [lo, hi), and every run covers the core
+    [core_lo, core_hi), which is empty unless core_lo < core_hi."""
+
+    starts: np.ndarray
+    stops: np.ndarray
+    lo: int
+    hi: int
+    core_lo: int
+    core_hi: int
+
+    @classmethod
+    def of(cls, edges: np.ndarray) -> list:
+        """The runs [edges[k], edges[k + 1]) of each region k."""
+        lows, highs = edges.min(axis=1).tolist(), edges.max(axis=1).tolist()
+        return [cls(edges[k], edges[k + 1], lows[k], highs[k + 1], highs[k],
+                    lows[k + 1]) for k in range(edges.shape[0] - 1)]
+
+    def ragged(self) -> list:
+        """The nonempty column ranges of the band outside the core."""
+        if self.core_lo >= self.core_hi:
+            return [(self.lo, self.hi)] if self.lo < self.hi else []
+        return [(a, b) for a, b in ((self.lo, self.core_lo),
+                                    (self.core_hi, self.hi)) if a < b]
+
+    def offsets(self, r: np.ndarray, origin: np.ndarray,
+                rows: slice) -> np.ndarray:
+        """r - origin on the band, for the runs of `rows`, each row's
+        entries clipped into the offsets of its own run (zero for an empty
+        run).
+
+        Rounding is monotone, so a run's own offsets lie between those of
+        its first and last node and keep their bits; an entry outside the
+        run gets an argument the run itself takes, so it cannot overflow
+        where the run does not.  Core columns are in every run and need no
+        clipping."""
+        origin = origin[rows]
+        off = r[self.lo:self.hi] - origin
+        ragged = self.ragged()
+        if ragged:
+            starts, stops = self.starts[rows], self.stops[rows]
+            o = origin[:, 0]
+            empty = stops <= starts
+            first = np.where(empty, 0.0, r[np.minimum(starts, r.size - 1)] - o)
+            last = np.where(empty, 0.0, r[np.maximum(stops - 1, 0)] - o)
+            for a, b in ragged:
+                cols = off[:, a - self.lo:b - self.lo]
+                np.maximum(cols, first[:, None], out=cols)
+                np.minimum(cols, last[:, None], out=cols)
+        return off
+
+    def fill_band(self, out: np.ndarray, r: np.ndarray, origin: np.ndarray,
+                  values: Callable) -> None:
+        """Fill the runs with values(offsets, rows), the values on the band
+        for a slice of rows, at the `offsets` from `origin`.
+
+        The band is taken _BAND_VALUES values at a time, a few rows each,
+        so every temporary of `values` stays small: blocks that small are
+        reused from the allocator's free lists and stay in cache, where
+        whole-band temporaries were mapped, and page-faulted, afresh on
+        every call.  Each element's operations are the same either way."""
+        if self.lo >= self.hi:
+            return
+        step = max(1, _BAND_VALUES // (self.hi - self.lo))
+        for start in range(0, self.starts.size, step):
+            rows = slice(start, start + step)
+            self.fill(out, values(self.offsets(r, origin, rows), rows), rows)
+
+    def fill(self, out: np.ndarray, values, rows: slice = slice(None)
+             ) -> None:
+        """Write the runs of `rows` into out from `values`: their values on
+        the band, or one value per row, or one value.  The core is copied
+        whole, and only the ragged columns go through a mask."""
+        def part(a, b):  # the values on columns [a, b)
+            if np.ndim(values) == 2 and values.shape[1] > 1:
+                return values[:, a - self.lo:b - self.lo]
+            return values
+
+        if self.core_lo < self.core_hi:
+            out[rows, self.core_lo:self.core_hi] = part(self.core_lo,
+                                                        self.core_hi)
+        for a, b in self.ragged():
+            cols = np.arange(a, b)
+            np.copyto(out[rows, a:b], part(a, b),
+                      where=((cols >= self.starts[rows, None])
+                             & (cols < self.stops[rows, None])))
 
 
 @dataclass(frozen=True)
@@ -229,13 +351,14 @@ def ebar_ode(bundle: SupersolutionBundle, x, t_end: float, dt: float,
     row at t = 0, then one EbarBlock per FBAR_BLOCK steps holding the
     step-end rows.  Each block takes one assemble_Fbar call for its
     step-end times and one for its half-step times, and b Fbar is formed
-    once per Fbar row: the half-step row serves k2 and k3, the step-end
-    row k4 and the next step's k1.  The stages and the sum ((k1 + 2 k2) +
-    2 k3) + k4, scaled by h/6, run in buffers allocated once, through
-    egg_rate's bF and out, and each step-end Ebar row is written straight
-    into its block.  Every element gets the operations and operands of
-    the plain formula, so the rows are bitwise those of four egg_rate
-    calls per step on fresh arrays.  The yielded Fbar rows are bitwise
+    once per block: its half-step row serves k2 and k3, its step-end row
+    k4 and the next step's k1.  The two b Fbar blocks, the stages and the
+    sum ((k1 + 2 k2) + 2 k3) + k4, scaled by h/6, run in buffers
+    allocated once, through egg_rate's bF and out, and each step-end Ebar
+    row is written straight into its block.  Every element gets the
+    operations and operands of the plain formula, so the rows are bitwise
+    those of four egg_rate calls per step on fresh arrays.  The yielded
+    Fbar rows are bitwise
     those of assemble_Fbar at the same times, and no yielded array is
     written after it is yielded.  Only the current block is live, so
     memory stays flat in the number of steps; a caller that needs the
@@ -256,16 +379,19 @@ def ebar_ode(bundle: SupersolutionBundle, x, t_end: float, dt: float,
     yield EbarBlock(0, times[:1], F_now[None], E[None])
     bF_now = p.b * F_now
     k1, k2, k3, k4, stage = (np.empty_like(E) for _ in range(5))
+    bF_blocks = np.empty((2, min(FBAR_BLOCK, n_steps)) + x.shape)
     for start in range(0, n_steps, FBAR_BLOCK):
         stop = min(start + FBAR_BLOCK, n_steps)
         F_ends = assemble_Fbar(bundle, x, times[start + 1:stop + 1])
-        F_halves = assemble_Fbar(bundle, x, halves[start:stop])
-        # F_halves is not yielded, so it can hold b Fbar in place
-        bF_halves = np.multiply(p.b, F_halves, out=F_halves)
+        # the half-step rows are not yielded, so b Fbar overwrites them
+        bF_halves = assemble_Fbar(bundle, x, halves[start:stop],
+                                  out=bF_blocks[0, :stop - start])
+        bF_halves *= p.b
+        bF_ends = np.multiply(p.b, F_ends, out=bF_blocks[1, :stop - start])
         out = np.empty_like(F_ends)
         for j in range(stop - start):
             h = steps[start + j]
-            bF_mid, bF_end = bF_halves[j], p.b * F_ends[j]
+            bF_mid, bF_end = bF_halves[j], bF_ends[j]
             egg_rate(p, E, None, K, bF=bF_now, out=k1)
             np.add(E, np.multiply(0.5 * h, k1, out=stage), out=stage)
             egg_rate(p, stage, None, K, bF=bF_mid, out=k2)
@@ -280,6 +406,7 @@ def ebar_ode(bundle: SupersolutionBundle, x, t_end: float, dt: float,
             k1 *= h / 6.0
             E = np.add(E, k1, out=out[j])
             bF_now = bF_end
+        bF_now = bF_now.copy()  # the next block refills bF_blocks
         yield EbarBlock(start + 1, times[start + 1:stop + 1], F_ends, out)
 
 
@@ -458,21 +585,29 @@ def make_sterile_lower_bound(params: ModelParams, release: ReleaseSchedule,
     rate, the joint at R1 is made exactly C1 by eps_tail =
     e^{eta (r1 - R1)/2} - 1 and a_eps = eta / (2 (r1 - R1)) (unit-diffusion
     units), under which the plateau floor and the sub-solution
-    inequalities still hold.
+    inequalities still hold.  Raises CertificateUnavailable when a skirt
+    rate overflows or the plateau gain underflows to 0, as at a speed so
+    large that (c / sqrt(D))^2 overflows.
     """
     s = release
-    a, b = _skirt_constants(params, s.c, r1, r2, s.R1, s.R2)
-    if s.kind == "annulus":
-        M_hat = s.lambda_bar * _plateau_gain(params, s.c, r2, a, b)
-        return SterileBoundProfile(params, s, r1, r2, a, b, M_hat)
-    sd = np.sqrt(params.D)
-    eta_t = s.eta * sd  # exponent per rescaled length
-    din = (r1 - s.R1) / sd
-    eps_tail = float(np.expm1(0.5 * eta_t * din))
-    a_eps = eta_t / (2.0 * din)
-    M_hat = (s.lambda_bar / (1.0 + eps_tail)
-             * _plateau_gain(params, s.c, r2, a_eps, b))
-    return SterileBoundProfile(params, s, r1, r2, a_eps, b, M_hat, eps_tail)
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        a, b = _skirt_constants(params, s.c, r1, r2, s.R1, s.R2)
+        eps_tail = 0.0
+        if s.kind != "annulus":
+            sd = np.sqrt(params.D)
+            eta_t = s.eta * sd  # exponent per rescaled length
+            din = (r1 - s.R1) / sd
+            eps_tail = float(np.expm1(0.5 * eta_t * din))
+            a = eta_t / (2.0 * din)
+        gain = _plateau_gain(params, s.c, r2, a, b)
+    if not (np.isfinite(a) and np.isfinite(b) and np.isfinite(eps_tail)
+            and gain > 0):
+        raise CertificateUnavailable(
+            f"sterile floor constants out of range at c = {s.c:g}: skirt "
+            f"rates a = {a:g}, b = {b:g}, plateau gain {gain:g}")
+    M_hat = (s.lambda_bar * gain if s.kind == "annulus"
+             else s.lambda_bar / (1.0 + eps_tail) * gain)
+    return SterileBoundProfile(params, s, r1, r2, a, b, M_hat, eps_tail)
 
 
 def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,

@@ -19,7 +19,8 @@ certificate (`[FAIL] not built:` and the condition) and exits 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -75,9 +76,17 @@ class ResidualReport:
     tol: float
     passed: bool
     checked_nodes: int
-    notes: dict = field(default_factory=dict)
+    reason: str = ""  # why no node was checked, if none was
+
+    def __post_init__(self):
+        # a check over no node shows nothing, so it fails
+        if not self.checked_nodes:
+            self.passed = False
 
     def __str__(self):
+        if not self.checked_nodes:
+            return (f"[FAIL] {self.name}: no node checked: "
+                    f"{self.reason or 'every node is masked'}")
         status = "PASS" if self.passed else "FAIL"
         return (f"[{status}] {self.name}: worst violation "
                 f"{self.worst_violation:.3e} (tol {self.tol:.1e}, "
@@ -133,20 +142,41 @@ def verify_inequality(field_fn: Callable, reaction_fn: Callable, sign: str,
             mask[-2:] = False
             yield t, (resid if sign == "sub" else -resid) / scale, mask
 
-    worst, loc, checked = _worst_violation(x, rows())
-    return ResidualReport(name, sign, worst, loc, tol, worst <= tol, checked)
+    return _scan_report(name, sign, x, rows(), tol, (
+        f"every node is within {EXCLUDE_CELLS} cells of an interface or "
+        f"next to an end of the grid"))
+
+
+def _scan_report(name: str, sign: str, x: np.ndarray, rows, tol: float,
+                 reason: str = "") -> ResidualReport:
+    """The report of `_worst_violation` over rows, against tol; `reason`
+    says why, should no node be checked.
+
+    A grid x that is not strictly increasing (far out, its spacing rounds
+    to 0) is not scanned, and the report names its first such node; rows
+    is not consumed then, so a lazy scan evaluates nothing."""
+    stall = np.flatnonzero(~(x[1:] > x[:-1]))
+    if stall.size:
+        return ResidualReport(name, sign, -np.inf, None, tol, False, 0,
+                              f"the grid stops increasing at x = "
+                              f"{x[stall[0]]:.6g}")
+    worst, loc, checked = _worst_violation(x, rows)
+    return ResidualReport(name, sign, worst, loc, tol, worst <= tol, checked,
+                          reason)
 
 
 def _worst_violation(x: np.ndarray, rows) -> tuple:
     """(worst, its (x, t), nodes checked) over rows (t, v, mask): v the
-    violation at the nodes x, mask the nodes checked; worst -inf if none."""
+    violation at the nodes x, mask the nodes checked; worst -inf if none,
+    and NaN, located at the first one, if any checked node is NaN."""
     worst, loc, checked = -np.inf, None, 0
     for t, v, mask in rows:
         if not mask.any():
             continue
         v = v[mask]
-        k = int(np.argmax(v))
-        if v[k] > worst:
+        k = int(np.argmax(v))  # the first NaN, if there is one
+        # a NaN is the worst violation, and the first one found stays
+        if v[k] > worst or (math.isnan(v[k]) and not math.isnan(worst)):
             worst = float(v[k])
             loc = (float(x[mask][k]), float(t))
         checked += v.size
@@ -166,6 +196,12 @@ def jump_check(field_fn: Callable, interface_x: float, t: float, sign: str, *,
     One-sided first derivatives just inside/outside; a sub-solution requires
     outward slope jump >= 0, a super-solution <= 0.
     """
+    if interface_x + JUMP_H == interface_x:
+        return ResidualReport(name, sign, -np.inf, (interface_x, t),
+                              JUMP_TOL, False, 0,
+                              f"the one-sided step rounds to 0 at x = "
+                              f"{interface_x:.6g}")
+
     def one_sided(x0, direction):
         xs = x0 + direction * JUMP_H * np.arange(4.0)
         u = np.asarray(field_fn(xs, t), dtype=float)
@@ -319,12 +355,11 @@ def verify_subsolution(sub: SubsolutionFields,
         x_far = xg[-1] + np.linspace(0.5, 60.0, 200)
         far = react(x_far, t)
         every = np.ones(x_far.size, dtype=bool)
-        worst, loc, checked = _worst_violation(x_far, [
-            (t, -far[which] / scale, every) for which, scale in
-            (("M", p.mu_M * M_star), ("F", p.mu_F * F_star))])
-        reports.append(ResidualReport(
-            f"far-plateau reaction t={t:g}", "sub", worst, loc,
-            RESIDUAL_TOL, worst <= RESIDUAL_TOL, checked))
+        reports.append(_scan_report(
+            f"far-plateau reaction t={t:g}", "sub", x_far,
+            [(t, -far[which] / scale, every) for which, scale in
+             (("M", p.mu_M * M_star), ("F", p.mu_F * F_star))],
+            RESIDUAL_TOL))
     return _collect("subsolution", reports)
 
 
@@ -478,11 +513,14 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
     ab = implicit_diffusion_matrix(grid, p.D, dt)
     ab[1, :] += dt * p.mu_M
     lu = factor_diffusion(ab)
+    source = dt * (1.0 - p.rho) * p.nu_E  # the Mbar source per unit Ebar
     worst_E = worst_M = -np.inf
     checked_E = checked_M = 0
     for block in ebar_ode(bundle, x, t_end, dt):
         cap = bundle.C1 * block.Fbar
-        worst_E = max(worst_E, float(np.max((block.Ebar - cap) / cap)))
+        excess = block.Ebar - cap
+        worst_E = max(worst_E,
+                      float(np.max(np.divide(excess, cap, out=excess))))
         checked_E += block.Ebar.size
         for row, (F_row, E_row) in enumerate(zip(block.Fbar, block.Ebar),
                                              block.start):
@@ -490,8 +528,7 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
                 Mb = np.minimum(bundle.C0 * F_row,
                                 slaved_M(p, slaved_E(p, F_row)))
             else:
-                Mb = solve_banded(
-                    lu, Mb + dt * (1.0 - p.rho) * p.nu_E * E_prev)
+                Mb = solve_banded(lu, Mb + source * E_prev)
             if row in checks:
                 cap = bundle.C2 * F_row
                 worst_M = max(worst_M, float(np.max((Mb - cap) / cap)))
@@ -519,8 +556,6 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
             yield (t, resid / (p.mu_F * Fb),
                    _clear_of(x, bundle.interfaces(t), EXCLUDE_CELLS))
 
-    worst_R, loc_R, checked_R = _worst_violation(x, reaction_rows())
-    reports.append(ResidualReport("female reaction cap", "sub", worst_R,
-                                  loc_R, RESIDUAL_TOL, worst_R <= RESIDUAL_TOL,
-                                  checked_R))
+    reports.append(_scan_report("female reaction cap", "sub", x,
+                                reaction_rows(), RESIDUAL_TOL))
     return _collect("supersolution", reports)

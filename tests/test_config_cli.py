@@ -17,7 +17,6 @@ from sitcarpet.config import (
     PRESET_NAMES,
     ScenarioConfig,
     preset,
-    table1_params,
 )
 from sitcarpet.solver import DT, MAX_NODES, MAX_STEPS, Grid, run
 from sitcarpet.waves import front_position
@@ -923,6 +922,34 @@ class TestCli:
         assert len(certificates) == (1 if which == "supersolution" else 5)
         assert [c for c in certificates if c.endswith("FAIL")] == [
             "certificate supersolution: FAIL"]
+
+    @pytest.mark.parametrize("which", ["subsolution", "sterile-bounds",
+                                       "all"])
+    def test_checks_over_no_node_fail(self, tmp_path, capsys, which):
+        # at c = 1e200 the check grids ride at |x| ~ c t, where their
+        # spacing rounds to 0: every residual, kink and far-plateau scan
+        # there checks no node, so it fails, saying why, and the sterile
+        # floor's constants overflow, so it is not built; nothing passes
+        # and nothing warns
+        cfg = preset("carpet")
+        cfg.schedule["c"] = 1e200
+        path = tmp_path / "fast.cfg"
+        path.write_text(cfg.to_text())
+        rc = main(["verify", "--config", str(path), "--which", which])
+        captured = capsys.readouterr()
+        assert rc == 4 and captured.err == ""
+        lines = captured.out.splitlines()
+        unchecked = [ln for ln in lines if "no node checked" in ln]
+        assert len(unchecked) == {"subsolution": 18, "sterile-bounds": 6,
+                                  "all": 24}[which]
+        assert all(ln.startswith("  [FAIL] ") for ln in unchecked)
+        assert sum("far-plateau" in ln for ln in unchecked) == (
+            0 if which == "sterile-bounds" else 3)
+        assert not [ln for ln in lines if "[PASS]" in ln]
+        assert not [ln for ln in lines if ln.endswith(" 0 nodes)")]
+        if which != "subsolution":
+            assert sum("[FAIL] not built: sterile floor constants out of "
+                       "range at c = 1e+200" in ln for ln in lines) == 2
 
     @pytest.mark.parametrize("which", ["supersolution", "all"])
     def test_monostable_supersolution_is_a_failed_check(self, tmp_path,

@@ -72,6 +72,51 @@ def test_jump_check_signs():
     assert not rep.passed
 
 
+def test_a_check_over_no_node_fails_and_says_why():
+    # a residual scanned on zero nodes, or a kink whose stencil collapses,
+    # shows nothing: it fails and names the reason, with no warning
+    def field(x, t):
+        return np.ones(np.shape(x))
+
+    def react(x, t, u):
+        return np.zeros(np.shape(x))
+
+    xg = np.linspace(0.5, 5.0, 200)
+    masked = verify_inequality(field, react, "sub", xg, [1.0], D=1.0,
+                               radial=False,
+                               interfaces=lambda t: np.linspace(0.5, 5.0, 60))
+    # the spacing rounds to 0 after the grid's 100th node
+    far = np.concatenate([xg[:100], np.full(100, 1e200)])
+    flat = verify_inequality(field, react, "sub", far, [1.0], D=1.0,
+                             radial=True)
+    kink = jump_check(field, 1e200, 1.0, "sub")
+    for rep, reason in (
+            (masked, "every node is within 4 cells of an interface or next "
+                     "to an end of the grid"),
+            (flat, "the grid stops increasing at x = 1e+200"),
+            (kink, "the one-sided step rounds to 0 at x = 1e+200")):
+        assert not rep.passed and rep.checked_nodes == 0
+        assert str(rep).endswith(f": no node checked: {reason}")
+
+
+def test_a_nan_among_the_checked_nodes_fails_the_check():
+    # a residual of +1 everywhere, NaN at one node at t = 1: the NaN must
+    # not hide the violations of its row, nor pass as the worst
+    xg = np.linspace(0.5, 5.0, 200)
+
+    def react(x, t, u):
+        out = np.full(np.shape(x), -1.0)
+        if t == 1.0:
+            out[100] = np.nan
+        return out
+
+    rep = verify_inequality(lambda x, t: np.ones(np.shape(x)), react, "sub",
+                            xg, [1.0, 2.0], D=1.0, radial=False)
+    assert not rep.passed and np.isnan(rep.worst_violation)
+    assert rep.checked_nodes == 2 * 196
+    assert str(rep).startswith("[FAIL] residual: worst violation nan")
+
+
 def test_subsolution_certificate(subsolution_05):
     rep = verify_subsolution(subsolution_05, t_grid=(1.0, 9.0))
     assert rep.passed, str(rep)
