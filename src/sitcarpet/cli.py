@@ -133,14 +133,10 @@ def cmd_analyze(args) -> int:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Persisted summary of one simulation run."""
+    """The verdict of one simulation run."""
 
-    config_hash: str
-    snapshots_path: Path
-    trace_path: Path
     outcome: str
     speed: float | None
-    wall_time_s: float
 
 
 def _check_level(level: float | None, scenario: Scenario) -> None:
@@ -167,11 +163,9 @@ def simulate_to_dir(cfg: ScenarioConfig, out: Path,
 
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.echo").write_text(cfg_text)
-    snap_path = out / "snapshots.csv"
-    _write_snapshots(snap_path, traj)
+    _write_snapshots(out / "snapshots.csv", traj)
     tr = outcome.trace.valid()
-    trace_path = out / "trace.csv"
-    np.savetxt(trace_path,
+    np.savetxt(out / "trace.csv",
                np.column_stack([tr.times, tr.positions]), delimiter=",",
                header="t,position", comments="", fmt="%.17g")
     digest = hashlib.sha256(cfg_text.encode()).hexdigest()
@@ -187,8 +181,7 @@ def simulate_to_dir(cfg: ScenarioConfig, out: Path,
         lines.append(f"diag.{k} = {v}")
     (out / "outcome.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
-    return RunRecord(digest, snap_path, trace_path, outcome.kind,
-                     outcome.speed, wall)
+    return RunRecord(outcome.kind, outcome.speed)
 
 
 def cmd_simulate(args) -> int:
@@ -257,7 +250,7 @@ def cmd_verify(args) -> int:
         try:
             built = build()
         except CertificateUnavailable as e:  # a failed check, not a crash
-            reports.append(CertificateReport(name, [], False, unbuilt=str(e)))
+            reports.append(CertificateReport(name, [], unbuilt=str(e)))
         else:
             reports.append(check(built))
     for rep in reports:

@@ -258,7 +258,9 @@ def release_value(schedule: ReleaseSchedule, x, t: float):
     if not s.releases:
         out = np.zeros_like(r)
     elif s.kind == "annulus_tail":
-        out = np.where(r < inner, s.lambda_bar * np.exp(s.eta * (r - inner)),
+        # the exponent is clamped at 0, where the tail is not taken
+        tail = np.exp(np.minimum(s.eta * (r - inner), 0.0))
+        out = np.where(r < inner, s.lambda_bar * tail,
                        s.lambda_bar * (r <= outer))
     elif s.kind == "disc":
         out = s.lambda_bar * (r <= outer)

@@ -79,8 +79,8 @@ class SupersolutionBundle:
 
     c_prime in ((2/3) c, c); r2 = r1 + L with L fixed by the psi bridge;
     lambda_plus/minus are the Omega1 exponents (unit-diffusion units, product
-    -mu/2); C1, C2 bound Ebar and Mbar by multiples of Fbar; lambda_bar and
-    M_hat give the release strength and the annulus sterile floor.
+    -mu/2); C1, C2 bound Ebar and Mbar by multiples of Fbar; lambda_bar is
+    the release strength, which sets the annulus sterile floor.
     """
 
     params: ModelParams
@@ -100,7 +100,6 @@ class SupersolutionBundle:
     C1: float
     C2: float
     lambda_bar: float
-    M_hat: float
     F_star: float
     _psi: Callable = field(repr=False, compare=False)
 
@@ -340,12 +339,12 @@ def walk_times(t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return times, steps
 
 
-def ebar_ode(bundle: SupersolutionBundle, x, t_end: float, dt: float,
-             E0=None) -> Iterator[EbarBlock]:
+def ebar_ode(bundle: SupersolutionBundle, x, t_end: float,
+             dt: float) -> Iterator[EbarBlock]:
     """Pointwise egg cap: dEbar/dt = b Fbar (1 - Ebar/K) - (mu_E + nu_E) Ebar.
 
-    x may be an array of positions (integrated in parallel).  E0 defaults to
-    min(K, C0 Fbar(x,0), slaved E(Fbar(x,0))), the well-prepared choice.
+    x may be an array of positions (integrated in parallel).  The start is
+    always the well-prepared one, min(K, C0 Fbar(x,0), slaved E(Fbar(x,0))).
 
     Classical RK4 on the `walk_times` steps, yielded as it goes: first the
     row at t = 0, then one EbarBlock per FBAR_BLOCK steps holding the
@@ -358,19 +357,16 @@ def ebar_ode(bundle: SupersolutionBundle, x, t_end: float, dt: float,
     row is written straight into its block.  Every element gets the
     operations and operands of the plain formula, so the rows are bitwise
     those of four egg_rate calls per step on fresh arrays.  The yielded
-    Fbar rows are bitwise
-    those of assemble_Fbar at the same times, and no yielded array is
-    written after it is yielded.  Only the current block is live, so
-    memory stays flat in the number of steps; a caller that needs the
-    whole table concatenates the blocks.
+    Fbar rows are bitwise those of assemble_Fbar at the same times, and
+    no yielded array is written after it is yielded.  Only the current
+    block is live, so memory stays flat in the number of steps; a caller
+    that needs the whole table concatenates the blocks.
     """
     p = bundle.params
     x = np.atleast_1d(np.asarray(x, dtype=float))
     K = np.broadcast_to(p.K_at(x), x.shape)
     F_now = assemble_Fbar(bundle, x, 0.0)
-    if E0 is None:
-        E0 = np.minimum(np.minimum(K, bundle.C0 * F_now), slaved_E(p, F_now))
-    E = np.array(np.broadcast_to(E0, x.shape), dtype=float)
+    E = np.minimum(np.minimum(K, bundle.C0 * F_now), slaved_E(p, F_now))
 
     times, steps = walk_times(t_end, dt)
     n_steps = steps.size
@@ -484,10 +480,12 @@ class SterileBoundProfile:
             top = self.M_hat
             inner = [(-np.inf, top, *gauss(self.a, r1))]
         else:
+            def tail(s):  # clamped at 0 past R1, where it is not taken
+                return np.exp(np.minimum(self.eta * (s - R1), 0.0))
+
             top = (1.0 + self.eps_tail) * self.M_hat
-            inner = [(-np.inf, self.M_hat,
-                      lambda s: np.exp(self.eta * (s - R1)),
-                      lambda s: self.eta * np.exp(self.eta * (s - R1))),
+            inner = [(-np.inf, self.M_hat, tail,
+                      lambda s: self.eta * tail(s)),
                      (R1, top, *gauss(self.a, r1))]
         return inner + [(r1, top, *flat), (r2, top, *gauss(self.b, r2))]
 
@@ -530,15 +528,10 @@ class SterileBoundProfile:
         return self.shape(r - self.release.c * t)
 
     def floor(self, x, t):
-        """The guaranteed floor M_hat 1_{r1+ct < |x| < r2+ct} (plus tail)."""
-        r = np.abs(np.asarray(x, dtype=float))
-        s = r - self.release.c * t
-        plateau = self.M_hat * ((s >= self.r1) & (s <= self.r2))
-        if self.kind == "lower_annulus_tail":
-            sd = np.sqrt(self.params.D)
-            tail = self.M_hat * np.exp(self.eta * (s - self.r1) / sd) * (s < self.r1)
-            return plateau + tail
-        return np.asarray(plateau, dtype=float)
+        """The plateau floor M_hat 1_{r1+ct <= |x| <= r2+ct}, a lower bound
+        of either kind: a tail profile's plateau is (1 + eps_tail) M_hat."""
+        s = np.abs(np.asarray(x, dtype=float)) - self.release.c * t
+        return self.M_hat * ((s >= self.r1) & (s <= self.r2))
 
 
 def _piece_index(pieces: list, s):
@@ -687,4 +680,4 @@ def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,
         r1=r1, r2=r2, L=L, R1=R1, R2=R2,
         lambda_plus=lp, lambda_minus=lm,
         C0=C0, C1=C1, C2=C2, lambda_bar=lambda_bar,
-        M_hat=C12 * lambda_bar, F_star=F_star, _psi=psi)
+        F_star=F_star, _psi=psi)

@@ -70,7 +70,6 @@ STERILE_N_X = 3000
 @dataclass
 class ResidualReport:
     name: str
-    sign: str                  # "sub" (residual <= tol) or "super" (>= -tol)
     worst_violation: float     # max amount by which the sign was violated
     location: Optional[tuple]  # (x, t) of the worst violation
     tol: float
@@ -94,19 +93,13 @@ class ResidualReport:
 
 
 def _laplacian_1d(u: np.ndarray, x: np.ndarray, radial: bool) -> np.ndarray:
-    """Second-order Laplacian (with 1/r term when radial); one-sided at ends."""
+    """Second-order centred Laplacian (with 1/r term when radial) at the
+    interior nodes; NaN at the two ends, which have no centred stencil."""
     dx = x[1] - x[0]
-    lap = np.empty_like(u)
+    lap = np.full_like(u, np.nan)
     lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
-    # second-order one-sided second derivatives at the ends
-    lap[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / dx**2
-    lap[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / dx**2
     if radial:
-        du = np.empty_like(u)
-        du[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
-        du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dx)
-        du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dx)
-        lap = lap + du / x
+        lap[1:-1] += (u[2:] - u[:-2]) / (2.0 * dx) / x[1:-1]
     return lap
 
 
@@ -142,12 +135,12 @@ def verify_inequality(field_fn: Callable, reaction_fn: Callable, sign: str,
             mask[-2:] = False
             yield t, (resid if sign == "sub" else -resid) / scale, mask
 
-    return _scan_report(name, sign, x, rows(), tol, (
+    return _scan_report(name, x, rows(), tol, (
         f"every node is within {EXCLUDE_CELLS} cells of an interface or "
         f"next to an end of the grid"))
 
 
-def _scan_report(name: str, sign: str, x: np.ndarray, rows, tol: float,
+def _scan_report(name: str, x: np.ndarray, rows, tol: float,
                  reason: str = "") -> ResidualReport:
     """The report of `_worst_violation` over rows, against tol; `reason`
     says why, should no node be checked.
@@ -157,12 +150,11 @@ def _scan_report(name: str, sign: str, x: np.ndarray, rows, tol: float,
     is not consumed then, so a lazy scan evaluates nothing."""
     stall = np.flatnonzero(~(x[1:] > x[:-1]))
     if stall.size:
-        return ResidualReport(name, sign, -np.inf, None, tol, False, 0,
+        return ResidualReport(name, -np.inf, None, tol, False, 0,
                               f"the grid stops increasing at x = "
                               f"{x[stall[0]]:.6g}")
     worst, loc, checked = _worst_violation(x, rows)
-    return ResidualReport(name, sign, worst, loc, tol, worst <= tol, checked,
-                          reason)
+    return ResidualReport(name, worst, loc, tol, worst <= tol, checked, reason)
 
 
 def _worst_violation(x: np.ndarray, rows) -> tuple:
@@ -197,10 +189,9 @@ def jump_check(field_fn: Callable, interface_x: float, t: float, sign: str, *,
     outward slope jump >= 0, a super-solution <= 0.
     """
     if interface_x + JUMP_H == interface_x:
-        return ResidualReport(name, sign, -np.inf, (interface_x, t),
-                              JUMP_TOL, False, 0,
-                              f"the one-sided step rounds to 0 at x = "
-                              f"{interface_x:.6g}")
+        return ResidualReport(name, -np.inf, (interface_x, t), JUMP_TOL,
+                              False, 0, "the one-sided step rounds to 0 at "
+                              f"x = {interface_x:.6g}")
 
     def one_sided(x0, direction):
         xs = x0 + direction * JUMP_H * np.arange(4.0)
@@ -210,16 +201,19 @@ def jump_check(field_fn: Callable, interface_x: float, t: float, sign: str, *,
 
     jump = one_sided(interface_x, +1.0) - one_sided(interface_x, -1.0)
     violation = (-jump if sign == "sub" else jump) / scale
-    return ResidualReport(name, sign, float(violation), (interface_x, t),
-                          JUMP_TOL, violation <= JUMP_TOL, 1)
+    return ResidualReport(name, float(violation), (interface_x, t), JUMP_TOL,
+                          violation <= JUMP_TOL, 1)
 
 
 @dataclass
 class CertificateReport:
     name: str
     reports: list
-    passed: bool
     unbuilt: str = ""  # the failing condition, if the object was not built
+
+    @property
+    def passed(self) -> bool:
+        return not self.unbuilt and all(r.passed for r in self.reports)
 
     def __str__(self):
         lines = [f"certificate {self.name}: "
@@ -228,10 +222,6 @@ class CertificateReport:
         if self.unbuilt:
             lines.append(f"  [FAIL] not built: {self.unbuilt}")
         return "\n".join(lines)
-
-
-def _collect(name: str, reports: list) -> CertificateReport:
-    return CertificateReport(name, reports, all(r.passed for r in reports))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +236,6 @@ class SubsolutionFields:
     upper: tuple[float, float, float]  # (E*, M*, F*) of params
     c: float
     R_shift: float
-    eps_gamma: float
     F_profile: MonotoneProfile
     M_profile: MonotoneProfile
     Ms: Callable  # Ms(x, t), the sterile cap
@@ -294,8 +283,8 @@ def build_subsolution(params: ModelParams, c: float, lambda_bar: float,
     Rs = R2 + 1.0
     cap = sterile_upper_bound(params, lambda_bar, c, Rs)
     R_shift = Rs + np.log(max(cap.height / eps_gamma, 1.0)) / cap.rate
-    return SubsolutionFields(params, eq.upper, c, R_shift, eps_gamma, F_prof,
-                             M_prof, cap)
+    return SubsolutionFields(params, eq.upper, c, R_shift, F_prof, M_prof,
+                             cap)
 
 
 def verify_subsolution(sub: SubsolutionFields,
@@ -356,11 +345,11 @@ def verify_subsolution(sub: SubsolutionFields,
         far = react(x_far, t)
         every = np.ones(x_far.size, dtype=bool)
         reports.append(_scan_report(
-            f"far-plateau reaction t={t:g}", "sub", x_far,
+            f"far-plateau reaction t={t:g}", x_far,
             [(t, -far[which] / scale, every) for which, scale in
              (("M", p.mu_M * M_star), ("F", p.mu_F * F_star))],
             RESIDUAL_TOL))
-    return _collect("subsolution", reports)
+    return CertificateReport("subsolution", reports)
 
 
 def _sterile_reports(params: ModelParams, release: ReleaseSchedule, bound,
@@ -397,7 +386,7 @@ def verify_sterile_cap(params: ModelParams, release: ReleaseSchedule,
     males of an annulus `release`."""
     c = release.c
     cap = sterile_upper_bound(params, release.lambda_bar, c, Rs)
-    return _collect("sterile-upper-bound", _sterile_reports(
+    return CertificateReport("sterile-upper-bound", _sterile_reports(
         params, release, cap, "super",
         lambda t: (Rs + c * t - 15.0, Rs + c * t + 25.0), [Rs],
         params.mu_s * cap.height, "sterile cap", kink_scale=cap.height))
@@ -422,12 +411,12 @@ def verify_sterile_floor(profile: SterileBoundProfile) -> CertificateReport:
             c0 = abs(v_right - v_left) / s.M_hat
             c1 = abs(d_right - d_left) / slope_scale
             reports.append(ResidualReport(
-                f"C0 joint at offset {joint:g}", "sub", c0, (joint, 0.0),
-                1e-10, c0 <= 1e-10, 1))
+                f"C0 joint at offset {joint:g}", c0, (joint, 0.0), 1e-10,
+                c0 <= 1e-10, 1))
             reports.append(ResidualReport(
-                f"C1 joint at offset {joint:g}", "sub", c1, (joint, 0.0),
-                1e-10, c1 <= 1e-10, 1))
-    return _collect(f"sterile-lower-bound-{s.kind}", reports)
+                f"C1 joint at offset {joint:g}", c1, (joint, 0.0), 1e-10,
+                c1 <= 1e-10, 1))
+    return CertificateReport(f"sterile-lower-bound-{s.kind}", reports)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +481,8 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
         ("reaction margin hypothesis max(mu, eps) < mu_F",
          max(bundle.mu, bundle.eps) - p.mu_F),
     ]
-    reports += [ResidualReport(name, "sub", float(slack), None, 0.0,
-                               slack < 0.0, 1) for name, slack in hyps]
+    reports += [ResidualReport(name, float(slack), None, 0.0, slack < 0.0, 1)
+                for name, slack in hyps]
 
     # (2) Ebar <= C1 Fbar and (3) Mbar <= C2 Fbar read one streamed walk
     # of the pointwise Ebar ODE, each block as it arrives.  Mbar is solved
@@ -536,7 +525,7 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
             if row in reads:
                 kept[row] = (E_row.copy(), Mb)
             E_prev = E_row
-    reports += [ResidualReport(name, "super", worst, None, RESIDUAL_TOL,
+    reports += [ResidualReport(name, worst, None, RESIDUAL_TOL,
                                worst <= RESIDUAL_TOL, checked)
                 for name, worst, checked in (
                     ("Ebar <= C1 Fbar", worst_E, checked_E),
@@ -556,6 +545,6 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
             yield (t, resid / (p.mu_F * Fb),
                    _clear_of(x, bundle.interfaces(t), EXCLUDE_CELLS))
 
-    reports.append(_scan_report("female reaction cap", "sub", x,
-                                reaction_rows(), RESIDUAL_TOL))
-    return _collect("supersolution", reports)
+    reports.append(_scan_report("female reaction cap", x, reaction_rows(),
+                                RESIDUAL_TOL))
+    return CertificateReport("supersolution", reports)

@@ -51,7 +51,6 @@ class FrontTrace:
 class SpeedEstimate:
     speed: float
     rms: float
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -116,8 +115,7 @@ def estimate_speed(trace: FrontTrace) -> Optional[SpeedEstimate]:
     A = np.column_stack([t - t.mean(), np.ones_like(t)])
     coef, *_ = np.linalg.lstsq(A, p, rcond=None)
     resid = p - A @ coef
-    return SpeedEstimate(float(coef[0]), float(np.sqrt(np.mean(resid**2))),
-                         int(t.size))
+    return SpeedEstimate(float(coef[0]), float(np.sqrt(np.mean(resid**2))))
 
 
 def _relative_fields(traj: Trajectory, i: int, eq) -> tuple[np.ndarray, np.ndarray]:

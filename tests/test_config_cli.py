@@ -2,7 +2,9 @@ import contextlib
 import csv
 import dataclasses
 import io
+import re
 import shutil
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -94,6 +96,17 @@ class TestConfigRoundTrip:
         K = scen.params.K_at(np.linspace(0, 45, 1000))
         assert K.min() >= 150.0 - 1e-9
         assert K.max() <= 250.0 + 1e-9
+
+    def test_readme_config_example_is_the_carpet_preset(self):
+        # the README's example config must stay a working config that
+        # builds the carpet preset's run, whatever the keys or the preset's
+        # constants become
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"Config files are flat.*?```\n(.*?)```",
+                              readme, re.DOTALL)
+        scenario = ScenarioConfig.from_text(block).scenario()
+        assert _run_inputs(scenario) == _run_inputs(
+            preset("carpet").scenario())
 
 
 # For each config key: a preset, keys added to it that it ignores, and a
@@ -830,6 +843,25 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    @pytest.mark.parametrize("kind, command", [
+        ("annulus", ["verify", "--which", "sterile-bounds"]),
+        ("annulus_tail", ["simulate", "--out", "runs"])],
+        ids=["verify", "simulate"])
+    def test_steep_release_tail_does_not_overflow(self, tmp_path, capsys,
+                                                  monkeypatch, kind, command):
+        # at eta = 50 the release tail's exponential would overflow far
+        # outside R1, where the tail is not taken; the suite turns such an
+        # overflow warning into a failure
+        monkeypatch.chdir(tmp_path)
+        cfg = preset("carpet")
+        cfg.schedule.update(kind=kind, eta=50.0)
+        cfg.run["t_end"] = 2.0
+        Path("steep.cfg").write_text(cfg.to_text())
+        rc = main([command[0], "--config", "steep.cfg", *command[1:]])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert "FAIL" not in captured.out
 
     def test_narrow_annulus_floor_is_a_failed_check(self, tmp_path, capsys):
         # with R2 - R1 <= 4 the floors' plateau [R1 + 2, R2 - 2] is empty:

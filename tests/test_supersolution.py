@@ -200,8 +200,7 @@ def test_Fbar_core_decays(bundle):
 def test_ebar_far_field_equilibrium(bundle, p05, eq05):
     # a point that stays in the far region holds the egg equilibrium
     x = np.array([bundle.r2 + bundle.c * 10.0 + 30.0])
-    times, Eb = _collect(ebar_ode(bundle, x, 10.0, 0.01,
-                                  E0=np.array([eq05.upper[0]])))
+    times, Eb = _collect(ebar_ode(bundle, x, 10.0, 0.01))
     assert np.allclose(Eb, eq05.upper[0], rtol=1e-9)
 
 
@@ -248,15 +247,6 @@ def test_lower_bound_geometry_validation(p05):
             "annulus_tail", 1.0, 4.0, 32.0, 0.05, eta=-0.1), 6.0, 30.0)
 
 
-def test_tail_variant_c1_joints(p05):
-    low = make_sterile_lower_bound(p05, TAIL, 6.0, 30.0)
-    for joint in (4.0, 6.0):
-        v_left, v_right = low.one_sided_values(joint)
-        d_left, d_right = low.one_sided_slopes(joint)
-        assert v_left == pytest.approx(v_right, rel=1e-12)
-        assert d_left == pytest.approx(d_right, rel=1e-10, abs=1e-12)
-
-
 @pytest.mark.parametrize("kind, joints", [
     ("lower_annulus", (6.0, 30.0)),
     ("lower_annulus_tail", (4.0, 6.0, 30.0)),
@@ -278,14 +268,11 @@ def test_sterile_profile_joints(p05, kind, joints):
                                                      rel=1e-9)
 
 
-def test_tail_variant_floor_includes_tail(p05):
+def test_tail_variant_profile_above_floor(p05):
     low = make_sterile_lower_bound(p05, TAIL, 6.0, 30.0)
     t = 5.0
     r = np.linspace(0.0, 40.0, 2000)
     assert np.all(low(r, t) >= low.floor(r, t) - 1e-9 * low.M_hat)
-    # the floor really has an exponential inner tail
-    inner = low.floor(np.array([2.0]), 0.0)[0]
-    assert 0 < inner < low.M_hat
 
 
 def test_bundle_search_reproduces_preset_constants(p05):

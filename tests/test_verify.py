@@ -213,6 +213,27 @@ def carpet_bundle():
     return find_supersolution_bundle(params, c=CARPET_C)
 
 
+def test_lambda_bar_enters_only_the_female_cap(carpet_bundle):
+    # the release strength sets only the sterile floor, which only the
+    # female reaction cap reads: scaling lambda_bar, as a tightness
+    # bisection does, moves that check alone and leaves every other
+    # check's bits as they are
+    reps = {s: verify_supersolution(dataclasses.replace(
+                carpet_bundle, lambda_bar=s * carpet_bundle.lambda_bar),
+                t_end=15.0, n_x=600)
+            for s in (1.0, 1e-2, 1e-4)}
+    assert reps[1.0].passed and reps[1e-2].passed, str(reps[1e-2])
+    (failed,) = [r for r in reps[1e-4].reports if not r.passed]
+    assert failed.name == "female reaction cap"
+    assert failed.worst_violation == pytest.approx(0.289, rel=1e-2)
+    assert reps[1.0].reports[-1].worst_violation < 1e-10
+    for s in (1e-2, 1e-4):
+        assert [r.name for r in reps[s].reports] == [
+            r.name for r in reps[1.0].reports]
+        assert [r.worst_violation for r in reps[s].reports[:-1]] == [
+            r.worst_violation for r in reps[1.0].reports[:-1]]
+
+
 def test_supersolution_evaluates_each_Fbar_row_about_once(monkeypatch,
                                                           carpet_bundle):
     # the walk's step-end rows serve the C1 and Mbar checks, so the
