@@ -212,7 +212,8 @@ def cmd_verify(args) -> int:
     scenario = cfg.scenario()
     params = scenario.params
     sched = scenario.schedule
-    c, lam = max(sched.c, 0.01), max(sched.lambda_bar, 1.0)
+    c = sched.c if sched.c > 0 else 0.01
+    lam = sched.lambda_bar if sched.lambda_bar > 0 else 1.0
     which = args.which
     if which != "sterile-bounds" and callable(params.K):
         raise ConfigError(f"verify --which {which} needs a scalar K; this "
@@ -226,7 +227,8 @@ def cmd_verify(args) -> int:
     certificates = []
     if which in ("subsolution", "all"):
         certificates.append(("subsolution", lambda: build_subsolution(
-            params, c=c, lambda_bar=lam, R2=max(sched.R2, 1.0),
+            params, c=c, lambda_bar=lam,
+            R2=sched.R2 if sched.R2 > 0 else 1.0,
             equilibria=scenario.equilibria), verify_subsolution))
     if which in ("supersolution", "all"):
         certificates.append((

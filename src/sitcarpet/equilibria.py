@@ -187,9 +187,18 @@ def _wave_integrand(params: ModelParams, F_star: float, u: np.ndarray,
     return recruit * w * gam - params.mu_F * u
 
 
-def _simpson_uniform(y: np.ndarray, h: float) -> float:
-    # composite Simpson on an even number of uniform panels
-    return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
+def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative integral of y on an odd number of uniform nodes h apart,
+    Simpson-accurate at every node.
+
+    Even nodes accumulate standard Simpson panel pairs; odd nodes add the
+    integral of the local quadratic through their three surrounding nodes.
+    """
+    cum = np.zeros(y.size)
+    cum[2::2] = np.cumsum(h / 3.0 * (y[:-2:2] + 4.0 * y[1::2] + y[2::2]))
+    cum[1::2] = cum[:-1:2] + h / 12.0 * (5.0 * y[:-2:2] + 8.0 * y[1::2]
+                                          - y[2::2])
+    return cum
 
 
 def potential_G(params: ModelParams, F_star: float, F: float,
@@ -206,7 +215,7 @@ def potential_G(params: ModelParams, F_star: float, F: float,
         return 0.0
     u = np.linspace(0.0, F, PANELS + 1)
     y = _wave_integrand(params, F_star, u, eps)
-    return float(_simpson_uniform(y, F / PANELS))
+    return float(cumulative_simpson(y, F / PANELS)[-1])
 
 
 def solve_m0(zeta: float) -> float:

@@ -30,6 +30,7 @@ from .equilibria import (
     EquilibriumSet,
     _wave_integrand,
     bisect,
+    cumulative_simpson,
     phi0,
     potential_G,
     scale_until,
@@ -177,34 +178,6 @@ def halfline_green_lower_bound(mu: float, psi_at_x, x):
     return np.asarray(psi_at_x, dtype=float) * (-np.expm1(-2.0 * np.sqrt(mu) * x)) / (2.0 * mu)
 
 
-def _cumulative_simpson_uniform(y: np.ndarray, h: float) -> np.ndarray:
-    """Cumulative integral on a uniform grid, Simpson-accurate at every node.
-
-    Even nodes accumulate standard Simpson panel pairs; odd nodes add the
-    integral of the local quadratic through their three surrounding nodes.
-    """
-    n = y.size
-    cum = np.zeros(n)
-    if n < 2:
-        return cum
-    if n == 2:
-        cum[1] = 0.5 * h * (y[0] + y[1])
-        return cum
-    n_pairs = (n - 1) // 2
-    pans = h / 3.0 * (y[0:2 * n_pairs - 1:2] + 4.0 * y[1:2 * n_pairs:2]
-                      + y[2:2 * n_pairs + 1:2])
-    cum[2:2 * n_pairs + 1:2] = np.cumsum(pans)
-    # odd node 2k+1 with forward neighbor 2k+2 available
-    n_mid = pans.size
-    mids = h / 12.0 * (5.0 * y[0:2 * n_mid:2] + 8.0 * y[1:2 * n_mid + 1:2]
-                       - y[2:2 * n_mid + 2:2])
-    cum[1:2 * n_mid + 1:2] = cum[0:2 * n_mid:2] + mids
-    if n % 2 == 0:
-        # trailing odd cell: quadratic through the last three nodes
-        cum[-1] = cum[-2] + h / 12.0 * (-y[-3] + 8.0 * y[-2] + 5.0 * y[-1])
-    return cum
-
-
 def find_eps0(params: ModelParams, F_star: float) -> Optional[float]:
     """A sterile-tail amplitude eps with G_eps(F*) > 0, halved for safety.
 
@@ -227,7 +200,7 @@ def _locate_maximizer(pw: ModelParams, F_star: float, eps):
     """
     F_scan = np.linspace(0.0, F_star, _SCAN_NODES + 1)
     integrand = _wave_integrand(pw, F_star, F_scan, eps)
-    G_scan = _cumulative_simpson_uniform(integrand, F_star / _SCAN_NODES)
+    G_scan = cumulative_simpson(integrand, F_star / _SCAN_NODES)
     i_max = int(np.argmax(G_scan))
     if G_scan[i_max] <= 0.0:
         return None

@@ -497,31 +497,24 @@ class SterileBoundProfile:
                         [amp * f(s) for _, amp, f, _ in pieces])
         return out if out.ndim else float(out)
 
-    def _one_sided(self, s_joint: float, column: int) -> tuple[float, float]:
-        # pick each side's piece by nudging off the offset, then evaluate that
-        # piece's own closed form at the offset itself
-        s = s_joint / np.sqrt(self.params.D)
-        nudge = 1e-9 * max(abs(s), 1.0)
-        pieces = self._pieces()
-        out = []
-        for q in (s - nudge, s + nudge):
-            piece = pieces[_piece_index(pieces, q)]
-            out.append(float(piece[1] * piece[column](s)))
-        return out[0], out[1]
+    def one_sided(self, s_joint: float) -> tuple[tuple, tuple]:
+        """Analytic left/right limits and left/right derivatives of the
+        shape at a physical offset: ((v_left, v_right), (d_left, d_right)).
 
-    def one_sided_slopes(self, s_joint: float) -> tuple[float, float]:
-        """Analytic left/right derivatives of the shape at a physical offset.
-
-        Used to certify C1 matching at the piece joints exactly (no finite
+        Each side's piece is picked by nudging off the offset, then its own
+        closed form is evaluated at the offset itself, so C0 and C1
+        matching at the piece joints is certified exactly (no finite
         differencing).  Derivatives are per physical length.
         """
-        left, right = self._one_sided(s_joint, 3)
         sd = np.sqrt(self.params.D)
-        return left / sd, right / sd
-
-    def one_sided_values(self, s_joint: float) -> tuple[float, float]:
-        """Analytic left/right limits of the shape at a physical offset."""
-        return self._one_sided(s_joint, 2)
+        s = s_joint / sd
+        nudge = 1e-9 * max(abs(s), 1.0)
+        pieces = self._pieces()
+        sides = [pieces[_piece_index(pieces, q)]
+                 for q in (s - nudge, s + nudge)]
+        values = tuple(float(amp * f(s)) for _, amp, f, _ in sides)
+        slopes = tuple(float(amp * df(s)) / sd for _, amp, _, df in sides)
+        return values, slopes
 
     def __call__(self, x, t):
         r = np.abs(np.asarray(x, dtype=float))

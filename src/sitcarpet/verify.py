@@ -9,6 +9,12 @@ admissibility is certified separately through the one-sided radial
 derivative jump: a sub-solution kink must not decrease the outward slope, a
 super-solution kink must not increase it.
 
+Every scanned check (each residual, the Ebar and Mbar bounds, the female
+reaction cap and the far plateau) finds its worst violation and its (x, t)
+by one masked scan, `_worst_violation`, over rows or blocks of rows; a
+NaN among the checked nodes is the worst violation.  A check passes when
+at least one node was checked and its worst violation is below its tol.
+
 The drivers below assemble the full certificates: the translating stationary
 pair as a sub-solution of the four-field system, the moving-cap bundle as a
 super-solution, and the translating sterile-male upper/lower bounds.  For
@@ -73,14 +79,14 @@ class ResidualReport:
     worst_violation: float     # max amount by which the sign was violated
     location: Optional[tuple]  # (x, t) of the worst violation
     tol: float
-    passed: bool
     checked_nodes: int
     reason: str = ""  # why no node was checked, if none was
 
-    def __post_init__(self):
-        # a check over no node shows nothing, so it fails
-        if not self.checked_nodes:
-            self.passed = False
+    @property
+    def passed(self) -> bool:
+        """At least one node checked (a check over none shows nothing) and
+        the worst violation below tol (a NaN is not)."""
+        return self.checked_nodes > 0 and self.worst_violation < self.tol
 
     def __str__(self):
         if not self.checked_nodes:
@@ -150,27 +156,33 @@ def _scan_report(name: str, x: np.ndarray, rows, tol: float,
     is not consumed then, so a lazy scan evaluates nothing."""
     stall = np.flatnonzero(~(x[1:] > x[:-1]))
     if stall.size:
-        return ResidualReport(name, -np.inf, None, tol, False, 0,
+        return ResidualReport(name, -np.inf, None, tol, 0,
                               f"the grid stops increasing at x = "
                               f"{x[stall[0]]:.6g}")
     worst, loc, checked = _worst_violation(x, rows)
-    return ResidualReport(name, worst, loc, tol, worst <= tol, checked, reason)
+    return ResidualReport(name, worst, loc, tol, checked, reason)
 
 
 def _worst_violation(x: np.ndarray, rows) -> tuple:
     """(worst, its (x, t), nodes checked) over rows (t, v, mask): v the
-    violation at the nodes x, mask the nodes checked; worst -inf if none,
-    and NaN, located at the first one, if any checked node is NaN."""
+    violation at the nodes x, one row at the time t or a block of rows,
+    one per entry of the times t; mask the nodes checked, None for every
+    node.  worst is -inf if no node is checked, and NaN, located at the
+    first one, if any checked node is NaN."""
     worst, loc, checked = -np.inf, None, 0
     for t, v, mask in rows:
-        if not mask.any():
-            continue
-        v = v[mask]
-        k = int(np.argmax(v))  # the first NaN, if there is one
+        if mask is not None:
+            if not mask.any():
+                continue
+            v = v[..., mask]
+        v = v.reshape(-1, v.shape[-1])
+        # the first NaN, if there is one
+        i, j = divmod(int(np.argmax(v)), v.shape[1])
         # a NaN is the worst violation, and the first one found stays
-        if v[k] > worst or (math.isnan(v[k]) and not math.isnan(worst)):
-            worst = float(v[k])
-            loc = (float(x[mask][k]), float(t))
+        if v[i, j] > worst or (math.isnan(v[i, j]) and not math.isnan(worst)):
+            worst = float(v[i, j])
+            loc = (float(x[j] if mask is None else x[mask][j]),
+                   float(np.reshape(t, -1)[i]))
         checked += v.size
     return worst, loc, checked
 
@@ -189,8 +201,8 @@ def jump_check(field_fn: Callable, interface_x: float, t: float, sign: str, *,
     outward slope jump >= 0, a super-solution <= 0.
     """
     if interface_x + JUMP_H == interface_x:
-        return ResidualReport(name, -np.inf, (interface_x, t), JUMP_TOL,
-                              False, 0, "the one-sided step rounds to 0 at "
+        return ResidualReport(name, -np.inf, (interface_x, t), JUMP_TOL, 0,
+                              "the one-sided step rounds to 0 at "
                               f"x = {interface_x:.6g}")
 
     def one_sided(x0, direction):
@@ -201,8 +213,8 @@ def jump_check(field_fn: Callable, interface_x: float, t: float, sign: str, *,
 
     jump = one_sided(interface_x, +1.0) - one_sided(interface_x, -1.0)
     violation = (-jump if sign == "sub" else jump) / scale
-    return ResidualReport(name, float(violation), (interface_x, t), JUMP_TOL,
-                          violation <= JUMP_TOL, 1)
+    return ResidualReport(name, float(violation), (interface_x, t),
+                          JUMP_TOL, 1)
 
 
 @dataclass
@@ -343,10 +355,9 @@ def verify_subsolution(sub: SubsolutionFields,
         # the sub-solution inequality reduces to reaction nonnegativity
         x_far = xg[-1] + np.linspace(0.5, 60.0, 200)
         far = react(x_far, t)
-        every = np.ones(x_far.size, dtype=bool)
         reports.append(_scan_report(
             f"far-plateau reaction t={t:g}", x_far,
-            [(t, -far[which] / scale, every) for which, scale in
+            [(t, -far[which] / scale, None) for which, scale in
              (("M", p.mu_M * M_star), ("F", p.mu_F * F_star))],
             RESIDUAL_TOL))
     return CertificateReport("subsolution", reports)
@@ -406,16 +417,13 @@ def verify_sterile_floor(profile: SterileBoundProfile) -> CertificateReport:
         # C0/C1 matching at the two joints, from the analytic piece formulas
         slope_scale = s.M_hat * max(s.eta, 1.0) / np.sqrt(p.D)
         for joint in (rel.R1, s.r1):
-            v_left, v_right = s.one_sided_values(joint)
-            d_left, d_right = s.one_sided_slopes(joint)
+            (v_left, v_right), (d_left, d_right) = s.one_sided(joint)
             c0 = abs(v_right - v_left) / s.M_hat
             c1 = abs(d_right - d_left) / slope_scale
             reports.append(ResidualReport(
-                f"C0 joint at offset {joint:g}", c0, (joint, 0.0), 1e-10,
-                c0 <= 1e-10, 1))
+                f"C0 joint at offset {joint:g}", c0, (joint, 0.0), 1e-10, 1))
             reports.append(ResidualReport(
-                f"C1 joint at offset {joint:g}", c1, (joint, 0.0), 1e-10,
-                c1 <= 1e-10, 1))
+                f"C1 joint at offset {joint:g}", c1, (joint, 0.0), 1e-10, 1))
     return CertificateReport(f"sterile-lower-bound-{s.kind}", reports)
 
 
@@ -439,10 +447,10 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
     with Ms_floor the sterile floor on the annulus and Ebar, Mbar the
     computed rows at the first step at or after each check time: fF grows
     with E and M, so the caps stand in for the fields they bound.  One
-    streamed Ebar walk serves (2), (3) and (4): each block of rows is used
-    as it arrives and then dropped, and only the five Ebar and Mbar rows
-    that (4) reads are kept, so memory stays bounded whatever the number
-    of steps.
+    streamed Ebar walk serves (2), (3) and (4): each block of rows is
+    scanned as it arrives and then dropped, and only Mbar's excess at its
+    check rows (fewer than 40) and the five Ebar and Mbar rows that (4)
+    reads are kept, so memory stays bounded whatever the number of steps.
     """
     p = bundle.params
     reports = []
@@ -481,7 +489,7 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
         ("reaction margin hypothesis max(mu, eps) < mu_F",
          max(bundle.mu, bundle.eps) - p.mu_F),
     ]
-    reports += [ResidualReport(name, float(slack), None, 0.0, slack < 0.0, 1)
+    reports += [ResidualReport(name, float(slack), None, 0.0, 1)
                 for name, slack in hyps]
 
     # (2) Ebar <= C1 Fbar and (3) Mbar <= C2 Fbar read one streamed walk
@@ -503,33 +511,34 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
     ab[1, :] += dt * p.mu_M
     lu = factor_diffusion(ab)
     source = dt * (1.0 - p.rho) * p.nu_E  # the Mbar source per unit Ebar
-    worst_E = worst_M = -np.inf
-    checked_E = checked_M = 0
-    for block in ebar_ode(bundle, x, t_end, dt):
-        cap = bundle.C1 * block.Fbar
-        excess = block.Ebar - cap
-        worst_E = max(worst_E,
-                      float(np.max(np.divide(excess, cap, out=excess))))
-        checked_E += block.Ebar.size
-        for row, (F_row, E_row) in enumerate(zip(block.Fbar, block.Ebar),
-                                             block.start):
-            if row == 0:
-                Mb = np.minimum(bundle.C0 * F_row,
-                                slaved_M(p, slaved_E(p, F_row)))
-            else:
-                Mb = solve_banded(lu, Mb + source * E_prev)
-            if row in checks:
-                cap = bundle.C2 * F_row
-                worst_M = max(worst_M, float(np.max((Mb - cap) / cap)))
-                checked_M += Mb.size
-            if row in reads:
-                kept[row] = (E_row.copy(), Mb)
-            E_prev = E_row
-    reports += [ResidualReport(name, worst, None, RESIDUAL_TOL,
-                               worst <= RESIDUAL_TOL, checked)
-                for name, worst, checked in (
-                    ("Ebar <= C1 Fbar", worst_E, checked_E),
-                    ("Mbar <= C2 Fbar", worst_M, checked_M))]
+    mbar_rows = []
+
+    def ebar_rows():
+        """Each block's Ebar excess over its cap; then the block's Mbar
+        steps, which append Mbar's excess at the rows in `checks` to
+        mbar_rows and keep the rows in `reads`."""
+        for block in ebar_ode(bundle, x, t_end, dt):
+            cap = bundle.C1 * block.Fbar
+            excess = block.Ebar - cap
+            yield block.times, np.divide(excess, cap, out=excess), None
+            for row, (F_row, E_row) in enumerate(
+                    zip(block.Fbar, block.Ebar), block.start):
+                if row == 0:
+                    Mb = np.minimum(bundle.C0 * F_row,
+                                    slaved_M(p, slaved_E(p, F_row)))
+                else:
+                    Mb = solve_banded(lu, Mb + source * E_prev)
+                if row in checks:
+                    cap = bundle.C2 * F_row
+                    mbar_rows.append((times[row], (Mb - cap) / cap, None))
+                if row in reads:
+                    kept[row] = (E_row.copy(), Mb)
+                E_prev = E_row
+
+    reports.append(_scan_report("Ebar <= C1 Fbar", x, ebar_rows(),
+                                RESIDUAL_TOL))
+    reports.append(_scan_report("Mbar <= C2 Fbar", x, mbar_rows,
+                                RESIDUAL_TOL))
 
     # (4) reaction-side inequality on the kept Ebar and Mbar rows
     floor = make_sterile_lower_bound(

@@ -4,7 +4,8 @@
 hook whose target was renamed or deleted is skipped without an error, and
 every per-layer metric that needs it drops out of a traced result, so a
 rename has to fail here first.  A target that still exists but is no longer
-called reads 0, so the per-step targets are counted over a run.
+called reads 0, so the per-step targets are counted over a run, and the
+certificate counters over a short certificate.
 """
 
 import importlib
@@ -15,7 +16,9 @@ from pathlib import Path
 import pytest
 
 from sitcarpet import solver
-from sitcarpet.config import preset
+from sitcarpet.config import CARPET_C, preset
+from sitcarpet.supersolution import find_supersolution_bundle, walk_times
+from sitcarpet.verify import verify_supersolution
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -59,3 +62,27 @@ def test_step_hooks_are_reached(layers, monkeypatch, name, releases):
     assert calls == {"reaction_arrays": traj.n_steps,
                      "solve_banded": traj.n_steps,
                      "release_value": traj.n_steps if releases else 0}
+
+
+def test_certificate_hooks_are_reached(layers):
+    # the certify counters, installed as the benchmark installs them: one
+    # Mbar solve per step of the Ebar walk through verify's solve_banded,
+    # and Fbar through supersolution's assemble_Fbar; a solve or an Fbar
+    # evaluation that stopped going through these names would zero
+    # verify.mbar_solves or supersolution.assemble_Fbar_calls
+    tracing = importlib.import_module("tracing")
+    names = ("verify.solve_banded", "supersolution.assemble_Fbar")
+    hooks = [hook for hook in layers.HOOKS if hook.name in names]
+    assert sorted(hook.name for hook in hooks) == sorted(names)
+    bundle = find_supersolution_bundle(preset("carpet").scenario().params,
+                                       c=CARPET_C)
+    tracer = tracing.Tracer()
+    restore, missing = tracing.install(tracer, hooks)
+    try:
+        verify_supersolution(bundle, t_end=5.0, n_x=300)
+    finally:
+        restore()
+    assert missing == []
+    assert tracer.counts["verify.solve_banded"] == (
+        walk_times(5.0, 0.02)[0].size - 1)
+    assert tracer.counts["supersolution.assemble_Fbar"] > 0

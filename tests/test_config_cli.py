@@ -14,6 +14,7 @@ import sitcarpet.cli as cli_mod
 import sitcarpet.solver as solver_mod
 from sitcarpet.cli import main, simulate_to_dir
 from sitcarpet.config import (
+    CARPET_R2,
     ConfigError,
     KNOWN_KEYS,
     PRESET_NAMES,
@@ -198,7 +199,7 @@ class TestCli:
         assert any(p.name == "analysis.txt" for d in tmp_path.iterdir()
                    for p in d.iterdir())
 
-    def test_config_error_exit_code(self, tmp_path):
+    def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("model.rho = 2.0\nrun.t_end = 1\ngrid.kind = radial2d\n"
                        "grid.r_max = 5\ngrid.n = 11\n")
@@ -206,6 +207,15 @@ class TestCli:
         assert rc == 2
         rc = main(["simulate", "--out", str(tmp_path)])
         assert rc == 2
+        # a preset and a config together are refused, naming both flags,
+        # before anything is written
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = main(["simulate", "--preset", "fig1", "--config", str(bad),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and "--preset" in err and "--config" in err
+        assert not out.exists()
 
     @staticmethod
     def _simulate_fig1_with(tmp_path, capsys, key, value):
@@ -231,6 +241,7 @@ class TestCli:
         ("schedule.c", float("nan")), ("schedule.c", float("inf")),
         ("schedule.lambda_bar", float("nan")),
         ("schedule.lambda_bar", float("inf")),
+        ("schedule.lambda_bar", -1.0),
         ("schedule.eta", float("nan"))])
     def test_bad_release_input_exits_2(self, tmp_path, capsys, key, value):
         # caught when the config is read, not after the whole carpet run
@@ -243,6 +254,23 @@ class TestCli:
         rc = main(["simulate", "--config", str(path), "--out", str(out)])
         assert rc == 2
         assert f"schedule: {name} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("initial.u0", 1.5, "initial: u0 must be in [0, 1)"),
+        ("initial.R0_0", CARPET_R2 + 5.0, "initial: need 0 < R0_0 < R0_1")])
+    def test_bad_initial_data_exits_2(self, tmp_path, capsys, key, value,
+                                      message):
+        # the carpet's R0_1 is CARPET_R2 + 5
+        cfg = preset("carpet")
+        sec, name = key.split(".", 1)
+        getattr(cfg, sec)[name] = value
+        path = tmp_path / "initial.cfg"
+        path.write_text(cfg.to_text())
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,key,value", [
@@ -862,6 +890,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert rc == 0 and captured.err == ""
         assert "FAIL" not in captured.out
+
+    def test_verify_reads_a_slow_release_as_given(self, tmp_path, capsys):
+        # a release speed below the 0.01 that stands in for an unset one is
+        # the schedule's own: its bundle is not the one at c = 0.01
+        outs = []
+        for c in (0.005, 0.01):
+            cfg = preset("carpet")
+            cfg.schedule["c"] = c
+            path = tmp_path / "slow.cfg"
+            path.write_text(cfg.to_text())
+            rc = main(["verify", "--config", str(path), "--which",
+                       "supersolution"])
+            assert rc == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] != outs[1]
 
     def test_narrow_annulus_floor_is_a_failed_check(self, tmp_path, capsys):
         # with R2 - R1 <= 4 the floors' plateau [R1 + 2, R2 - 2] is empty:

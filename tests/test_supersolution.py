@@ -257,8 +257,7 @@ def test_sterile_profile_joints(p05, kind, joints):
     assert low.kind == kind
     h = 1e-6
     for joint in joints:
-        v_left, v_right = low.one_sided_values(joint)
-        d_left, d_right = low.one_sided_slopes(joint)
+        (v_left, v_right), (d_left, d_right) = low.one_sided(joint)
         assert v_left == pytest.approx(v_right, rel=1e-12)
         assert d_left == pytest.approx(d_right, rel=1e-10, abs=1e-12)
         # shape() just off the joint follows each side's closed form

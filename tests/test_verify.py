@@ -15,6 +15,7 @@ from sitcarpet.supersolution import (
     walk_times,
 )
 from sitcarpet.verify import (
+    ResidualReport,
     build_subsolution,
     jump_check,
     verify_inequality,
@@ -114,7 +115,25 @@ def test_a_nan_among_the_checked_nodes_fails_the_check():
                             xg, [1.0, 2.0], D=1.0, radial=False)
     assert not rep.passed and np.isnan(rep.worst_violation)
     assert rep.checked_nodes == 2 * 196
+    assert rep.location == (xg[100], 1.0)
     assert str(rep).startswith("[FAIL] residual: worst violation nan")
+
+
+def test_a_worst_violation_equal_to_tol_fails():
+    # a residual of exactly +0.5 everywhere against a tol of 0.5: a check
+    # passes only below its tol
+    def field(x, t):
+        return np.ones(np.shape(x))
+
+    def react(x, t, u):
+        return np.full(np.shape(x), -0.5)
+
+    xg = np.linspace(0.5, 5.0, 200)
+    rep = verify_inequality(field, react, "sub", xg, [1.0], D=1.0,
+                            radial=False, tol=0.5)
+    assert rep.worst_violation == 0.5 and not rep.passed
+    assert not ResidualReport("kink", 1e-7, None, 1e-7, 1).passed
+    assert ResidualReport("kink", -1e-7, None, 1e-7, 1).passed
 
 
 def test_subsolution_certificate(subsolution_05):
@@ -211,6 +230,28 @@ def test_supersolution_evaluates_Fbar_in_time_blocks(monkeypatch):
 def carpet_bundle():
     params = preset("carpet").scenario().params
     return find_supersolution_bundle(params, c=CARPET_C)
+
+
+@pytest.mark.parametrize("constant, bound, other", [
+    ("C1", "Ebar <= C1 Fbar", "Mbar <= C2 Fbar"),
+    ("C2", "Mbar <= C2 Fbar", "Ebar <= C1 Fbar")], ids=["C1", "C2"])
+def test_a_nan_cap_constant_fails_its_own_bound(carpet_bundle, constant,
+                                                bound, other):
+    # a NaN cap makes every node of its bound NaN: that bound fails with a
+    # NaN worst violation, located at its first node, and the other holds
+    rep = verify_supersolution(
+        dataclasses.replace(carpet_bundle, **{constant: np.nan}),
+        t_end=15.0, n_x=600)
+    reports = {r.name: r for r in rep.reports}
+    bad, good = reports[bound], reports[other]
+    assert not rep.passed
+    assert not bad.passed and np.isnan(bad.worst_violation)
+    assert good.passed and good.worst_violation < 0.0
+    x = Grid.radial(carpet_bundle.r2 + carpet_bundle.c * 15.0 + 12.0, 600).x
+    first_t = 0.0 if constant == "C1" else 0.02
+    assert bad.location == (x[0], first_t)
+    assert good.location[0] in x and 0.0 <= good.location[1] <= 15.0
+    assert [r.name for r in rep.reports if not r.passed] == [bound]
 
 
 def test_lambda_bar_enters_only_the_female_cap(carpet_bundle):

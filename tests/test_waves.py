@@ -125,7 +125,9 @@ class TestSterileCost:
         assert ratios[0] > ratios[1] > ratios[2]
 
     def _quadrature_total(self, s, T):
-        r = np.linspace(0, s.R2 + s.c * T + 30 / max(s.eta, 0.3), 6000)
+        # no release lies beyond the outer edge, so the radii end there
+        r = np.linspace(0, s.R2 + (0.0 if s.kind == "fixed_region"
+                                   else s.c * T), 6000)
         t = np.linspace(0, T, 2000)
         tot = 0.0
         for ti in t:
@@ -145,7 +147,9 @@ class TestSterileCost:
                                   R2=R2, c=c),
                   ReleaseSchedule(kind="disc", lambda_bar=lam, R2=R2, c=c),
                   ReleaseSchedule(kind="annulus_tail", lambda_bar=lam, R1=R1,
-                                  R2=R2, c=c, eta=float(rng.uniform(0.2, 1)))):
+                                  R2=R2, c=c, eta=float(rng.uniform(0.2, 1))),
+                  ReleaseSchedule(kind="fixed_region", lambda_bar=lam, R1=R1,
+                                  R2=R2, c=c)):
             assert sterile_cost(s, T) == pytest.approx(
                 self._quadrature_total(s, T), rel=1e-3)
 
