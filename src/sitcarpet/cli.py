@@ -32,7 +32,7 @@ from .solver import (ReleaseSchedule, Scenario, SolverError, batch_key,
                      run, run_batch)
 from .supersolution import (CertificateUnavailable,
                             find_supersolution_bundle,
-                            make_sterile_lower_bound)
+                            make_sterile_lower_bound, sterile_upper_bound)
 from .verify import (
     CertificateReport,
     build_subsolution,
@@ -223,23 +223,28 @@ def cmd_verify(args) -> int:
         # with no positive equilibrium there is nothing to certify:
         # SolverError (exit 3) before any check runs, as in `simulate`
         scenario.upper
+    # one release annulus and one sterile cap for every certificate: the
+    # cap's edge is beyond the annulus and the initial sterile dose
+    R1, R2, eta = _release_geometry(sched)
+    annulus = ReleaseSchedule("annulus", lam, R1, R2, c)
+    Rs = R2 + 1.0
+    if scenario.initial.kind == "well_prepared":
+        Rs = max(Rs, scenario.initial.R0_1)
+    cap = sterile_upper_bound(params, lam, c, Rs)
     # (name, build, check) per certificate asked for, in report order
     certificates = []
     if which in ("subsolution", "all"):
         certificates.append(("subsolution", lambda: build_subsolution(
-            params, c=c, lambda_bar=lam,
-            R2=sched.R2 if sched.R2 > 0 else 1.0,
-            equilibria=scenario.equilibria), verify_subsolution))
+            params, cap, equilibria=scenario.equilibria),
+            verify_subsolution))
     if which in ("supersolution", "all"):
         certificates.append((
             "supersolution", lambda: find_supersolution_bundle(
                 params, c=c, equilibria=scenario.equilibria), _verify_bundle))
     if which in ("sterile-bounds", "all"):
-        R1, R2, eta = _release_geometry(sched)
-        annulus = ReleaseSchedule("annulus", lam, R1, R2, c)
         certificates.append(("sterile-upper-bound", lambda: annulus,
                              lambda rel: verify_sterile_cap(params, rel,
-                                                            Rs=R2 + 1.0)))
+                                                            cap)))
         # r1 < r2 needs R2 - R1 > 4
         for rel in (annulus, replace(annulus, kind="annulus_tail", eta=eta)):
             certificates.append((

@@ -201,20 +201,41 @@ def slaved_M(params: ModelParams, E):
     return params.male_recruitment * E / params.mu_M
 
 
-def egg_rate(params: ModelParams | RateRows, E, F, K, bF=None, out=None):
-    """Egg rate b F (1 - E/K) - (mu_E + nu_E) E; K already sampled.
+def well_prepared_start(params: ModelParams, F, C0: float, K):
+    """E and M of a well-prepared start with females F: the slaved values
+    E(F) and M(E), each capped by C0 F, and E by K (sampled)."""
+    E = np.minimum(np.minimum(slaved_E(params, F, K=K), C0 * F), K)
+    return E, np.minimum(slaved_M(params, E), C0 * F)
 
-    bF, if given, is b F already formed, and F is not read: stages that
-    share F form it once.  out, if given, is an array that receives the
-    rate in place of fresh temporaries.  The operations and operands are
-    the same either way, so are the bits.
-    """
-    if bF is None:
-        bF = params.b * F
-    rate = np.divide(E, K, out=out)
-    rate = np.subtract(1.0, rate, out=out)
-    rate = np.multiply(bF, rate, out=out)
-    return np.subtract(rate, params.egg_loss * E, out=out)
+
+def egg_rates(params: ModelParams | RateRows, E, F, K):
+    """(fE, a): the egg rate fE = b F (1 - E/K) - (mu_E + nu_E) E and the
+    egg loss rate a = b F / K + mu_E + nu_E, so that fE = b F - a E; K
+    already sampled.  b F is formed once, and each is computed in place."""
+    bF = params.b * F
+    fE = np.divide(E, K, out=np.empty(np.shape(E)))
+    np.subtract(1.0, fE, out=fE)
+    fE *= bF
+    fE -= params.egg_loss * E
+    a = np.divide(bF, K, out=bF)
+    a += params.egg_loss
+    return fE, a
+
+
+def egg_step(E, fE, a, h: float, K, out=None):
+    """The egg equation's exact step over h with F frozen, from the rates
+    fE and a of `egg_rates`: E - expm1(-a h) / a fE, that is e^{-a h} E +
+    (1 - e^{-a h}) b F / a, clipped to [0, K] against roundoff; `out`, if
+    given, receives it.  It grows with E, and with F for E <= K (the
+    `solver` docstring's part 1)."""
+    r = np.multiply(a, -h)
+    np.expm1(r, out=r)
+    r /= a
+    r *= fE
+    out = np.subtract(E, r, out=out)
+    # clipped in place: np.clip would cost twice as much
+    np.maximum(out, 0.0, out=out)
+    return np.minimum(out, K, out=out)
 
 
 def reaction_arrays(params: ModelParams | RateRows, y, lam, K):
@@ -224,8 +245,8 @@ def reaction_arrays(params: ModelParams | RateRows, y, lam, K):
     Returns (fE, a, f): the egg rate fE, the egg loss rate a = b F / K +
     mu_E + nu_E (so fE = b F - a E), and the rates of the diffusing fields
     as the rows of f: M, F and Ms, or only M and F when lam is None, which
-    means there are no sterile males (Ms is +0.0 and stays so).  b F is
-    computed once for fE and a, and M and F go through their rates as one
+    means there are no sterile males (Ms is +0.0 and stays so).  fE and a
+    come from `egg_rates`, and M and F go through their rates as one
     (2, ...) block; each element gets the operations it would get alone.
 
     With RateRows, y is (4, S, n), K (S, n) and lam (n,) or (S, n); with one
@@ -234,10 +255,7 @@ def reaction_arrays(params: ModelParams | RateRows, y, lam, K):
     """
     y = np.asarray(y, dtype=float)
     E, M, F, Ms = y
-    bF = params.b * F
-    fE = egg_rate(params, E, None, K, bF=bF, out=np.empty(E.shape))
-    a = np.divide(bF, K, out=bF)
-    a += params.egg_loss
+    fE, a = egg_rates(params, E, F, K)
     rec, mort = params.recruitment, params.mortality
     if rec.ndim < y.ndim:  # one ModelParams: (2,) rates against (...) rows
         shape = (2,) + (1,) * (y.ndim - 1)

@@ -106,8 +106,8 @@ import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .equilibria import EquilibriumSet, solve_equilibria
-from .model import (ModelParams, RateRows, reaction_arrays, slaved_E,
-                    slaved_M)
+from .model import (ModelParams, RateRows, egg_step, reaction_arrays,
+                    well_prepared_start)
 
 CLAMP_COUNT_THRESHOLD = 1e-12
 CLAMP_FAIL_THRESHOLD = 1e-9
@@ -318,8 +318,7 @@ def make_initial(scenario: Scenario) -> SimState:
     C0 = max(E_star / F_star, M_star / F_star)
     ramp = np.clip((data.R0_1 - r) / (data.R0_1 - data.R0_0), 0.0, 1.0)
     F0 = F_star * (data.u0 * ramp + (1.0 - ramp))
-    E0 = np.minimum(np.minimum(slaved_E(params, F0, K=K), C0 * F0), K)
-    M0 = np.minimum(slaved_M(params, E0), C0 * F0)
+    E0, M0 = well_prepared_start(params, F0, C0, K)
     Ms0 = (lambda_bar / params.mu_s) * ramp
 
     # self-check of the well-prepared bounds
@@ -502,17 +501,10 @@ def step(state: SimState, batch: Batch,
     lam = _release(batch, state.t) if k == 3 else None
     fE, a, f = reaction_arrays(batch.rates, y, lam, K)
     # exact steps u + h(r) f with h(r) = -expm1(-r dt) / r and r the loss
-    # rate of u: a at each node for E, mu_u for M, F and Ms, in place with
-    # the operands of E - expm1(-dt a) / a fE and u - (-h) f.  E is clipped
-    # to [0, K] against roundoff (np.clip would cost twice as much).
+    # rate of u: a at each node for E (`egg_step`), mu_u for M, F and Ms,
+    # in place with the operands of u - (-h) f
     new = np.empty(y.shape)
-    r = np.multiply(a, -batch.dt)
-    np.expm1(r, out=r)
-    r /= a
-    r *= fE
-    np.subtract(y[0], r, out=new[0])
-    np.maximum(new[0], 0.0, out=new[0])
-    np.minimum(new[0], K, out=new[0])
+    egg_step(y[0], fE, a, batch.dt, K, out=new[0])
     u = new[1:1 + k]  # M, F(, Ms): the rows the solve updates
     f *= batch.neg_h
     np.subtract(y[1:1 + k], f, out=u)

@@ -28,7 +28,8 @@ import numpy as np
 
 from .equilibria import (EquilibriumSet, bisect, scale_until,
                          solve_equilibria)
-from .model import ModelParams, egg_rate, slaved_E
+from .model import (ModelParams, egg_rates, egg_step,
+                    well_prepared_start)
 from .solver import ReleaseSchedule
 
 
@@ -152,7 +153,7 @@ class SupersolutionBundle:
 # Rows per assemble_Fbar call when a caller walks a long time column: one
 # (FBAR_BLOCK, n_x) block at a time keeps peak memory flat in the number of
 # times, where the whole (n_t, n_x) table would grow with it.  The block
-# and its b Fbar buffers are most of the walk's memory (assemble_Fbar's
+# and its Ebar rows are most of the walk's memory (assemble_Fbar's
 # temporaries stay within _BAND_VALUES values), so this also sets the
 # walk's peak.
 FBAR_BLOCK = 40
@@ -160,15 +161,14 @@ FBAR_BLOCK = 40
 _BAND_VALUES = 8192
 
 
-def assemble_Fbar(bundle: SupersolutionBundle, x, t, out=None):
+def assemble_Fbar(bundle: SupersolutionBundle, x, t):
     """Piecewise female cap Fbar(x, t); continuous, radially nondecreasing.
 
     A scalar t gives an array shaped like x (a float for a scalar x).  A
     time array t gives the block of shape (*t.shape, *x.shape), one row
     per time; each row is bitwise equal to the scalar-t call, since every
     node goes through the same elementwise operations.  Callers walking
-    many times pass FBAR_BLOCK of them per call, and may pass a
-    C-contiguous `out` of the block's shape to receive it.
+    many times pass FBAR_BLOCK of them per call.
 
     On the radii sorted nondecreasing (x is sorted first unless |x|
     already is), Omega_k is one run of columns per row, found by
@@ -195,8 +195,7 @@ def assemble_Fbar(bundle: SupersolutionBundle, x, t, out=None):
     edges[4] = r.size
     F_star = bundle.F_star
     a = bundle.alpha(ts)
-    out = (np.empty((ts.shape[0], r.size)) if out is None
-           else out.reshape(ts.shape[0], r.size))
+    out = np.empty((ts.shape[0], r.size))
     if out.size:
         inner, ramp, bridge, far = _Runs.of(edges)
         inner.fill(out, F_star * (a * bundle.beta(0.0)))
@@ -341,68 +340,49 @@ def walk_times(t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 def ebar_ode(bundle: SupersolutionBundle, x, t_end: float,
              dt: float) -> Iterator[EbarBlock]:
-    """Pointwise egg cap: dEbar/dt = b Fbar (1 - Ebar/K) - (mu_E + nu_E) Ebar.
+    """Pointwise egg cap: an upper bound of the solution of dEbar/dt =
+    b Fbar (1 - Ebar/K) - (mu_E + nu_E) Ebar from the start.
 
     x may be an array of positions (integrated in parallel).  The start is
-    always the well-prepared one, min(K, C0 Fbar(x,0), slaved E(Fbar(x,0))).
+    always the well-prepared one, `model.well_prepared_start` of Fbar(x, 0)
+    with C0.
 
-    Classical RK4 on the `walk_times` steps, yielded as it goes: first the
-    row at t = 0, then one EbarBlock per FBAR_BLOCK steps holding the
-    step-end rows.  Each block takes one assemble_Fbar call for its
-    step-end times and one for its half-step times, and b Fbar is formed
-    once per block: its half-step row serves k2 and k3, its step-end row
-    k4 and the next step's k1.  The two b Fbar blocks, the stages and the
-    sum ((k1 + 2 k2) + 2 k3) + k4, scaled by h/6, run in buffers
-    allocated once, through egg_rate's bF and out, and each step-end Ebar
-    row is written straight into its block.  Every element gets the
-    operations and operands of the plain formula, so the rows are bitwise
-    those of four egg_rate calls per step on fresh arrays.  The yielded
-    Fbar rows are bitwise those of assemble_Fbar at the same times, and
-    no yielded array is written after it is yielded.  Only the current
-    block is live, so memory stays flat in the number of steps; a caller
-    that needs the whole table concatenates the blocks.
+    On the `walk_times` steps, each row is the exact egg step of the
+    previous one (`model.egg_step`, as the solver takes it) with Fbar
+    frozen at the step's start.  The rows bound the egg equation's
+    solution from above, by induction over the steps, if Fbar(x, .) is
+    nonincreasing in t, as it is: alpha falls, and beta and psi grow in
+    offsets that fall as the interfaces move outward.  Over a step the
+    frozen rate is then at or above the true one (the egg rate grows with
+    F for E <= K), so the frozen solution from the true value ends above
+    it, and the step grows with E, so from a row above it ends higher.
+
+    The rows are yielded as they come: first the row at t = 0, then one
+    EbarBlock per FBAR_BLOCK steps holding the step-end rows, with the
+    Fbar rows of one assemble_Fbar call at those times; each step reads the
+    previous row's Fbar, so no other Fbar is assembled.  The rows are
+    bitwise those of the same steps on fresh arrays with scalar-t Fbar.
+    No yielded array is written after it is yielded; the walk reads the
+    last rows of a block for the next step, so callers do not write into
+    them.  Only the current block is live, so memory stays flat in the
+    number of steps; a caller that needs the whole table concatenates the
+    blocks.
     """
     p = bundle.params
     x = np.atleast_1d(np.asarray(x, dtype=float))
     K = np.broadcast_to(p.K_at(x), x.shape)
-    F_now = assemble_Fbar(bundle, x, 0.0)
-    E = np.minimum(np.minimum(K, bundle.C0 * F_now), slaved_E(p, F_now))
+    F = assemble_Fbar(bundle, x, 0.0)
+    E = well_prepared_start(p, F, bundle.C0, K)[0]
 
     times, steps = walk_times(t_end, dt)
-    n_steps = steps.size
-    halves = times[:-1] + 0.5 * steps
-
-    yield EbarBlock(0, times[:1], F_now[None], E[None])
-    bF_now = p.b * F_now
-    k1, k2, k3, k4, stage = (np.empty_like(E) for _ in range(5))
-    bF_blocks = np.empty((2, min(FBAR_BLOCK, n_steps)) + x.shape)
-    for start in range(0, n_steps, FBAR_BLOCK):
-        stop = min(start + FBAR_BLOCK, n_steps)
+    yield EbarBlock(0, times[:1], F[None], E[None])
+    for start in range(0, steps.size, FBAR_BLOCK):
+        stop = min(start + FBAR_BLOCK, steps.size)
         F_ends = assemble_Fbar(bundle, x, times[start + 1:stop + 1])
-        # the half-step rows are not yielded, so b Fbar overwrites them
-        bF_halves = assemble_Fbar(bundle, x, halves[start:stop],
-                                  out=bF_blocks[0, :stop - start])
-        bF_halves *= p.b
-        bF_ends = np.multiply(p.b, F_ends, out=bF_blocks[1, :stop - start])
         out = np.empty_like(F_ends)
-        for j in range(stop - start):
-            h = steps[start + j]
-            bF_mid, bF_end = bF_halves[j], bF_ends[j]
-            egg_rate(p, E, None, K, bF=bF_now, out=k1)
-            np.add(E, np.multiply(0.5 * h, k1, out=stage), out=stage)
-            egg_rate(p, stage, None, K, bF=bF_mid, out=k2)
-            np.add(E, np.multiply(0.5 * h, k2, out=stage), out=stage)
-            egg_rate(p, stage, None, K, bF=bF_mid, out=k3)
-            np.add(E, np.multiply(h, k3, out=stage), out=stage)
-            egg_rate(p, stage, None, K, bF=bF_end, out=k4)
-            # E + h/6 (((k1 + 2 k2) + 2 k3) + k4), summed into k1
-            k1 += np.multiply(2.0, k2, out=k2)
-            k1 += np.multiply(2.0, k3, out=k3)
-            k1 += k4
-            k1 *= h / 6.0
-            E = np.add(E, k1, out=out[j])
-            bF_now = bF_end
-        bF_now = bF_now.copy()  # the next block refills bF_blocks
+        for j, h in enumerate(steps[start:stop].tolist()):
+            E = egg_step(E, *egg_rates(p, E, F, K), h, K, out=out[j])
+            F = F_ends[j]
         yield EbarBlock(start + 1, times[start + 1:stop + 1], F_ends, out)
 
 

@@ -32,7 +32,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .equilibria import EquilibriumSet, solve_equilibria
-from .model import ModelParams, reaction_arrays, slaved_E, slaved_M
+from .model import (ModelParams, reaction_arrays, slaved_E,
+                    well_prepared_start)
 from .profiles import (
     MonotoneProfile,
     build_stationary_F,
@@ -50,11 +51,11 @@ from .solver import (
 from .supersolution import (
     CertificateUnavailable,
     SterileBoundProfile,
+    SterileCap,
     SupersolutionBundle,
     assemble_Fbar,
     ebar_ode,
     make_sterile_lower_bound,
-    sterile_upper_bound,
     walk_times,
 )
 
@@ -267,15 +268,15 @@ class SubsolutionFields:
         return np.where(s > 0, self.F_profile(np.maximum(s, 0.0)), 0.0)
 
 
-def build_subsolution(params: ModelParams, c: float, lambda_bar: float,
-                      R2: float, equilibria: Optional[EquilibriumSet] = None
+def build_subsolution(params: ModelParams, cap: SterileCap,
+                      equilibria: Optional[EquilibriumSet] = None
                       ) -> SubsolutionFields:
-    """Assemble the moving sub-solution for a release bounded by the annulus.
+    """Assemble the moving sub-solution at the speed of the sterile `cap`.
 
-    The sterile field is capped by the translating plateau/skirt bound with
-    Rs = R2 + 1, beyond the release annulus and the initial sterile dose;
-    the shift R is chosen so the cap lies below the eps-tail the female
-    profile tolerates.  `equilibria` are the params' own, if already solved.
+    The sterile field is capped by `cap`, whose edge lies beyond the
+    release annulus and the initial sterile dose; the shift R is chosen so
+    the cap lies below the eps-tail the female profile tolerates.
+    `equilibria` are the params' own, if already solved.
     """
     eq = equilibria if equilibria is not None else solve_equilibria(params)
     if eq.upper is None:
@@ -292,11 +293,9 @@ def build_subsolution(params: ModelParams, c: float, lambda_bar: float,
                                      "regime")
     M_prof = build_stationary_M(params, F_prof)
 
-    Rs = R2 + 1.0
-    cap = sterile_upper_bound(params, lambda_bar, c, Rs)
-    R_shift = Rs + np.log(max(cap.height / eps_gamma, 1.0)) / cap.rate
-    return SubsolutionFields(params, eq.upper, c, R_shift, F_prof, M_prof,
-                             cap)
+    R_shift = cap.Rs + np.log(max(cap.height / eps_gamma, 1.0)) / cap.rate
+    return SubsolutionFields(params, eq.upper, cap.c, R_shift, F_prof,
+                             M_prof, cap)
 
 
 def verify_subsolution(sub: SubsolutionFields,
@@ -392,11 +391,10 @@ def _sterile_reports(params: ModelParams, release: ReleaseSchedule, bound,
 
 
 def verify_sterile_cap(params: ModelParams, release: ReleaseSchedule,
-                       Rs: float) -> CertificateReport:
-    """The translating plateau/skirt with edge Rs dominates the sterile
-    males of an annulus `release`."""
-    c = release.c
-    cap = sterile_upper_bound(params, release.lambda_bar, c, Rs)
+                       cap: SterileCap) -> CertificateReport:
+    """The translating plateau/skirt `cap` dominates the sterile males of
+    an annulus `release` with its speed c."""
+    c, Rs = release.c, cap.Rs
     return CertificateReport("sterile-upper-bound", _sterile_reports(
         params, release, cap, "super",
         lambda t: (Rs + c * t - 15.0, Rs + c * t + 25.0), [Rs],
@@ -437,10 +435,11 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
 
     Checks, on one radial grid and a space-time grid: (1) the damped-heat
     inequality for Fbar with the piecewise damping g (off r = 0, where the
-    radial Laplacian divides by r); (2) Ebar <= C1 Fbar with Ebar the actual
-    pointwise ODE solution; (3) Mbar <= C2 Fbar with Mbar solved from its
-    parabolic equation sourced by Ebar; (4) the reaction-side inequality of
-    the female equation,
+    radial Laplacian divides by r); (2) Ebar <= C1 Fbar with Ebar the rows
+    of `ebar_ode`, an upper bound of the pointwise egg ODE's solution, so
+    the bound holds for that solution too; (3) Mbar <= C2 Fbar with Mbar
+    solved from its parabolic equation sourced by Ebar; (4) the
+    reaction-side inequality of the female equation,
 
         fF(Ebar, Mbar, Fbar, Ms_floor) + g Fbar <= 0,
 
@@ -493,7 +492,7 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
                 for name, slack in hyps]
 
     # (2) Ebar <= C1 Fbar and (3) Mbar <= C2 Fbar read one streamed walk
-    # of the pointwise Ebar ODE, each block as it arrives.  Mbar is solved
+    # of the pointwise Ebar bound, each block as it arrives.  Mbar is solved
     # from the male equation with the Ebar source (implicit diffusion and
     # decay, explicit source; unconditionally stable) and compared with
     # its cap after every (n_steps // 20)-th step and the last, that is at
@@ -524,8 +523,8 @@ def verify_supersolution(bundle: SupersolutionBundle, t_end: float = 20.0,
             for row, (F_row, E_row) in enumerate(
                     zip(block.Fbar, block.Ebar), block.start):
                 if row == 0:
-                    Mb = np.minimum(bundle.C0 * F_row,
-                                    slaved_M(p, slaved_E(p, F_row)))
+                    Mb = well_prepared_start(p, F_row, bundle.C0,
+                                             p.K_scalar)[1]
                 else:
                     Mb = solve_banded(lu, Mb + source * E_prev)
                 if row in checks:

@@ -58,8 +58,10 @@ def carpet_traj(carpet_run):
 
 @pytest.fixture(scope="session")
 def subsolution_05(p05):
+    from sitcarpet.supersolution import sterile_upper_bound
     from sitcarpet.verify import build_subsolution
-    return build_subsolution(p05, c=0.05, lambda_bar=1000.0, R2=32.0)
+    return build_subsolution(p05, sterile_upper_bound(p05, 1000.0, 0.05,
+                                                      33.0))
 
 
 @pytest.fixture(scope="session")

@@ -46,6 +46,7 @@ from sitcarpet.solver import (
 from sitcarpet.supersolution import (
     find_supersolution_bundle,
     make_sterile_lower_bound,
+    sterile_upper_bound,
 )
 from sitcarpet.verify import (
     verify_sterile_cap,
@@ -321,7 +322,8 @@ def test_criterion_09_certificates(p05, rng, subsolution_05):
 
     # (d) sterile bounds, including exact C1 joints for the tail variant
     annulus = ReleaseSchedule("annulus", 1000.0, CARPET_R1, 30.0, 0.05)
-    cap_ok = verify_sterile_cap(p05, annulus, Rs=31.0).passed
+    cap_ok = verify_sterile_cap(p05, annulus, sterile_upper_bound(
+        p05, 1000.0, 0.05, 31.0)).passed
     low = make_sterile_lower_bound(p05, annulus, 6.0, 28.0)
     tail = make_sterile_lower_bound(
         p05, dataclasses.replace(annulus, kind="annulus_tail", eta=0.3),

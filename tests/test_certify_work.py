@@ -88,11 +88,11 @@ def test_stationary_profile_integrand_points(carpet, integrand_points):
 
 
 def test_supersolution_certificate_Fbar_calls(capsys, fbar_calls):
-    # two blocks per FBAR_BLOCK steps of the walk plus the residual, kink
+    # one block per FBAR_BLOCK steps of the walk plus the residual, kink
     # and female-cap times
     assert main(["verify", "--preset", "carpet",
                  "--which", "supersolution"]) == 0
-    assert len(fbar_calls) == 91
+    assert len(fbar_calls) == 66
 
 
 def test_gauss_cells_on_a_subset_is_that_subset(carpet):
@@ -176,14 +176,14 @@ def _bundle(name):
 def test_Fbar_of_the_certificate_is_bitwise_the_mask_formula(monkeypatch,
                                                              name):
     # every Fbar call of the super-solution certificate, the walk's blocks
-    # of step ends and of half steps included, equals the mask formula
+    # of step ends included, equals the mask formula
     bundle = _bundle(name)
     calls, _ = _count_everywhere(
         monkeypatch, sitcarpet.supersolution.assemble_Fbar,
         lambda args: args[1:3])
     verify_supersolution(bundle)
     blocks = [t for _, t in calls if np.ndim(t)]
-    assert len(blocks) == 50
+    assert len(blocks) == 25
     assert all(np.size(t) == sitcarpet.supersolution.FBAR_BLOCK
                for t in blocks)
     for x, t in calls:

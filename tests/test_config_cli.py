@@ -906,6 +906,32 @@ class TestCli:
             outs.append(capsys.readouterr().out)
         assert outs[0] != outs[1]
 
+    @pytest.mark.parametrize("name", ["carpet", "fig1", "no-release-2d"])
+    def test_verify_certifies_one_sterile_cap_over_the_initial_dose(
+            self, capsys, monkeypatch, name):
+        # the sub-solution and the sterile-cap certificate read one cap,
+        # and its edge clears the initial sterile ramp: at t = 0 the cap is
+        # at or above the initial Ms on every node
+        seen = {}
+
+        def spy(attr):
+            original = getattr(cli_mod, attr)
+
+            def record(*args, **kwargs):
+                seen[attr] = args
+                return original(*args, **kwargs)
+            monkeypatch.setattr(cli_mod, attr, record)
+
+        spy("verify_subsolution")
+        spy("verify_sterile_cap")
+        assert main(["verify", "--preset", name, "--which", "all"]) == 0
+        capsys.readouterr()
+        cap = seen["verify_subsolution"][0].Ms
+        scenario = preset(name).scenario()
+        Ms0 = solver_mod.make_initial(scenario).Ms
+        assert np.all(Ms0 <= cap(scenario.grid.x, 0.0))
+        assert seen["verify_sterile_cap"][2:] == (cap,)
+
     def test_narrow_annulus_floor_is_a_failed_check(self, tmp_path, capsys):
         # with R2 - R1 <= 4 the floors' plateau [R1 + 2, R2 - 2] is empty:
         # each floor fails as not built, naming the geometry, and the cap

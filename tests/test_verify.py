@@ -12,6 +12,7 @@ from sitcarpet.supersolution import (
     find_supersolution_bundle,
     lambda_roots,
     make_sterile_lower_bound,
+    sterile_upper_bound,
     walk_times,
 )
 from sitcarpet.verify import (
@@ -143,7 +144,8 @@ def test_subsolution_certificate(subsolution_05):
 
 def test_sterile_cap_certificate(p05):
     release = ReleaseSchedule("annulus", 1000.0, 4.0, 32.0, 0.05)
-    rep = verify_sterile_cap(p05, release, Rs=33.0)
+    rep = verify_sterile_cap(p05, release,
+                             sterile_upper_bound(p05, 1000.0, 0.05, 33.0))
     assert rep.passed, str(rep)
 
 
@@ -206,8 +208,8 @@ def test_supersolution_integrates_ebar_once_and_counts_mbar_nodes(
 
 
 def test_supersolution_evaluates_Fbar_in_time_blocks(monkeypatch):
-    # the carpet certificate at default arguments: RK4 reads two blocks of
-    # Fbar per FBAR_BLOCK steps and the C1 and Mbar checks read blocks too,
+    # the carpet certificate at default arguments: the walk reads one block
+    # of Fbar per FBAR_BLOCK steps, which its C1 and Mbar checks read too,
     # where each step and each check time used to be its own call (5064)
     import sitcarpet.supersolution as super_mod
     import sitcarpet.verify as verify_mod
@@ -266,7 +268,7 @@ def test_lambda_bar_enters_only_the_female_cap(carpet_bundle):
     assert reps[1.0].passed and reps[1e-2].passed, str(reps[1e-2])
     (failed,) = [r for r in reps[1e-4].reports if not r.passed]
     assert failed.name == "female reaction cap"
-    assert failed.worst_violation == pytest.approx(0.289, rel=1e-2)
+    assert failed.worst_violation == pytest.approx(0.261, rel=1e-2)
     assert reps[1.0].reports[-1].worst_violation < 1e-10
     for s in (1e-2, 1e-4):
         assert [r.name for r in reps[s].reports] == [
@@ -277,10 +279,10 @@ def test_lambda_bar_enters_only_the_female_cap(carpet_bundle):
 
 def test_supersolution_evaluates_each_Fbar_row_about_once(monkeypatch,
                                                           carpet_bundle):
-    # the walk's step-end rows serve the C1 and Mbar checks, so the
-    # certificate evaluates Fbar at about two rows per step (step ends and
-    # half steps) plus the residual, kink and female-cap times: 2041 rows
-    # on the carpet
+    # the walk's step-end rows serve its own steps and the C1 and Mbar
+    # checks, so the certificate evaluates Fbar at about one row per step
+    # plus the residual, kink and female-cap times: 1041 rows on the
+    # carpet
     import sitcarpet.supersolution as super_mod
     import sitcarpet.verify as verify_mod
     rows = []
@@ -294,7 +296,7 @@ def test_supersolution_evaluates_each_Fbar_row_about_once(monkeypatch,
     rep = verify_supersolution(carpet_bundle)
     assert rep.passed, str(rep)
     n_steps = walk_times(20.0, 0.02)[0].size - 1
-    assert sum(rows) <= 2 * n_steps + 60
+    assert sum(rows) <= n_steps + 60
 
 
 def _traced_peak(fn) -> int:
@@ -313,7 +315,8 @@ def test_build_subsolution_memory_is_bounded(carpet_bundle):
     # cells at a time; one call on every cell peaks at ~16 MB
     b = carpet_bundle
     peak = _traced_peak(
-        lambda: build_subsolution(b.params, b.c, b.lambda_bar, b.R2))
+        lambda: build_subsolution(b.params, sterile_upper_bound(
+            b.params, b.lambda_bar, b.c, b.R2 + 1.0)))
     assert peak <= 6e6
 
 
