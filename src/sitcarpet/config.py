@@ -11,10 +11,14 @@ equilibrium left of x = -10 (fig1: gamma = 0.5; fig2-left: gamma = 0.01;
 fig2-right: gamma = 2.355e-3), and the radial runs on a ball of radius 45
 (carpet: the rolling-carpet schedule; no-release-2d: the same well-prepared
 initial state left alone).  fig2-right's T = 150 shows its front retreating;
-extinction takes about 1250 time units.  Release geometry and amplitude for
-the carpet are artifact choices; the annulus width and amplitude come from
-the super-solution constant search (see
-supersolution.find_supersolution_bundle).
+extinction takes about 1250 time units.  The carpet's release radius R1 and
+speed c are artifact choices; its outer radius R2 and amplitude lambda_bar
+come from one super-solution constant search,
+supersolution.find_supersolution_bundle(c = 0.03, safety = 1.5,
+eps = 0.08), whose core level u0 is 7.67e-7, not the initial datum's 0.05.
+`verify --preset carpet` certifies the default search instead (safety 2:
+R2 = 34.164, lambda_bar = 2.305e6), so the preset runs a geometry that no
+certificate checks.
 """
 
 from __future__ import annotations
@@ -265,10 +269,10 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
 # presets
 # ---------------------------------------------------------------------------
 
-# Rolling-carpet release geometry (see module docstring).  The annulus width
-# and amplitude are the verified super-solution constant-search output for
-# Table-1 params at c = 0.03 (find_supersolution_bundle with safety 1.5,
-# eps 0.08); a test pins these numbers to the live search.
+# Rolling-carpet release geometry (see module docstring).  R2 and lambda_bar
+# are the constant search's output for Table-1 params at c = 0.03
+# (find_supersolution_bundle with safety 1.5, eps 0.08; a test pins them to
+# the live search); `verify` certifies the default search, not these.
 CARPET_C = 0.03
 CARPET_R1 = 4.0
 CARPET_R2 = 29.053410705845625

@@ -223,7 +223,10 @@ def solve_m0(zeta: float) -> float:
     def h(m: float) -> float:
         return zeta * np.expm1(m / zeta) - (1.0 - m)
 
-    return bisect(h, 1e-300, 1.0 - 1e-16)
+    # bisect reads only the sign of h, and where expm1 overflows (large
+    # m / zeta near m = 1), +inf has the right one
+    with np.errstate(over="ignore"):
+        return bisect(h, 1e-300, 1.0 - 1e-16)
 
 
 def _m_to_F(params: ModelParams, m: float) -> float:

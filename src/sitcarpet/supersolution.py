@@ -22,7 +22,7 @@ by sqrt(D) internally; public evaluation is in physical coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -157,7 +157,7 @@ class SupersolutionBundle:
 # temporaries stay within _BAND_VALUES values), so this also sets the
 # walk's peak.
 FBAR_BLOCK = 40
-# Values per chunk of an Fbar band (64 KB of float64); see _Runs.fill_band
+# Values per chunk of an Fbar band (64 KB of float64); see assemble_Fbar
 _BAND_VALUES = 8192
 
 
@@ -167,16 +167,19 @@ def assemble_Fbar(bundle: SupersolutionBundle, x, t):
     A scalar t gives an array shaped like x (a float for a scalar x).  A
     time array t gives the block of shape (*t.shape, *x.shape), one row
     per time; each row is bitwise equal to the scalar-t call, since every
-    node goes through the same elementwise operations.  Callers walking
-    many times pass FBAR_BLOCK of them per call.
+    node goes through the same elementwise operations.
 
     On the radii sorted nondecreasing (x is sorted first unless |x|
     already is), Omega_k is one run of columns per row, found by
-    searchsorted of `interfaces(t)`.  Omega0 holds F* (alpha beta(0)),
-    one value per time, and Omega3 holds F*; Omega1 and Omega2 hold
-    F* (alpha beta(|x| - r1 - c't)) and F* psi(|x| - r1 - ct), each
-    evaluated once on the band of columns its runs span, a few rows at a
-    time (`_Runs.fill_band`).
+    searchsorted of the sorted `interfaces(t)`.  Omega3 holds F*, the
+    fill; Omega2, Omega1 and Omega0 hold F* psi(|x| - r1 - ct),
+    F* (alpha beta(|x| - r1 - c't)) and F* (alpha beta(0)), and are
+    written over it in that order.  Each is taken on the band its runs
+    span, _BAND_VALUES values at a time so temporaries stay in cache, and
+    written from the band's start to each row's run end: what lies before
+    a run belongs to the inner regions, written after it.  The offsets
+    are clipped between each row's two bounding interfaces: rounding is
+    monotone, so a run's own offsets keep their bits, at negative t too.
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -186,129 +189,43 @@ def assemble_Fbar(bundle: SupersolutionBundle, x, t):
         order = np.argsort(r, kind="stable")
         r = r[order]
     ts = t.reshape(-1, 1)
-    # the run of Omega_k is [edges[k], edges[k + 1]) in each row: node j is
-    # in Omega_k when k interfaces lie strictly below r[j]
     ifaces = bundle.interfaces(ts)
-    edges = np.zeros((5, ts.shape[0]), dtype=np.intp)
-    edges[1:4] = np.sort([np.searchsorted(r, i.ravel(), side="right")
-                          for i in ifaces], axis=0)
-    edges[4] = r.size
+    bounds = np.sort(ifaces, axis=0)
+    # Omega_k (k < 3) is the columns [edges[k], edges[k + 1]) of each row
+    edges = np.zeros((4, ts.shape[0]), dtype=np.intp)
+    edges[1:] = np.searchsorted(r, bounds[..., 0], side="right")
     F_star = bundle.F_star
     a = bundle.alpha(ts)
-    out = np.empty((ts.shape[0], r.size))
-    if out.size:
-        inner, ramp, bridge, far = _Runs.of(edges)
-        inner.fill(out, F_star * (a * bundle.beta(0.0)))
-
-        # F* (alpha beta) and F* psi, scaled in place: a product's bits do
-        # not depend on the order of its two factors
-        def ramp_values(offsets, rows):
-            values = bundle.beta(offsets)
-            values *= a[rows]
-            values *= F_star
-            return values
-
-        def bridge_values(offsets, rows):
-            values = bundle.psi(offsets)
-            values *= F_star
-            return values
-
-        ramp.fill_band(out, r, ifaces[0], ramp_values)
-        bridge.fill_band(out, r, ifaces[1], bridge_values)
-        far.fill(out, F_star)  # Omega3: the equilibrium
+    out = np.full((ts.shape[0], r.size), F_star)
+    for k in (2, 1, 0):
+        lo = int(edges[k].min(initial=r.size))
+        hi = int(edges[k + 1].max(initial=0))
+        if lo >= hi:
+            continue
+        cols = np.arange(lo, hi)
+        step = max(1, _BAND_VALUES // (hi - lo))
+        for start in range(0, ts.shape[0], step):
+            rows = slice(start, start + step)
+            if k == 0:
+                values = F_star * (a[rows] * bundle.beta(0.0))
+            else:
+                origin = ifaces[k - 1][rows]
+                off = r[lo:hi] - origin
+                np.maximum(off, bounds[k - 1][rows] - origin, out=off)
+                np.minimum(off, bounds[k][rows] - origin, out=off)
+                # in place: a product's bits do not hang on factor order
+                if k == 1:
+                    values = bundle.beta(off)
+                    values *= a[rows]
+                else:
+                    values = bundle.psi(off)
+                values *= F_star
+            np.copyto(out[rows, lo:hi], values,
+                      where=cols < edges[k + 1, rows, None])
     if order is not None:
         out[:, order] = out.copy()
     out = out.reshape(t.shape + x.shape)
     return out if out.ndim else float(out)
-
-
-class _Runs(NamedTuple):
-    """One region's run of columns [starts[j], stops[j]) in each row j:
-    together they span the band [lo, hi), and every run covers the core
-    [core_lo, core_hi), which is empty unless core_lo < core_hi."""
-
-    starts: np.ndarray
-    stops: np.ndarray
-    lo: int
-    hi: int
-    core_lo: int
-    core_hi: int
-
-    @classmethod
-    def of(cls, edges: np.ndarray) -> list:
-        """The runs [edges[k], edges[k + 1]) of each region k."""
-        lows, highs = edges.min(axis=1).tolist(), edges.max(axis=1).tolist()
-        return [cls(edges[k], edges[k + 1], lows[k], highs[k + 1], highs[k],
-                    lows[k + 1]) for k in range(edges.shape[0] - 1)]
-
-    def ragged(self) -> list:
-        """The nonempty column ranges of the band outside the core."""
-        if self.core_lo >= self.core_hi:
-            return [(self.lo, self.hi)] if self.lo < self.hi else []
-        return [(a, b) for a, b in ((self.lo, self.core_lo),
-                                    (self.core_hi, self.hi)) if a < b]
-
-    def offsets(self, r: np.ndarray, origin: np.ndarray,
-                rows: slice) -> np.ndarray:
-        """r - origin on the band, for the runs of `rows`, each row's
-        entries clipped into the offsets of its own run (zero for an empty
-        run).
-
-        Rounding is monotone, so a run's own offsets lie between those of
-        its first and last node and keep their bits; an entry outside the
-        run gets an argument the run itself takes, so it cannot overflow
-        where the run does not.  Core columns are in every run and need no
-        clipping."""
-        origin = origin[rows]
-        off = r[self.lo:self.hi] - origin
-        ragged = self.ragged()
-        if ragged:
-            starts, stops = self.starts[rows], self.stops[rows]
-            o = origin[:, 0]
-            empty = stops <= starts
-            first = np.where(empty, 0.0, r[np.minimum(starts, r.size - 1)] - o)
-            last = np.where(empty, 0.0, r[np.maximum(stops - 1, 0)] - o)
-            for a, b in ragged:
-                cols = off[:, a - self.lo:b - self.lo]
-                np.maximum(cols, first[:, None], out=cols)
-                np.minimum(cols, last[:, None], out=cols)
-        return off
-
-    def fill_band(self, out: np.ndarray, r: np.ndarray, origin: np.ndarray,
-                  values: Callable) -> None:
-        """Fill the runs with values(offsets, rows), the values on the band
-        for a slice of rows, at the `offsets` from `origin`.
-
-        The band is taken _BAND_VALUES values at a time, a few rows each,
-        so every temporary of `values` stays small: blocks that small are
-        reused from the allocator's free lists and stay in cache, where
-        whole-band temporaries were mapped, and page-faulted, afresh on
-        every call.  Each element's operations are the same either way."""
-        if self.lo >= self.hi:
-            return
-        step = max(1, _BAND_VALUES // (self.hi - self.lo))
-        for start in range(0, self.starts.size, step):
-            rows = slice(start, start + step)
-            self.fill(out, values(self.offsets(r, origin, rows), rows), rows)
-
-    def fill(self, out: np.ndarray, values, rows: slice = slice(None)
-             ) -> None:
-        """Write the runs of `rows` into out from `values`: their values on
-        the band, or one value per row, or one value.  The core is copied
-        whole, and only the ragged columns go through a mask."""
-        def part(a, b):  # the values on columns [a, b)
-            if np.ndim(values) == 2 and values.shape[1] > 1:
-                return values[:, a - self.lo:b - self.lo]
-            return values
-
-        if self.core_lo < self.core_hi:
-            out[rows, self.core_lo:self.core_hi] = part(self.core_lo,
-                                                        self.core_hi)
-        for a, b in self.ragged():
-            cols = np.arange(a, b)
-            np.copyto(out[rows, a:b], part(a, b),
-                      where=((cols >= self.starts[rows, None])
-                             & (cols < self.stops[rows, None])))
 
 
 @dataclass(frozen=True)
@@ -641,10 +558,11 @@ def find_supersolution_bundle(params: ModelParams, c: float, r1: float = 6.0,
         params, ReleaseSchedule("annulus", 1.0, R1, R2, c), r1, r2)
     C12 = lower.M_hat  # per unit lambda_bar
     deficit = p.female_recruitment * C1 - (p.mu_F - eps)
-    if deficit <= 0:
-        M_hat_req = 1.0
-    else:
-        M_hat_req = C2 * F_star * deficit / (p.gamma_s * (p.mu_F - eps))
+    if deficit > 0 and p.gamma_s == 0:
+        raise CertificateUnavailable("gamma_s = 0: no sterile floor can "
+                                     "block the female recruitment deficit")
+    M_hat_req = (1.0 if deficit <= 0 else
+                 C2 * F_star * deficit / (p.gamma_s * (p.mu_F - eps)))
     lambda_bar = safety * M_hat_req / C12
 
     lp, lm = lambda_roots(mu, cpt + sd / r1)

@@ -140,8 +140,8 @@ def test_stationary_profile_is_bitwise_full_newton(carpet, case):
 
 
 def _Fbar_reference(bundle, x, t):
-    """Fbar as assembled before the regions became index ranges: a region
-    index per node, then masks and gathers."""
+    """Fbar by its definition: a region index per node, then masks and
+    gathers."""
     r = np.abs(np.asarray(x, dtype=float))
     t = np.asarray(t, dtype=float)
     if t.ndim:
@@ -210,6 +210,8 @@ def test_Fbar_on_any_x_and_t_is_bitwise_the_mask_formula():
         # rows crossing the interfaces, with nodes on and beside them
         (np.sort(np.concatenate([x, near])), column),
         (np.sort(near), np.linspace(3.0, 11.0, 40)),
+        # t < 0: r1 + ct lies below r1 + c't, the interfaces out of order
+        (x, -0.5), (x, np.linspace(-3.0, 2.0, 11)),
     ]
     for xs, ts in cases:
         assert (_bytes(assemble_Fbar(bundle, xs, ts))

@@ -1074,6 +1074,27 @@ class TestCli:
         assert [c for c in certificates if c.endswith("FAIL")] == [
             "certificate supersolution: FAIL"]
 
+    @pytest.mark.parametrize("which", ["supersolution", "all"])
+    def test_gamma_s_zero_supersolution_is_a_failed_check(self, tmp_path,
+                                                          capsys, which):
+        # with gamma_s = 0 the sterile males cannot block the female
+        # recruitment deficit: the bundle is not built, saying why, with
+        # no warning and no traceback
+        cfg = preset("carpet")
+        cfg.model["gamma_s"] = 0.0
+        path = tmp_path / "gamma_s0.cfg"
+        path.write_text(cfg.to_text())
+        rc = main(["verify", "--config", str(path), "--which", which])
+        captured = capsys.readouterr()
+        assert rc == 4 and captured.err == ""
+        assert ("certificate supersolution: FAIL\n  [FAIL] not built: "
+                "gamma_s = 0: no sterile floor can block the female "
+                "recruitment deficit\n") in captured.out
+        certificates = [ln for ln in captured.out.splitlines()
+                        if ln.startswith("certificate ")]
+        assert [c for c in certificates if c.endswith("FAIL")] == [
+            "certificate supersolution: FAIL"]
+
     @pytest.mark.parametrize("which", ["subsolution", "supersolution", "all",
                                        "sterile-bounds"])
     def test_verify_without_equilibrium_exits_3(self, tmp_path, capsys,

@@ -161,6 +161,16 @@ def test_equilibrium_monotonicity_in_gamma():
     assert np.all(np.diff(middles) <= 1e-10)
 
 
+def test_large_gamma_solves_without_overflow():
+    # from gamma ~ 13 on, the m-equation overflows at the bracket's top end
+    # m = 1 - 1e-16; only its sign is read, and the suite turns an
+    # overflow warning into an error
+    eqs = solve_equilibria(table1_params(20.0))
+    assert eqs.middle is not None and eqs.upper is not None
+    assert eqs.middle[2] < eqs.upper[2]
+    assert eqs.upper_stable and not eqs.middle_stable
+
+
 def test_degenerate_tangency_flagged():
     # tune gamma until the m-equation peak sits within the tangency band
     from sitcarpet.equilibria import solve_m0, zeta_of_gamma
