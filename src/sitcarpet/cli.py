@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -338,6 +337,8 @@ def cmd_sweep(args) -> int:
     payloads = [(cfg_text, args.axis, values[a:b], args.level)
                 for a, b in zip(cuts, cuts[1:])]
     if workers > 1:
+        # imported here, so that only a pooled sweep loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:
             shares = list(ex.map(_sweep_share, payloads))
     else:

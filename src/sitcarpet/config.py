@@ -147,6 +147,15 @@ KNOWN_KEYS = {
     "initial": ("kind", "R0_0", "R0_1", "u0", "x_step", "step_side"),
     "run": ("t_end", "dt", "snapshot_dt"),
 }
+# The keys a kind does not read, by section and kind; giving one is an error.
+UNREAD_KEYS = {
+    "model": {"monostable": ("gamma",)},
+    "grid": {"cartesian1d": ("r_max",), "radial2d": ("x_min", "x_max")},
+    "schedule": {kind: ("eta",) for kind in ("none", "annulus", "disc",
+                                             "fixed_region")},
+    "initial": {"well_prepared": ("x_step", "step_side"),
+                "step": ("R0_0", "R0_1", "u0")},
+}
 
 
 def check_key(sec: str, key: str) -> None:
@@ -164,6 +173,15 @@ def check_key(sec: str, key: str) -> None:
                           f"{', '.join(KNOWN_KEYS[sec])}")
 
 
+def _check_read(d: dict, sec: str, kind_key: str, kind: str) -> None:
+    """Raise ConfigError naming the first key of `d` that `sec.kind_key =
+    kind` does not read."""
+    for key in UNREAD_KEYS[sec].get(kind, ()):
+        if key in d:
+            raise ConfigError(f"{sec}.{key} is not read when {sec}.{kind_key} "
+                              f"is {kind}")
+
+
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
     """Validate a parsed config field by field and construct the Scenario."""
     for sec in cfg.SECTIONS:
@@ -173,6 +191,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     gamma_kind = str(_require(m, "model", "gamma_kind", "bistable")).lower()
     if gamma_kind not in ("bistable", "monostable"):
         raise ConfigError("model.gamma_kind must be bistable or monostable")
+    _check_read(m, "model", "gamma_kind", gamma_kind)
     gamma = _number(m, "model", "gamma") if "gamma" in m else None
     if gamma_kind == "bistable" and gamma is None:
         raise ConfigError("model.gamma required in the bistable case")
@@ -235,6 +254,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             _number(g, "grid", "r_max", required=True),)
     else:
         raise ConfigError(f"grid.kind {kind!r} unknown")
+    _check_read(g, "grid", "kind", kind)
     try:
         grid = make(*extent, n)
     except ValueError as e:
@@ -249,6 +269,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             **release)
     except ValueError as e:
         raise ConfigError(f"schedule: {e}") from e
+    _check_read(s, "schedule", "kind", schedule.kind)
 
     i = cfg.initial
     shape = {key: _number(i, "initial", key, default) for key, default in (
@@ -260,6 +281,7 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
             **shape)
     except ValueError as e:
         raise ConfigError(f"initial: {e}") from e
+    _check_read(i, "initial", "kind", initial.kind)
 
     return Scenario(params=params, grid=grid, schedule=schedule,
                     initial=initial, **run_settings)

@@ -54,7 +54,10 @@ A run keeps one dt, t_end / n_steps, so the diffusing fields share one
 matrix for the whole run, weighted to W A and factored once (LAPACK
 dpttrf).  Each step scales all right-hand sides by W, stacked as the
 columns of one array, and solves them with a single dpttrs call, column by
-column.
+column.  Both routines are scipy's own compiled wrappers, the function
+objects of `scipy.linalg.lapack`, which `load_flapack` takes from the file
+of `scipy.linalg._flapack`: importing the `scipy.linalg` package for them
+would add about 0.2 s and 18 MB to the start of every process.
 A non-finite right-hand side (a NaN or inf that reached the state) raises
 `SolverError` instead of being solved.  Snapshots are taken at the initial
 state, at the first step at or after each multiple of
@@ -98,12 +101,16 @@ scenario solves once.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
+from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
+                                 FileFinder, PathFinder)
+from importlib.util import module_from_spec
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .equilibria import EquilibriumSet, solve_equilibria
 from .model import (ModelParams, RateRows, egg_step, reaction_arrays,
@@ -128,6 +135,32 @@ MAX_STEPS = 1_000_000
 
 class SolverError(RuntimeError):
     pass
+
+
+def load_flapack(path: Optional[list] = None):
+    """scipy's compiled LAPACK wrapper `scipy.linalg._flapack`, loaded from
+    its file without importing the `scipy.linalg` package.
+
+    scipy is looked for in the directories `path` (sys.path when None), and
+    the wrapper in its `linalg` directory.  ImportError, naming the
+    directories searched, when either is not there.
+    """
+    scipy_spec = PathFinder.find_spec("scipy", path)
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        raise ImportError(f"scipy is not installed in "
+                          f"{sys.path if path is None else path}")
+    linalg = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+    finder = FileFinder(linalg, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"no scipy.linalg._flapack extension in {linalg}")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_flapack = load_flapack()
+dpttrf, dpttrs = _flapack.dpttrf, _flapack.dpttrs
 
 
 @dataclass(frozen=True)

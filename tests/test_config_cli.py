@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import csv
 import dataclasses
@@ -110,8 +111,8 @@ class TestConfigRoundTrip:
             preset("carpet").scenario())
 
 
-# For each config key: a preset, keys added to it that it ignores, and a
-# legal value of the key other than the one it has there.
+# For each config key: a preset, keys set on it, and a legal value of the
+# key other than the one it has there.
 KEY_CASES = {
     "model.gamma_kind": ("fig1", {}, "monostable"),
     "model.gamma": ("fig1", {}, 0.3),
@@ -127,7 +128,7 @@ KEY_CASES = {
     "model.rho": ("fig1", {}, 0.6),
     "model.D": ("fig1", {}, 0.2),
     "model.gamma_s": ("fig1", {}, 0.5),
-    "grid.kind": ("fig1", {"grid.r_max": 40.0}, "radial2d"),
+    "grid.kind": ("fig1", {}, "radial2d"),
     "grid.n": ("fig1", {}, 801),
     "grid.x_min": ("fig1", {}, -30.0),
     "grid.x_max": ("fig1", {}, 30.0),
@@ -137,7 +138,8 @@ KEY_CASES = {
     "schedule.R1": ("carpet", {}, 5.0),
     "schedule.R2": ("carpet", {}, 20.0),
     "schedule.c": ("carpet", {}, 0.05),
-    "schedule.eta": ("carpet", {}, 0.5),
+    "schedule.eta": ("carpet", {"schedule.kind": "annulus_tail",
+                                "schedule.eta": 0.3}, 0.5),
     "initial.kind": ("fig1", {}, "well_prepared"),
     "initial.R0_0": ("carpet", {}, 31.0),
     "initial.R0_1": ("carpet", {}, 40.0),
@@ -148,11 +150,22 @@ KEY_CASES = {
     "run.dt": ("fig1", {}, 0.5),
     "run.snapshot_dt": ("fig1", {}, 10.0),
 }
+# The keys a change of kind sets along with it: those the new kind reads,
+# and None for those it does not.
+KIND_CHANGES = {
+    "model.gamma_kind": {"model.gamma": None},
+    "grid.kind": {"grid.r_max": 40.0, "grid.x_min": None, "grid.x_max": None},
+    "initial.kind": {"initial.x_step": None, "initial.step_side": None},
+}
 
 
 def _with(cfg, key, value):
+    """cfg with `key` set to value, or removed if value is None."""
     sec, name = key.split(".", 1)
-    getattr(cfg, sec)[name] = value
+    if value is None:
+        getattr(cfg, sec).pop(name, None)
+    else:
+        getattr(cfg, sec)[name] = value
     return cfg
 
 
@@ -177,7 +190,10 @@ def test_every_key_is_read_and_checked(tmp_path, capsys, key):
     for k, v in extra.items():
         _with(base, k, v)
     text = base.to_text()
-    changed = _with(ScenarioConfig.from_text(text), key, value).scenario()
+    changed = _with(ScenarioConfig.from_text(text), key, value)
+    for k, v in KIND_CHANGES.get(key, {}).items():
+        _with(changed, k, v)
+    changed = changed.scenario()
     assert _run_inputs(changed) != _run_inputs(base.scenario())
     for bad in ("abc", True):
         path = tmp_path / "bad.cfg"
@@ -188,6 +204,40 @@ def test_every_key_is_read_and_checked(tmp_path, capsys, key):
         err = capsys.readouterr().err
         assert rc == 2 and key.split(".")[1] in err, err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("name, settings, key, kind", [
+    ("carpet", {"grid.x_min": -3.0}, "grid.x_min", "radial2d"),
+    ("carpet", {"grid.x_max": 3.0}, "grid.x_max", "radial2d"),
+    ("fig1", {"grid.r_max": 40.0}, "grid.r_max", "cartesian1d"),
+    ("fig1", {"schedule.eta": 0.3}, "schedule.eta", "none"),
+    ("carpet", {"schedule.eta": 5.0}, "schedule.eta", "annulus"),
+    ("carpet", {"schedule.kind": "disc", "schedule.eta": 5.0},
+     "schedule.eta", "disc"),
+    ("carpet", {"schedule.kind": "fixed_region", "schedule.eta": 5.0},
+     "schedule.eta", "fixed_region"),
+    ("carpet", {"initial.x_step": -10.0}, "initial.x_step", "well_prepared"),
+    ("carpet", {"initial.step_side": "left"}, "initial.step_side",
+     "well_prepared"),
+    ("fig1", {"initial.R0_0": 10.0}, "initial.R0_0", "step"),
+    ("fig1", {"initial.R0_1": 15.0}, "initial.R0_1", "step"),
+    ("fig1", {"initial.u0": 0.0}, "initial.u0", "step"),
+    ("fig1", {"model.gamma_kind": "monostable"}, "model.gamma", "monostable"),
+])
+def test_key_its_kind_does_not_read_exits_2(tmp_path, capsys, name, settings,
+                                            key, kind):
+    # a key the chosen kind ignores (a typo in the kind, say) is a config
+    # error naming the key and the kind, with nothing written
+    cfg = preset(name)
+    for k, v in settings.items():
+        _with(cfg, k, v)
+    path = tmp_path / "unread.cfg"
+    path.write_text(cfg.to_text())
+    out = tmp_path / "out"
+    rc = main(["analyze", "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and f"{key} is not read" in err and kind in err, err
+    assert not out.exists()
 
 
 class TestCli:
@@ -617,7 +667,9 @@ class TestCli:
                 shares.append([p[2] for p in payloads])
                 return map(fn, payloads)
 
-        monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", RecordingPool)
+        # cmd_sweep imports the pool class where a pool runs
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
         cfg = preset("fig1")
         cfg.run["t_end"] = 5.0
         path = tmp_path / "quick.cfg"
@@ -872,18 +924,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    @pytest.mark.parametrize("kind, command", [
-        ("annulus", ["verify", "--which", "sterile-bounds"]),
-        ("annulus_tail", ["simulate", "--out", "runs"])],
+    @pytest.mark.parametrize("command", [
+        ["verify", "--which", "sterile-bounds"], ["simulate", "--out", "runs"]],
         ids=["verify", "simulate"])
     def test_steep_release_tail_does_not_overflow(self, tmp_path, capsys,
-                                                  monkeypatch, kind, command):
+                                                  monkeypatch, command):
         # at eta = 50 the release tail's exponential would overflow far
         # outside R1, where the tail is not taken; the suite turns such an
         # overflow warning into a failure
         monkeypatch.chdir(tmp_path)
         cfg = preset("carpet")
-        cfg.schedule.update(kind=kind, eta=50.0)
+        cfg.schedule.update(kind="annulus_tail", eta=50.0)
         cfg.run["t_end"] = 2.0
         Path("steep.cfg").write_text(cfg.to_text())
         rc = main([command[0], "--config", "steep.cfg", *command[1:]])
