@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -70,26 +71,168 @@ def _out_dir(args, cfg_text: str) -> Path:
     return root / hashlib.sha256(cfg_text.encode()).hexdigest()[:12]
 
 
+# snapshots.csv holds "%.17g" of every value: the bytes of `np.savetxt(fmt=
+# "%.17g", delimiter=",")`.  CPython's float formatting was most of a preset
+# run's write, so a value 1e-200 < |v| < 1e200 is printed from ints: its 17
+# significant digits N and exponent X, found in numpy, with |v| rounded to 17
+# digits equal to N * 10**(X - 16).  Every other value, and every one whose
+# digits the routine cannot certify, is printed by "%.17g" itself in the same
+# `%` call.
+_X_MIN, _X_MAX = -200, 199  # the exponents of the digit path
+# Rows per chunk.  Every temporary of a chunk (the largest are the 3 ints of
+# each of its 4096 values, 96 KiB, and its text, about 100 KB on the carpet
+# preset) stays under glibc's 128 KiB mmap threshold, so the chunks reuse
+# heap memory: a carpet write takes no page faults, against about 1 500 with
+# 4096 rows.
+_CHUNK_ROWS = 1024
+# a value's spec class: X + 4 for %g's fixed notation (-4 <= X <= 16), then
+# %g's exponent notation, +-0.0, and "%.17g" itself
+_EXP, _ZERO, _FALLBACK = 21, 22, 23
+_N_CLASSES = 24
+
+
+def _pow10_pair(p: int) -> tuple[float, float]:
+    """10**p as the double-double hi + lo, from exact integer arithmetic."""
+    if p >= 0:
+        hi = float(10 ** p)
+        return hi, float(10 ** p - int(hi))
+    d = 10 ** -p
+    hi = 1 / d  # int true division rounds correctly
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * d) / (den * d)
+
+
+def _split(a):
+    """Dekker's split: a = hi + lo, each with at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _g17_spec(sign: str, cls: int, z: int) -> tuple[str, tuple]:
+    """The %-spec of a value of class cls whose digits N end in z zeros, and
+    which of its ints (the digits before the point, the digits after it, X)
+    the spec takes."""
+    if cls == _ZERO:
+        return sign + "0", (False, False, False)
+    if cls == _FALLBACK:  # the value itself, in the first int's place
+        return "%.17g", (True, False, False)
+    X = cls - 4
+    d = 1 if cls == _EXP else max(X + 1, 0)  # digits before the point
+    f = 17 - d - min(z, 17 - d)              # digits after it
+    if d:
+        spec = sign + "%d" + (f".%0{f}d" if f else "")
+    else:  # 0.000ddd: the digits after the zeros, of which the first is not 0
+        spec = sign + "0." + "0" * (-1 - X) + "%d"
+    if cls == _EXP:
+        spec += "e%+03d"
+    return spec, (d > 0, f > 0, cls == _EXP)
+
+
+@functools.cache
+def _g17_tables():
+    """10**(16 - X) per X as hi, hi's split and lo; the spec and the ints of
+    each text key ((separator * 2 + sign) * classes + class) * 17 + zeros;
+    10**k, k = 0..17, as int64; and per X, the digits before the point and
+    the spec class."""
+    Xs = np.arange(_X_MIN, _X_MAX + 1)
+    hi, lo = np.array([_pow10_pair(16 - X) for X in Xs.tolist()]).T
+    specs, takes = [], []
+    for sep in ",\n":
+        for sign in ("", "-"):
+            for cls in range(_N_CLASSES):
+                for z in range(17):
+                    spec, take = _g17_spec(sign, cls, z)
+                    specs.append(spec + sep)
+                    takes.append(take)
+    fixed = (Xs >= -4) & (Xs <= 16)
+    return ((hi, *_split(hi), lo), np.array(specs, dtype=object),
+            np.array(takes), 10 ** np.arange(18, dtype=np.int64),
+            np.where(fixed, np.maximum(Xs + 1, 0), 1),  # digits before "."
+            np.where(fixed, Xs + 4, _EXP))              # spec class
+
+
+def _g17_chunk(values: np.ndarray) -> tuple[np.ndarray, list]:
+    """The %-specs and the arguments that print the (rows, 4) values as
+    "%.17g": a comma after each of a row's first three, a newline after the
+    fourth."""
+    (hi_t, hi_hi_t, hi_lo_t, lo_t), spec_t, take_t, p10, d_t, cls_t = \
+        _g17_tables()
+    v = values.reshape(-1)
+    a = np.abs(v)
+    ok = (a > 1e-200) & (a < 1e200)
+    a[~ok] = 1.0
+    X = np.floor(np.log10(a)).astype(np.int64)
+    np.clip(X, _X_MIN, _X_MAX, out=X)
+    i = X - _X_MIN
+    # a * 10**(16 - X) as s + e: Dekker's exact product a * hi, plus a * lo,
+    # then Fast2Sum; the error against the exact product is below 1e-12
+    s = a * hi_t[i]
+    a_hi, a_lo = _split(a)
+    e = ((a_hi * hi_hi_t[i] - s) + a_hi * hi_lo_t[i] + a_lo * hi_hi_t[i]
+         + a_lo * hi_lo_t[i] + a * lo_t[i])
+    t = s + e
+    e -= t - s
+    s = t
+    r = np.rint(e)
+    # s is an even integer, X the true exponent, no tie lies within the
+    # error, and N = s + rint(e) carries into no 18th digit
+    ok &= ((s >= 2.0 ** 53) & ((s - 1e16) + e >= 0)
+           & (np.abs(e - r) < 0.5 - 1e-6))
+    N = s.astype(np.int64) + r.astype(np.int64)
+    ok &= N < p10[17]
+    z = np.zeros(N.size, np.int64)  # N's trailing zeros
+    idx = np.flatnonzero(N % 10 == 0)
+    m = N[idx]
+    while idx.size:
+        z[idx] += 1
+        m //= 10
+        keep = m % 10 == 0
+        idx, m = idx[keep], m[keep]
+    d = d_t[i]  # digits before the point
+    z = np.minimum(z, 17 - d)
+    cls = cls_t[i]
+    cls[~ok] = _FALLBACK
+    cls[v == 0.0] = _ZERO
+    z[~ok] = 0
+    f = 17 - d - z  # digits after the point
+    ints = np.stack([*np.divmod(N // p10[z], p10[f]), X], axis=1)
+    key = (np.signbit(v) * _N_CLASSES + cls) * 17 + z
+    key.reshape(-1, 4)[:, 3] += 2 * _N_CLASSES * 17  # "\n" ends the row
+    take = np.take(take_t, key, axis=0).reshape(-1)
+    args = np.compress(take, ints).tolist()
+    fallback = np.flatnonzero(cls == _FALLBACK)
+    if fallback.size:
+        at = np.cumsum(take)[3 * fallback] - 1
+        for k, value in zip(at.tolist(), v[fallback].tolist()):
+            args[k] = value
+    return np.take(spec_t, key), args
+
+
 def _write_snapshots(path: Path, traj) -> None:
     """Write t, x, E, M, F, Ms, one row per node and snapshot, as "%.17g".
 
-    The bytes are those of `np.savetxt(fmt="%.17g", delimiter=",")`: every
-    value goes through the same `"%.17g" % float`.  The x column is baked
-    into the row template once, t is formatted once per snapshot, and the
-    fields of one snapshot are filled by one `%` call from one flat list,
-    reused across snapshots, whose slices take the rows as Python floats.
+    The bytes are those of `np.savetxt(fmt="%.17g", delimiter=",")`.  t and
+    x are formatted once each; the fields go through `_g17_chunk`, and each
+    chunk of rows is one `"".join`, one `%` and one write.
     """
     x = traj.grid.x
-    template = "".join("%%s,%.17g,%%.17g,%%.17g,%%.17g,%%.17g\n" % v
-                       for v in x)
-    cells = [None] * (5 * x.size)
+    x_heads = np.array(["%.17g," % v for v in x], dtype=object)
+    t_heads = np.array(["%.17g," % t for t in traj.times], dtype=object)
+    fields = [f.reshape(-1) for f in (traj.E, traj.M, traj.F, traj.Ms)]
+    n_rows = t_heads.size * x.size
     with open(path, "w") as fh:
         fh.write("t,x,E,M,F,Ms\n")
-        for i, t in enumerate(traj.times):
-            cells[0::5] = ["%.17g" % t] * x.size
-            for col, snaps in enumerate((traj.E, traj.M, traj.F, traj.Ms), 1):
-                cells[col::5] = snaps[i].tolist()
-            fh.write(template % tuple(cells))
+        for r0 in range(0, n_rows, _CHUNK_ROWS):
+            r1 = min(r0 + _CHUNK_ROWS, n_rows)
+            rows = np.arange(r0, r1)
+            specs, args = _g17_chunk(
+                np.stack([f[r0:r1] for f in fields], axis=1))
+            line = np.empty((rows.size, 6), dtype=object)
+            line[:, 0] = t_heads[rows // x.size]
+            line[:, 1] = x_heads[rows % x.size]
+            line[:, 2:] = specs.reshape(-1, 4)
+            fh.write("".join(line.ravel().tolist()) % tuple(args))
 
 
 def cmd_analyze(args) -> int:

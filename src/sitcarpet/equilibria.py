@@ -224,9 +224,15 @@ def solve_m0(zeta: float) -> float:
         return zeta * np.expm1(m / zeta) - (1.0 - m)
 
     # bisect reads only the sign of h, and where expm1 overflows (large
-    # m / zeta near m = 1), +inf has the right one
+    # m / zeta near m = 1), +inf has the right one; a zeta so small that h
+    # is +inf at both ends (a huge K) has no maximizer in double precision
     with np.errstate(over="ignore"):
-        return bisect(h, 1e-300, 1.0 - 1e-16)
+        try:
+            return bisect(h, 1e-300, 1.0 - 1e-16)
+        except ValueError as e:
+            raise ParameterRangeError(
+                f"the maximizer m0 is beyond double precision for zeta = "
+                f"{zeta:g}: {e}") from None
 
 
 def _m_to_F(params: ModelParams, m: float) -> float:

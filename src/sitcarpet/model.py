@@ -285,7 +285,8 @@ def _mating_and_dM(params: ModelParams, M: float, Ms: float) -> tuple[float, flo
     if P == 0.0:
         return gam, dgam
     g = M / P * gam
-    dg = params.gamma_s * Ms / P**2 * gam + M / P * dgam
+    # P * P, not P**2: a float ** raises OverflowError where * gives inf
+    dg = params.gamma_s * Ms / (P * P) * gam + M / P * dgam
     return float(g), float(dg)
 
 

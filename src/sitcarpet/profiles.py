@@ -20,6 +20,7 @@ grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Optional
@@ -28,6 +29,7 @@ import numpy as np
 
 from .equilibria import (
     EquilibriumSet,
+    ParameterRangeError,
     _wave_integrand,
     bisect,
     cumulative_simpson,
@@ -38,7 +40,13 @@ from .equilibria import (
 )
 from .model import ModelParams
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+# 5-point Gauss-Legendre on [-1, 1]: the repr of
+# `np.polynomial.legendre.leggauss(5)`, so no command imports numpy.polynomial
+_GL_NODES = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                      0.5384693101056831, 0.906179845938664])
+_GL_WEIGHTS = np.array([0.23692688505618928, 0.4786286704993663,
+                        0.5688888888888887, 0.4786286704993663,
+                        0.23692688505618928])
 # Uniform cells on which `_locate_maximizer` tabulates the potential
 _SCAN_NODES = 1 << 14
 # Gauss-Legendre cells of the potential gap H on [0, F_m]
@@ -309,8 +317,12 @@ def build_stationary_F(params: ModelParams, eps: Optional[float] = None,
     if F_m is None:
         return None
     gap = _PotentialGap(params, F_star, F_m, eps)
-    if gap.H(0.0) <= 0.0:
+    H0 = float(gap.H(0.0))
+    if H0 <= 0.0:
         return None
+    if not 2.0 * H0 < math.inf:  # the speed sqrt(2 H) needs a finite 2 H
+        raise ParameterRangeError(f"the potential gap G(F_m) - G(0) = "
+                                  f"{H0:g} is beyond double precision")
 
     F_knots, x_knots, x_of_F = _inverse_map(gap)
     x_max = float(x_knots[-1])

@@ -175,6 +175,10 @@ class Grid:
         dx = np.diff(x)
         if np.any(dx <= 0) or not np.allclose(dx, dx[0], rtol=1e-12):
             raise ValueError("grid must be uniform and increasing")
+        h = float(dx[0])
+        if not 0.0 < h * h < math.inf:  # the diffusion matrix divides by it
+            raise ValueError(f"grid spacing {h:g}: its square is not a "
+                             f"finite double above 0")
         if self.kind == "radial2d" and abs(x[0]) > 1e-14:
             raise ValueError("radial grid must start at r = 0")
         if self.kind not in ("cartesian1d", "radial2d"):

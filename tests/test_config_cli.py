@@ -1256,6 +1256,58 @@ class TestSnapshotWriter:
         text = (tmp_path / "snapshots.csv").read_text()
         assert "4.9406564584124654e-324" in text and "1e+300" in text
 
+    @staticmethod
+    def _hard_values() -> np.ndarray:
+        """Values that test the writer's digit path and its fallback."""
+        rng = np.random.default_rng(20261021)
+        bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64,
+                            endpoint=False)
+        powers = 10.0 ** np.arange(-30, 31)
+        # exact 17-digit ties: m * 2**(X - 17), m odd, times 10**(16 - X)
+        # is a half-integer (131073 / 2**17 is one)
+        ties = [131073 / 2 ** 17]
+        for X in range(16):
+            lo, hi = 10 ** X * 2 ** (17 - X), 10 ** (X + 1) * 2 ** (17 - X)
+            m = rng.integers(lo // 2, min(hi, 2 ** 53) // 2, 50) * 2 + 1
+            ties += [int(k) * 2.0 ** (X - 17) for k in m]
+        classes = [s * 10.0 ** X for X in range(-5, 18)
+                   for s in (1.0, 1.25, 3.0000000000000004, 9.999999999999998)]
+        ints = np.concatenate([np.arange(1.0, 1025.0), 2.0 ** np.arange(54),
+                               rng.integers(1, 2 ** 53, 2000,
+                                            endpoint=True).astype(float)])
+        special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                   2.2250738585072014e-308, 1e-200, 1e200, 1.7976931348623157e308,
+                   0.30000000000000004, 131073 / 2 ** 17]
+        values = np.concatenate([
+            bits.view(np.float64), powers, np.nextafter(powers, 0.0),
+            np.nextafter(powers, np.inf), ties, classes, ints, special])
+        return np.concatenate([values, -values])
+
+    def test_rows_match_17g_itself(self, tmp_path):
+        values = self._hard_values()
+        n = 997
+        per_snapshot = 4 * n
+        values = np.concatenate(
+            [values, np.zeros(-values.size % per_snapshot)])
+        fields = values.reshape(-1, n, 4)
+        traj = SimpleNamespace(
+            grid=Grid.cartesian(-1.0, 1.0, n),
+            times=np.linspace(0.0, 1.0, fields.shape[0]) ** 3,
+            E=fields[..., 0], M=fields[..., 1], F=fields[..., 2],
+            Ms=fields[..., 3])
+        cli_mod._write_snapshots(tmp_path / "snapshots.csv", traj)
+        rows = (tmp_path / "snapshots.csv").read_text().split("\n")
+        assert rows[0] == "t,x,E,M,F,Ms" and rows[-1] == ""
+        x = traj.grid.x.tolist()
+        k = 1
+        for i, t in enumerate(traj.times.tolist()):
+            for j in range(n):
+                want = ",".join("%.17g" % v for v in
+                                (t, x[j], *fields[i, j].tolist()))
+                assert rows[k] == want, (i, j)
+                k += 1
+        assert k == len(rows) - 1
+
 
 def test_commands_write_nothing_to_the_real_stdout(tmp_path, capfd):
     # a caller that redirects sys.stdout (as a benchmark harness does) gets

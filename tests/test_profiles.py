@@ -167,3 +167,11 @@ class TestStationaryProfiles:
         M = build_stationary_M(p05, flat)
         assert np.allclose(M.values, 0.0, atol=1e-12)
         assert M.limit == 0.0
+
+
+def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
+    from sitcarpet import profiles
+
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    assert profiles._GL_NODES.tobytes() == nodes.tobytes()
+    assert profiles._GL_WEIGHTS.tobytes() == weights.tobytes()

@@ -1,5 +1,6 @@
-"""What a command imports: LAPACK without the scipy.linalg package, and the
-process pool only where a pool runs."""
+"""What a command imports: LAPACK without the scipy.linalg package, the
+process pool only where a pool runs, and neither numpy.polynomial nor the
+exact-arithmetic modules fractions and decimal."""
 
 import os
 import subprocess
@@ -24,7 +25,8 @@ assert main(["simulate", "--preset", "fig1", "--out", out]) == 0
 assert main(["verify", "--preset", "carpet", "--which", "all"]) == 0
 assert main(["sweep", "--preset", "fig1", "--axis", "model.gamma",
              "--values", "0.5,1.0", "--workers", "1", "--out", out]) == 0
-print(sorted(m for m in ("scipy.linalg", "concurrent.futures.process")
+print(sorted(m for m in ("scipy.linalg", "concurrent.futures.process",
+                         "numpy.polynomial", "fractions", "decimal")
              if m in sys.modules))
 """
 
