@@ -14,6 +14,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
 import hashlib
 import math
@@ -238,8 +239,8 @@ def _write_snapshots(path: Path, traj) -> None:
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     scenario = cfg.scenario()
-    report = eq_mod.thresholds(scenario.at_max_K)
     eqs = scenario.equilibria
+    report = eq_mod.thresholds(scenario.at_max_K, eqs)
 
     def fmt(v):
         return "n/a" if v is None else f"{v:.6g}"
@@ -407,14 +408,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFY
 
 
-def _row_config(cfg_text: str, axis: str, value: float) -> ScenarioConfig:
-    """The config of one sweep row: cfg_text with `axis` set to value."""
-    cfg = ScenarioConfig.from_text(cfg_text)
-    sec, key = axis.split(".", 1)
-    getattr(cfg, sec)[key] = value
-    return cfg
-
-
 def _run_rows(scenarios) -> list:
     """Each scenario's Trajectory, or the exception that stopped it: as one
     batch, or one by one if the batch fails, so only failing rows fail."""
@@ -426,27 +419,17 @@ def _run_rows(scenarios) -> list:
         return [_run_rows([sc])[0] for sc in scenarios]
 
 
-def _sweep_share(payload) -> list:
-    """One worker's share of the rows, in order: (value, outcome, speed) or
-    an error message per row.  Rows with equal `batch_key` run as batches
-    of up to SWEEP_BATCH_ROWS."""
-    cfg_text, axis, values, level = payload
-    scenarios = [_row_config(cfg_text, axis, v).scenario() for v in values]
-    compatible: dict = {}
-    for i, sc in enumerate(scenarios):
-        compatible.setdefault(batch_key(sc), []).append(i)
-    batches = [rows[k:k + SWEEP_BATCH_ROWS] for rows in compatible.values()
-               for k in range(0, len(rows), SWEEP_BATCH_ROWS)]
-    results = [None] * len(values)
-    for rows in batches:
-        for i, traj in zip(rows, _run_rows([scenarios[i] for i in rows])):
-            try:
-                if isinstance(traj, Exception):
-                    raise traj
-                outcome = classify(traj, level=level)
-                results[i] = (values[i], outcome.kind, outcome.speed)
-            except Exception as e:  # reported per row and in the exit code
-                results[i] = f"{type(e).__name__}: {e}"
+def _sweep_batch(scenarios, level) -> list:
+    """(outcome, speed), or an error message, per row of one sweep batch."""
+    results = []
+    for traj in _run_rows(scenarios):
+        try:
+            if isinstance(traj, Exception):
+                raise traj
+            outcome = classify(traj, level=level)
+            results.append((outcome.kind, outcome.speed))
+        except Exception as e:  # reported per row and in the exit code
+            results.append(f"{type(e).__name__}: {e}")
     return results
 
 
@@ -460,47 +443,54 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep --values: {e}") from None
     if args.workers < 1:
         raise ConfigError(f"sweep --workers must be >= 1, got {args.workers}")
-    cfg_text = cfg.to_text()
-    # every row's config, equilibria and level are checked before any row
+    # every row's scenario, equilibria and level are checked before any row
     # runs, so a bad value is a config error with nothing run or written; a
-    # row with no positive equilibrium runs, to fail alone as in `simulate`
+    # row with no positive equilibrium runs, to fail alone as in `simulate`.
+    # The scenarios checked, equilibria solved, are the ones that run.
+    scenarios = []
     for v in values:
+        row = copy.deepcopy(cfg)
+        getattr(row, sec)[key] = v
         try:
-            scenario = _row_config(cfg_text, args.axis, v).scenario()
+            scenario = row.scenario()
             if scenario.equilibria.upper is not None:
                 _check_level(args.level, scenario)
         except (ConfigError, eq_mod.ParameterRangeError) as e:
             raise ConfigError(f"{args.axis} = {v!r}: {e}") from None
-    # each worker takes a near-equal run of consecutive rows; a fork-started
-    # pool launches every worker up front, so it is never larger than the
-    # number of rows
-    workers = min(args.workers, len(values))
-    q, r = divmod(len(values), workers)
-    cuts = [i * q + min(i, r) for i in range(workers + 1)]
-    payloads = [(cfg_text, args.axis, values[a:b], args.level)
-                for a, b in zip(cuts, cuts[1:])]
+        scenarios.append(scenario)
+    # rows with equal `batch_key` run as batches of at most SWEEP_BATCH_ROWS
+    # rows and at most an even share of them per worker; a fork-started pool
+    # launches every worker up front, so it is never larger than the number
+    # of batches
+    size = min(SWEEP_BATCH_ROWS, math.ceil(len(values) / args.workers))
+    compatible: dict = {}
+    for i, sc in enumerate(scenarios):
+        compatible.setdefault(batch_key(sc), []).append(i)
+    batches = [rows[k:k + size] for rows in compatible.values()
+               for k in range(0, len(rows), size)]
+    jobs = [[scenarios[i] for i in rows] for rows in batches]
+    levels = [args.level] * len(jobs)
+    workers = min(args.workers, len(jobs))
     if workers > 1:
         # imported here, so that only a pooled sweep loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            shares = list(ex.map(_sweep_share, payloads))
+            done = list(ex.map(_sweep_batch, jobs, levels))
     else:
-        shares = [_sweep_share(payloads[0])]
-    failures = []
-    rows = []
-    for v, res in zip(values, (res for share in shares for res in share)):
-        if isinstance(res, str):
-            failures.append((v, res))
-        else:
-            rows.append(res)
-    rows.sort(key=lambda r: r[0])
+        done = list(map(_sweep_batch, jobs, levels))
+    by_row = {i: r for rows, res in zip(batches, done)
+              for i, r in zip(rows, res)}
+    failures = [(v, by_row[i]) for i, v in enumerate(values)
+                if isinstance(by_row[i], str)]
+    rows = sorted(((v, *by_row[i]) for i, v in enumerate(values)
+                   if not isinstance(by_row[i], str)), key=lambda r: r[0])
     print(f"{args.axis:>16}  {'outcome':>14}  {'speed':>12}")
     for v, kind, speed in rows:
         sp = f"{speed:.6g}" if speed is not None else "n/a"
         print(f"{v:>16.6g}  {kind:>14}  {sp:>12}")
     for v, msg in failures:
         print(f"{v:>16.6g}  FAILED: {msg}")
-    out = _out_dir(args, cfg_text + f"\n# sweep {args.axis}")
+    out = _out_dir(args, cfg.to_text() + f"\n# sweep {args.axis}")
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "sweep.csv", "w") as fh:
         fh.write(f"{args.axis},outcome,speed\n")

@@ -23,6 +23,7 @@ certificate checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -182,6 +183,11 @@ def _check_read(d: dict, sec: str, kind_key: str, kind: str) -> None:
                               f"is {kind}")
 
 
+def _K_field(x, base: float, amp: float, per: float):
+    """K(x) = base + amp sin(2 pi |x| / per); a partial of it pickles."""
+    return base + amp * np.sin(2.0 * np.pi * np.abs(x) / per)
+
+
 def build_scenario(cfg: ScenarioConfig) -> Scenario:
     """Validate a parsed config field by field and construct the Scenario."""
     for sec in cfg.SECTIONS:
@@ -217,9 +223,8 @@ def build_scenario(cfg: ScenarioConfig) -> Scenario:
     except ValueError as e:
         raise ConfigError(f"model: {e}") from e
     if K_osc > 0.0:
-        def K_field(x, base=float(params.K), amp=K_osc, per=K_period):
-            return base + amp * np.sin(2.0 * np.pi * np.abs(x) / per)
-        params = replace(params, K=K_field)
+        params = replace(params, K=functools.partial(
+            _K_field, base=float(params.K), amp=K_osc, per=K_period))
 
     # the run settings are checked before the grid is built, so a run too
     # long to step allocates nothing

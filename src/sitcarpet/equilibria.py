@@ -21,6 +21,7 @@ current parameter set's equilibrium, which is what `solve_gamma_0` does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -208,14 +209,20 @@ def potential_G(params: ModelParams, F_star: float, F: float,
     Gamma is the params' own (identically 1 when params.gamma is None); eps,
     when given, weights the integrand by phi/(phi + phi_s^eps), the
     sterile-tail variant.  Composite Simpson with PANELS panels.
+    ParameterRangeError if G is not a finite double (G grows like K^2).
     """
     if F < 0 or F > F_star * (1.0 + 1e-12):
         raise ValueError("potential_G requires 0 <= F <= F_star")
     if F == 0.0:
         return 0.0
     u = np.linspace(0.0, F, PANELS + 1)
-    y = _wave_integrand(params, F_star, u, eps)
-    return float(cumulative_simpson(y, F / PANELS)[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        G = float(cumulative_simpson(_wave_integrand(params, F_star, u, eps),
+                                     F / PANELS)[-1])
+    if not math.isfinite(G):
+        raise ParameterRangeError(f"the potential G({F:g}) = {G:g} is beyond "
+                                  f"double precision")
+    return G
 
 
 def solve_m0(zeta: float) -> float:
@@ -297,19 +304,22 @@ def solve_equilibria(params: ModelParams) -> EquilibriumSet:
                           _is_stable(params, *middle), _is_stable(params, *upper))
 
 
-def solve_gamma_0(params: ModelParams) -> Optional[float]:
+def solve_gamma_0(params: ModelParams,
+                  equilibria: Optional[EquilibriumSet] = None
+                  ) -> Optional[float]:
     """Allee coefficient gamma_0 above which the bistable wave advances.
 
     Root of G(F*; gamma) = 0 in gamma, with the equilibrium F* the one of
     `params` and only the integrand's Gamma varying with the trial gamma,
     matching the published Table-1 values.  Returns None when the current
     params admit no positive equilibrium to freeze or when N <= 1.
+    `equilibria` are the params' own, if already solved.
     """
     N = offspring_number(params)
     if N <= 1.0:
         return None
     gamma_c = zeta_of_gamma(params, solve_zeta_c(N))
-    eq = solve_equilibria(params)
+    eq = equilibria if equilibria is not None else solve_equilibria(params)
     if eq.upper is None:
         return None
     F_star = eq.upper[2]
@@ -323,8 +333,10 @@ def solve_gamma_0(params: ModelParams) -> Optional[float]:
     return None if lo is None else bisect(h, lo, hi)
 
 
-def thresholds(params: ModelParams) -> ThresholdReport:
-    """N, zeta, zeta_c, gamma_c, gamma_0, and the regime classification."""
+def thresholds(params: ModelParams,
+               equilibria: Optional[EquilibriumSet] = None) -> ThresholdReport:
+    """N, zeta, zeta_c, gamma_c, gamma_0, and the regime classification;
+    `equilibria` are the params' own, if already solved."""
     N = offspring_number(params)
     natural_extinction = N <= 1.0
     zeta_c = solve_zeta_c(N)
@@ -336,7 +348,7 @@ def thresholds(params: ModelParams) -> ThresholdReport:
                                natural_extinction)
 
     zeta = zeta_of_gamma(params, gamma)
-    gamma_0 = solve_gamma_0(params)
+    gamma_0 = solve_gamma_0(params, equilibria)
     if natural_extinction or (gamma_c is not None and gamma <= gamma_c):
         regime = "BistableBelowGammaC"
     elif gamma_0 is not None and gamma > gamma_0:

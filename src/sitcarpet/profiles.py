@@ -237,9 +237,12 @@ class _PotentialGap:
         self.pw, self.F_star, self.eps = pw, F_star, eps
         self.F_m = F_m
         self.nodes = np.linspace(0.0, F_m, _GAP_CELLS + 1)
-        cells = _gauss_cells(self._integrand, self.nodes[:-1], self.nodes[1:])
         H = np.zeros(_GAP_CELLS + 1)
-        H[:-1] = np.cumsum(cells[::-1])[::-1]
+        # a gap beyond double precision is refused by build_stationary_F
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells = _gauss_cells(self._integrand, self.nodes[:-1],
+                                 self.nodes[1:])
+            H[:-1] = np.cumsum(cells[::-1])[::-1]
         self.H_nodes = H
 
     def _integrand(self, F):
@@ -318,11 +321,11 @@ def build_stationary_F(params: ModelParams, eps: Optional[float] = None,
         return None
     gap = _PotentialGap(params, F_star, F_m, eps)
     H0 = float(gap.H(0.0))
-    if H0 <= 0.0:
-        return None
-    if not 2.0 * H0 < math.inf:  # the speed sqrt(2 H) needs a finite 2 H
+    if not 2.0 * abs(H0) < math.inf:  # the speed sqrt(2 H) needs a finite 2 H
         raise ParameterRangeError(f"the potential gap G(F_m) - G(0) = "
                                   f"{H0:g} is beyond double precision")
+    if H0 <= 0.0:
+        return None
 
     F_knots, x_knots, x_of_F = _inverse_map(gap)
     x_max = float(x_knots[-1])

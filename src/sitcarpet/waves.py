@@ -67,7 +67,10 @@ def front_position(f: np.ndarray, grid: Grid,
     None when the field never crosses the level."""
     f = np.asarray(f, dtype=float)
     d = f - level
-    sign_change = d[:-1] * d[1:] < 0.0
+    # opposite signs, by the product of the signs: the product of the
+    # differences themselves overflows past about 1e154
+    s = np.sign(d)
+    sign_change = s[:-1] * s[1:] < 0.0
     exact = d == 0.0
     idx = np.flatnonzero(sign_change)
     positions = []

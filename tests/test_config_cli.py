@@ -3,6 +3,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import pickle
 import re
 import shutil
 from pathlib import Path
@@ -40,6 +41,20 @@ class TestConfigRoundTrip:
         for name in PRESET_NAMES:
             scen = preset(name).scenario()
             assert scen.t_end > 0
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_scenario_pickle_round_trip(self, name):
+        # what a sweep hands a pool worker: the scenario with its solved
+        # equilibria, which runs bit for bit as the original
+        cfg = preset(name)
+        cfg.run["t_end"] = 2.0
+        scen = cfg.scenario()
+        eqs = scen.equilibria
+        clone = pickle.loads(pickle.dumps(scen))
+        assert vars(clone)["equilibria"] == eqs
+        a, b = run(scen), run(clone)
+        for field in ("times", "E", "M", "F", "Ms"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
     def test_comments_and_blanks(self):
         cfg = ScenarioConfig.from_text(
@@ -546,13 +561,16 @@ class TestCli:
         monkeypatch.setattr(cli_mod, "run_batch", recording)
         return sizes
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name,workers", [
+        pytest.param("carpet", 1, id="1"), pytest.param("carpet", 2, id="2"),
+        pytest.param("carpet-hetero", 2, id="carpet-hetero-2")])
     def test_batched_rows_match_simulate(self, tmp_path, capsys,
-                                         monkeypatch, workers):
+                                         monkeypatch, name, workers):
         # one worker runs the three rows as one batch; two run a batch of
-        # two and a batch of one (in pool workers, so not recorded here)
+        # two and a batch of one (in pool workers, so not recorded here),
+        # each pickled with its K(x)
         sizes = self._record_batch_sizes(monkeypatch)
-        cfg = preset("carpet")
+        cfg = preset(name)
         cfg.run["t_end"] = 30.0
         path = tmp_path / "quick.cfg"
         path.write_text(cfg.to_text())
@@ -650,7 +668,7 @@ class TestCli:
 
     def test_sweep_pool_is_never_larger_than_the_rows(
             self, tmp_path, capsys, monkeypatch):
-        # and each worker gets a near-equal run of consecutive rows
+        # and rows run in batches of at most an even share per worker
         sizes, shares = [], []
 
         class RecordingPool:
@@ -663,9 +681,10 @@ class TestCli:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, payloads):
-                shares.append([p[2] for p in payloads])
-                return map(fn, payloads)
+            def map(self, fn, batches, levels):
+                shares.append([[sc.params.gamma for sc in batch]
+                               for batch in batches])
+                return map(fn, batches, levels)
 
         # cmd_sweep imports the pool class where a pool runs
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",

@@ -1,9 +1,11 @@
 """Each scenario's equilibria are solved once.
 
 A `Scenario` solves the equilibria of its max-K params on first use and
-keeps them; the initial data, the classifier and the CLI's checks all read
-them from there.  A second solve of the same parameters shows up here as
-one more call of `solve_equilibria`.
+keeps them; the initial data, the classifier, the thresholds and the CLI's
+checks all read them from there.  A sweep builds each row's Scenario once,
+for its pre-run check, and runs that Scenario, in process or pickled to a
+pool worker with its equilibria.  A second solve of the same parameters
+shows up here as one more call of `solve_equilibria`.
 """
 
 import sys
@@ -57,15 +59,22 @@ def test_simulate_solves_once(tmp_path, capsys, solve_calls, quick_fig1,
     assert len(solve_calls) == 1
 
 
-def test_sweep_solves_twice_per_row(tmp_path, capsys, solve_calls,
-                                    quick_fig1):
-    # once in the pre-run check, once in the worker, which rebuilds each
-    # row's scenario from the config text
+def test_sweep_solves_once_per_row(tmp_path, capsys, solve_calls,
+                                   quick_fig1):
+    # in the pre-run check; the batch runs the scenario checked
     rc = main(["sweep", "--config", str(quick_fig1), "--axis", "model.gamma",
                "--values", "0.05,0.1,0.5,1.0", "--workers", "1",
                "--out", str(tmp_path / "out")])
     assert rc == 0
-    assert len(solve_calls) == 8
+    assert len(solve_calls) == 4
+
+
+def test_analyze_solves_once(tmp_path, capsys, solve_calls):
+    # gamma_0 freezes the scenario's own F*: the thresholds and the
+    # equilibria printed share one solve
+    assert main(["analyze", "--preset", "carpet",
+                 "--out", str(tmp_path)]) == 0
+    assert len(solve_calls) == 1
 
 
 def test_verify_all_solves_once(capsys, solve_calls):
